@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, is_dataclass
+from functools import lru_cache
 from importlib import resources
-from typing import Any
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 PROTOCOLS = (
     "zeno_confine",
@@ -33,19 +35,6 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("invalid config:\n" + "\n".join(f"  - {p}" for p in problems))
-
-
-def _as_complex(value: Any, key: str, problems: list[str]) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    problems.append(f"{key}: expected a number or [re, im] pair, got {value!r}")
-    return 0j
 
 
 @dataclass
@@ -69,7 +58,6 @@ class PulseConfig:
 class LindbladConfig:
     t_c: float = 0.13
     n_th: float = 0.0
-    dt: float = 0.0  # 0 -> t_c / 1e6
 
 
 @dataclass
@@ -161,103 +149,82 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
             problems.append("pulse: needs total_duration or rabi_drive")
         if cfg.lindblad.t_c <= 0:
             problems.append("lindblad.t_c: must be positive")
+        if cfg.lindblad.n_th < 0:
+            problems.append("lindblad.n_th: must be non-negative")
     if cfg.kick_theta and not cfg.kick_rabi_drive:
         problems.append("kick_rabi_drive: required when kick_theta is set")
     if cfg.wigner.nx < 2 or cfg.wigner.ny < 2:
         problems.append("wigner: nx and ny must be >= 2")
 
 
+#: keys that older configs may still carry, with the reason they are gone
+_RETIRED_KEYS = {"lindblad.dt": "damping is now exact and has no integrator step"}
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _convert(tp: Any, value: Any, key: str, problems: list[str]) -> Any:
+    """value as the field type tp; a problem is recorded where it does not fit."""
+    if get_origin(tp) is UnionType:  # X | None
+        if value is None:
+            return None
+        tp = next(a for a in get_args(tp) if a is not type(None))
+    if tp in (int, float, complex):
+        if tp is complex and isinstance(value, list) and len(value) == 2:
+            if all(isinstance(v, (int, float)) for v in value):
+                value = complex(*value)
+        try:
+            return tp(value)
+        except (TypeError, ValueError):
+            kind = {int: "an integer", float: "a number", complex: "a number or [re, im] pair"}
+            problems.append(f"{key}: expected {kind[tp]}, got {value!r}")
+            return None
+    if tp in (str, bool):
+        return tp(value)
+    if is_dataclass(tp):
+        return _convert_object(tp, value, key, problems)
+    args = get_args(tp)  # tuple[X, ...] or a fixed-length tuple
+    variadic = args[-1] is Ellipsis
+    if not isinstance(value, list) or not (variadic or len(value) == len(args)):
+        shape = "a list" if variadic else f"a list of {len(args)} values"
+        problems.append(f"{key}: expected {shape}, got {value!r}")
+        return None
+    types = args[:1] * len(value) if variadic else args
+    return tuple(
+        _convert(t, v, f"{key}[{k}]", problems) for k, (t, v) in enumerate(zip(types, value))
+    )
+
+
+def _convert_object(cls: type, raw: Any, key: str, problems: list[str]) -> Any:
+    """An instance of the dataclass cls from a JSON object, or None after a problem."""
+    if not isinstance(raw, dict):
+        problems.append(f"{key}: expected an object, got {raw!r}")
+        return None
+    before = len(problems)
+    prefix = f"{key}." if key else ""
+    types = _field_types(cls)
+    kwargs = {}
+    for name, value in raw.items():
+        if name in types:
+            kwargs[name] = _convert(types[name], value, prefix + name, problems)
+        else:
+            note = _RETIRED_KEYS.get(prefix + name)
+            problems.append(f"{prefix}{name}: unknown key" + (f" ({note})" if note else ""))
+    for name, f in cls.__dataclass_fields__.items():
+        if f.default is MISSING and f.default_factory is MISSING and name not in raw:
+            problems.append(f"{prefix}{name}: missing (required)")
+    return None if len(problems) > before else cls(**kwargs)
+
+
 def parse_config(raw: dict[str, Any]) -> RunConfig:
-    """Build and validate a RunConfig from decoded JSON."""
+    """Build and validate a RunConfig from decoded JSON (validation needs typed fields)."""
     problems: list[str] = []
-    known = set(RunConfig.__dataclass_fields__)
-    for key in raw:
-        if key not in known:
-            problems.append(f"{key}: unknown key")
-    if "protocol" not in raw:
-        problems.append("protocol: missing (required)")
-    if "dim" not in raw:
-        problems.append("dim: missing (required)")
+    cfg = _convert_object(RunConfig, raw, "", problems)
     if problems:
         raise ConfigError(problems)
-
-    kwargs: dict[str, Any] = {}
-    for key in ("protocol", "interleave"):
-        if key in raw:
-            kwargs[key] = str(raw[key])
-    for key in (
-        "dim", "s", "steps", "record_every", "snapshot_every", "crush_steps",
-        "n_components", "steps_per_crush", "guard_levels", "waypoints_per_component",
-    ):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in ("leak_tol", "overlap_tol", "separation", "kick_theta",
-                "kick_rabi_drive", "kick_omega"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    for key in ("beta", "alpha_init", "gamma"):
-        if key in raw:
-            kwargs[key] = _as_complex(raw[key], key, problems)
-    for key in ("cat_init", "alpha_free", "target_alpha"):
-        if key in raw and raw[key] is not None:
-            kwargs[key] = _as_complex(raw[key], key, problems)
-    if "dump_states" in raw:
-        kwargs["dump_states"] = bool(raw["dump_states"])
-    if "snapshot_steps" in raw:
-        kwargs["snapshot_steps"] = tuple(int(v) for v in raw["snapshot_steps"])
-    if "component_positions" in raw:
-        kwargs["component_positions"] = tuple(
-            _as_complex(v, "component_positions", problems)
-            for v in raw["component_positions"]
-        )
-    if "crush_centers" in raw:
-        pair = raw["crush_centers"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            problems.append("crush_centers: expected two complex values")
-        else:
-            kwargs["crush_centers"] = tuple(
-                _as_complex(v, "crush_centers", problems) for v in pair
-            )
-    if "trajectories" in raw:
-        trajs = []
-        for k, t in enumerate(raw["trajectories"]):
-            trajs.append(
-                TrajectoryConfig(
-                    start=_as_complex(t.get("start", 0), f"trajectories[{k}].start", problems),
-                    stop=_as_complex(t.get("stop", 0), f"trajectories[{k}].stop", problems),
-                    steps=int(t.get("steps", 1)),
-                    s=int(t.get("s", 1)),
-                    adiabatic_cap=float(t.get("adiabatic_cap", 0.1)),
-                )
-            )
-        kwargs["trajectories"] = tuple(trajs)
-    if "pulse" in raw and raw["pulse"] is not None:
-        p = raw["pulse"]
-        kwargs["pulse"] = PulseConfig(
-            omega=float(p.get("omega", 2 * math.pi * 50e3)),
-            theta=float(p.get("theta", 2 * math.pi)),
-            rabi_drive=float(p.get("rabi_drive", 0.0)),
-            total_duration=float(p.get("total_duration", 3.4e-3)),
-        )
-    if "lindblad" in raw:
-        ld = raw["lindblad"]
-        kwargs["lindblad"] = LindbladConfig(
-            t_c=float(ld.get("t_c", 0.13)),
-            n_th=float(ld.get("n_th", 0.0)),
-            dt=float(ld.get("dt", 0.0)),
-        )
-    if "wigner" in raw:
-        w = raw["wigner"]
-        bounds = w.get("bounds")
-        kwargs["wigner"] = WignerConfig(
-            nx=int(w.get("nx", 121)),
-            ny=int(w.get("ny", 121)),
-            bounds=tuple(float(b) for b in bounds) if bounds else None,
-        )
-    if "theta_grid" in raw:
-        kwargs["theta_grid"] = tuple(float(v) for v in raw["theta_grid"])
-
-    cfg = RunConfig(**kwargs)
     _validate(cfg, problems)
     if problems:
         raise ConfigError(problems)
@@ -278,19 +245,14 @@ def list_presets() -> list[str]:
 
 
 def load_preset(name: str) -> RunConfig:
-    files = resources.files("zenocavity").joinpath("presets")
-    path = files.joinpath(f"{name}.json")
-    if not path.is_file():
-        raise ConfigError(
-            [f"preset: unknown name {name!r}; available: {', '.join(list_presets())}"]
-        )
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    return parse_config(raw)
+    return parse_config(preset_raw(name))
 
 
 def preset_raw(name: str) -> dict[str, Any]:
     files = resources.files("zenocavity").joinpath("presets")
     path = files.joinpath(f"{name}.json")
     if not path.is_file():
-        raise ConfigError([f"preset: unknown name {name!r}"])
+        raise ConfigError(
+            [f"preset: unknown name {name!r}; available: {', '.join(list_presets())}"]
+        )
     return json.loads(path.read_text(encoding="utf-8"))

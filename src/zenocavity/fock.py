@@ -152,14 +152,14 @@ def number_op(dim: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def displacement_op(beta: complex, dim: int) -> np.ndarray:
     """D(beta) = exp(beta a^dag - beta^* a) on the truncated basis.
 
     Built by diagonalizing the Hermitian generator i(beta a^dag - beta^* a),
     so the result is unitary to machine precision (a Pade expm is not),
-    which the conjugated kicks rely on. Cached: schedules reuse the same
-    displacement many times.
+    which the conjugated kicks rely on. Cached for the drive displacement a
+    schedule reuses; kept small as kick centres rarely repeat (100 kB each at dim 80).
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")

@@ -5,11 +5,11 @@ Density matrices evolve under the damped-cavity master equation
     drho/dt = -i[H, rho] + (1/T_c)(1 + n_th)(a rho a+ - {a+a, rho}/2)
                          + (n_th/T_c)(a+ rho a - {a a+, rho}/2)
 
-integrated with fixed-step classical RK4. Dimensions stay small (<= ~48)
-for realistic runs, so the dense density-matrix representation is
-deterministic and cheap; no trajectory unraveling. The damping
-superoperator is applied through index shifts rather than matmuls since a
-is a single subdiagonal.
+with H = 0 or a linear drive, solved exactly. Damping keeps the offset
+d = m - k of each element rho[m, k], so exp(L t) splits into one small
+real block per offset; a drive adds a displacement of the damped frame
+(the phase-covariant damped oscillator; Walls & Milburn, Quantum Optics,
+ch. 6). lindblad_rhs, the generator, is the propagator's test oracle.
 
 Interrogation pulses take real time (their duration dominates a realistic
 run). A kick inside a damped segment is split symmetrically: damping runs
@@ -23,11 +23,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import IO, Sequence
 
 import numpy as np
 
-from .fock import FieldState
+from .fock import FieldState, displacement_op
 from .zeno import KickSpec, displaced_kick, drive_hamiltonian
 
 logger = logging.getLogger(__name__)
@@ -35,22 +36,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LindbladParams:
-    """Damped-cavity model: energy decay time t_c (s), thermal occupancy
-    n_th, integrator step dt (s)."""
+    """Damped-cavity model: energy decay time t_c (s), thermal occupancy n_th."""
 
     t_c: float
     n_th: float = 0.0
-    dt: float = 0.0  # 0 -> t_c / 1e6
 
     def __post_init__(self):
         if self.t_c <= 0:
             raise ValueError("t_c must be positive")
         if self.n_th < 0:
             raise ValueError("n_th must be non-negative")
-        if self.dt == 0.0:
-            object.__setattr__(self, "dt", self.t_c / 1e6)
-        if self.dt <= 0 or self.dt > self.t_c / 100:
-            raise ValueError("dt must be positive and well below t_c")
 
 
 def pure_density(state: FieldState) -> np.ndarray:
@@ -103,28 +98,71 @@ def lindblad_rhs(
     return out
 
 
-def _rk4(rho, h, params, dt):
-    k1 = lindblad_rhs(rho, h, params)
-    k2 = lindblad_rhs(rho + 0.5 * dt * k1, h, params)
-    k3 = lindblad_rhs(rho + 0.5 * dt * k2, h, params)
-    k4 = lindblad_rhs(rho + dt * k3, h, params)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+@lru_cache(maxsize=2)
+def _damping_propagator(dim: int, decays: float, n_th: float) -> np.ndarray:
+    """exp(L t), decays = t / T_c, as real blocks [d, i, j]: x_j = rho[j, j + d] -> x_i.
+
+    Terms as in _damping_terms, built block by block to keep temporaries
+    small. Two entries: a run reuses one or two segment lengths.
+    """
+    from scipy.linalg import expm
+
+    nu = np.append(np.arange(1.0, dim), 0.0)  # diagonal of the truncated a a+
+    prop = np.zeros((dim, dim, dim))
+    for d in range(dim):
+        i = np.arange(dim - d)
+        hop = np.sqrt(i[1:] * (i[1:] + d))
+        gen = np.diag(-(1.0 + n_th) * (2 * i + d) / 2.0 - n_th * (nu[i] + nu[i + d]) / 2.0)
+        gen += np.diag((1.0 + n_th) * hop, 1) + np.diag(n_th * hop, -1)
+        prop[d, : dim - d, : dim - d] = expm(decays * gen)
+    return prop
+
+
+def _damp(rho: np.ndarray, decays: float, n_th: float) -> np.ndarray:
+    """exp(L t) rho. L is symmetric in (m, k): rho[i + d, i] evolves under
+    the block of rho[i, i + d]."""
+    dim = rho.shape[0]
+    d, i = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
+    x = np.zeros((dim, dim, 2), dtype=np.complex128)
+    x[d, i, 0] = rho[i, i + d]
+    x[d, i, 1] = rho[i + d, i]
+    # real blocks act on the real and imaginary parts side by side
+    y = (_damping_propagator(dim, decays, n_th) @ x.view(np.float64)).view(np.complex128)
+    out = np.empty((dim, dim), dtype=np.complex128)
+    out[i, i + d] = y[d, i, 0]
+    out[i + d, i] = y[d, i, 1]
+    return out
 
 
 def evolve_damped(
     rho: np.ndarray,
     duration: float,
-    params: LindbladParams,
+    params: LindbladParams | None,
     hamiltonian: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Integrate the master equation for `duration` seconds."""
+    """Exact master-equation evolution for `duration` seconds.
+
+    params None means no damping. hamiltonian, if given, must be a linear
+    drive (zeno.drive_hamiltonian); it acts after damping as D(beta), beta
+    being the amplitude it builds up from the vacuum against damping.
+    """
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    steps, rem = divmod(duration, params.dt)
-    for _ in range(int(steps)):
-        rho = _rk4(rho, hamiltonian, params, params.dt)
-    if rem > 1e-18 * max(duration, params.dt):
-        rho = _rk4(rho, hamiltonian, params, rem)
+    drive = 0j
+    if hamiltonian is not None:  # read E off H, and refuse anything else
+        drive = -1j * complex(hamiltonian[1, 0])
+        rest = hamiltonian - drive_hamiltonian(drive, rho.shape[0])
+        if np.max(np.abs(rest)) > 1e-12 * (1.0 + abs(drive)):
+            raise ValueError("only a linear drive -i(E* a - E a+) has an exact propagator")
+    if params is None:
+        beta = drive * duration
+    else:
+        rho = _damp(rho, duration / params.t_c, params.n_th)
+        # expm1 keeps beta exact when T_c is long against the segment
+        beta = -2.0 * drive * params.t_c * math.expm1(-duration / (2.0 * params.t_c))
+    if beta != 0:
+        d = displacement_op(beta, rho.shape[0])
+        rho = d @ rho @ d.conj().T
     return rho
 
 
@@ -206,16 +244,17 @@ def _mean_energy_rho(rho: np.ndarray) -> float:
 def evolve_master(
     rho: np.ndarray,
     schedule: Sequence[TimedStep],
-    params: LindbladParams,
+    params: LindbladParams | None,
     target: FieldState | None = None,
     positivity_tol: float = 1e-6,
 ) -> tuple[np.ndarray, MasterTrace]:
     """Run a timed schedule on a density matrix under cavity damping.
 
-    Kicks act as the conditioned completely positive branch (atom back in
-    h): rho -> K rho K+ / p with the leak 1 - p accumulated in the trace;
-    damping runs for the pulse duration around the midpoint split. Aborts
-    if positivity degrades beyond positivity_tol (step size too large).
+    params None runs it undamped. Kicks act as the conditioned completely
+    positive branch (atom back in h): rho -> K rho K+ / p with the leak
+    1 - p accumulated in the trace; damping runs for the pulse duration
+    around the midpoint split. Aborts on a negative eigenvalue beyond
+    positivity_tol, which can only be accumulated rounding.
     """
     rho = np.array(rho, dtype=np.complex128)
     dim = rho.shape[0]
@@ -262,7 +301,8 @@ def evolve_master(
         w = np.linalg.eigvalsh(rho)
         if w.min() < -positivity_tol:
             raise RuntimeError(
-                f"positivity violated ({w.min():.2e}); reduce the integrator step"
+                f"positivity violated ({w.min():.2e}) beyond rounding; "
+                "check dim and the kick leak"
             )
         record()
     logger.debug("evolve_master: t=%.4g s, kick leak %.3g", t, trace.total_kick_leak)

@@ -276,12 +276,7 @@ def realistic_point(
     duration = sum(s.duration for s in timed)
     psi0 = fock.cat_state(start, 1.0, cfg.dim)
     target = fock.cat_state(stop, 1.0, cfg.dim)
-    if damping:
-        params = LindbladParams(
-            t_c=cfg.lindblad.t_c, n_th=cfg.lindblad.n_th, dt=cfg.lindblad.dt
-        )
-    else:
-        params = LindbladParams(t_c=1e9, dt=1e9 / 1e6)
+    params = LindbladParams(cfg.lindblad.t_c, cfg.lindblad.n_th) if damping else None
     rho, trace = evolve_master(pure_density(psi0), timed, params, target=target)
     fid = fidelity_mixed(rho, target)
     if keep_trace:

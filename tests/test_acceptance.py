@@ -358,7 +358,7 @@ def test_criterion_13_property_suites():
         if abs(np.linalg.norm(state.amps) - 1) > 1e-12:
             problems.append("constructor normalization above 1e-12")
     # trace / hermiticity / positivity drift under damping
-    params = LindbladParams(t_c=0.13, dt=0.13 / 20000)
+    params = LindbladParams(t_c=0.13)
     rho = pure_density(cat_state(1.5, 1, 24))
     rho = evolve_damped(rho, 0.01, params)
     if abs(np.trace(rho).real - 1) > 1e-6:

@@ -118,6 +118,32 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("raw, fragment", [
+    ({"protocol": "zeno_confine", "dim": "abc"}, "dim: expected an integer"),
+    ({"protocol": "tweezer_move", "dim": 80, "trajectories": [3]},
+     "trajectories[0]: expected an object"),
+    ({"protocol": "zeno_confine", "dim": 40, "wigner": {"bounds": [-6, 6]}},
+     "wigner.bounds"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {}, "lindblad": {"n_th": -0.1}},
+     "lindblad.n_th: must be non-negative"),
+])
+def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_lindblad_unknown_keys_rejected():
+    raw = preset_raw("realistic")
+    raw["lindblad"] = {"t_c": 0.13, "dt": 1e-7, "gamma": 2}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    dt_problem, gamma_problem = err.value.problems
+    assert dt_problem.startswith("lindblad.dt: unknown key") and "exact" in dt_problem
+    assert gamma_problem == "lindblad.gamma: unknown key"
+
+
 def test_state_dump_format(tmp_path):
     raw = preset_raw("qze")
     raw.update({"dump_states": True, "snapshot_steps": [0], "steps": 3})
