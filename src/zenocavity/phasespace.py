@@ -6,90 +6,92 @@ parity operator, so W is real, bounded by +-2/pi, and a coherent state
 [-2/pi, 2/pi] linearly onto [0, 255]; figures therefore depend on this
 convention and it is fixed here once.
 
-Displacing a state towards the edge of a window pushes it against the
-Fock truncation, and the displaced-parity value turns into order-one
-garbage once the state clips. Evaluation therefore pads the state with
-zeros up to the basis size the window needs (exact, the state has no
-support there). Every displacement used lies on the real or the imaginary
-axis (the composition-law phase between the two drops out of the parity
-expectation), so one eigendecomposition per axis serves the whole raster
-and padding stays cheap.
+Evaluation uses the position representation, with q = sqrt(2) Re xi and
+p = sqrt(2) Im xi:
+
+    W(xi) = (2/pi) Int conj(psi(q + u)) psi(q - u) exp(2ipu) du
+
+(Hillery, O'Connell, Scully & Wigner, Phys. Rep. 106, 121 (1984)), summed
+over the eigenvectors of a density matrix. psi(q) = sum_n c_n phi_n(q) is
+built from the normalised Hermite functions phi_n, so the value is exact
+for the truncated state wherever it is evaluated: nothing is displaced and
+no basis is padded. The integrand is band-limited by the basis size and
+the window, so the trapezoid rule on a fine enough u grid converges to
+machine precision. The u spacing divides sqrt(2) dx, hence every q +- u of
+a raster lies on one sampled position grid and a whole raster is one
+gather and one matrix product.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO
 
 import numpy as np
 
-from .fock import FieldState, annihilation_op, creation_op, required_dim
+from .fock import FieldState
 
 W_MAX = 2.0 / math.pi
 
-#: hard ceiling on the padded basis; beyond it far points clip and warn
-MAX_PAD_DIM = 520
-
-#: displaced-state population allowed in the top 3 levels before a point
-#: is reported as clipped (reached only when MAX_PAD_DIM caps the padding)
-CLIP_TOL = 1e-3
+_SQRT2 = math.sqrt(2.0)
 
 
-def _warn_clipped(n_clipped: int, n_total: int) -> None:
-    warnings.warn(
-        f"{n_clipped}/{n_total} phase-space points push the state against "
-        "the truncation; their values are unreliable, increase dim",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+def _hermite_functions(dim: int, q: np.ndarray) -> np.ndarray:
+    """Rows phi_0(q)..phi_{dim-1}(q) of the normalised Hermite functions."""
+    phi = np.empty((dim, len(q)))
+    phi[0] = math.pi ** -0.25 * np.exp(-0.5 * q * q)
+    if dim > 1:
+        phi[1] = _SQRT2 * q * phi[0]
+    for n in range(2, dim):
+        phi[n] = math.sqrt(2.0 / n) * q * phi[n - 1] - math.sqrt((n - 1) / n) * phi[n - 2]
+    return phi
 
 
-@lru_cache(maxsize=32)
-def _axis_eig(dim: int, imag_axis: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem (w, v) with D(t) = v exp(-i t w) v+ for t on one axis.
+def _raster(
+    parts: list[tuple[float, np.ndarray]],
+    x_min: float,
+    x_step: float,
+    nx: int,
+    ys: np.ndarray,
+) -> np.ndarray:
+    """values[j, i] = W(x_min + i x_step + 1j ys[j]) of the weighted parts.
 
-    Real axis: D(x) = exp(x (a+ - a)) = exp(-i x H), H = i(a+ - a).
-    Imaginary axis: D(iy) = exp(iy (a+ + a)) = exp(-i y H'), H' = -(a+ + a).
+    |psi(q)| and its spectrum both fade beyond sqrt(2 dim + 1), so the
+    integrand lives on |u| < sqrt(2 dim + 1) + 7 and its frequencies stay
+    below 2 sqrt(2 dim + 1) + 2 sqrt(2) |y|. The trapezoid rule of spacing
+    h is exact to rounding while 2 pi / h, the first frequency it aliases
+    onto zero, is at least twice that band edge.
     """
-    if imag_axis:
-        h = -(creation_op(dim) + annihilation_op(dim))
-    else:
-        h = 1j * (creation_op(dim) - annihilation_op(dim))
-    w, v = np.linalg.eigh(h)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
-
-
-def _support_level(vec: np.ndarray, tail: float = 1e-14) -> int:
-    """Highest occupied level, ignoring a `tail` of probability."""
-    probs = np.abs(vec) ** 2
-    cum = np.cumsum(probs[::-1])
-    keep = np.nonzero(cum > tail)[0]
-    return int(len(vec) - 1 - keep[0]) if len(keep) else 0
-
-
-def _padded_dim(vec: np.ndarray, xi_max: float) -> int:
-    reach = math.sqrt(_support_level(vec) + 1.0) + xi_max
-    return max(len(vec), min(required_dim(reach), MAX_PAD_DIM))
-
-
-def _pad(vec: np.ndarray, dim: int) -> np.ndarray:
-    if len(vec) == dim:
-        return vec
-    out = np.zeros(dim, dtype=np.complex128)
-    out[: len(vec)] = vec
-    return out
-
-
-def _axis_displace_all(ts: np.ndarray, vec: np.ndarray, imag_axis: bool) -> np.ndarray:
-    """Rows D(t)vec for every t in ts; shape (len(ts), dim)."""
-    w, v = _axis_eig(len(vec), imag_axis)
-    base = v.conj().T @ vec
-    return (np.exp(-1j * np.outer(ts, w)) * base) @ v.T
+    dim = len(parts[0][1])
+    reach = math.sqrt(2.0 * dim + 1.0)
+    h_max = math.pi / (2.0 * reach + 2.0 * _SQRT2 * float(np.max(np.abs(ys))))
+    if nx > 1 and _SQRT2 * x_step < h_max:
+        # columns closer than h: evaluate interleaved sub-rasters whose
+        # spacing clears h, so the sampled grid stays O(reach / h) long
+        stride = math.ceil(h_max / (_SQRT2 * x_step))
+        values = np.empty((len(ys), nx))
+        for r in range(min(stride, nx)):
+            values[:, r::stride] = _raster(
+                parts, x_min + r * x_step, stride * x_step, len(range(r, nx, stride)), ys
+            )
+        return values
+    per_column = math.ceil(_SQRT2 * x_step / h_max) if nx > 1 else 1
+    h = _SQRT2 * x_step / per_column if nx > 1 else h_max
+    k_max = math.ceil((reach + 7.0) / h)
+    offsets = np.arange(-k_max, k_max + 1)
+    # sample m sits at sqrt(2) x_min + (m - k_max) h; column i at m = i * per_column + k_max
+    samples = _SQRT2 * x_min + h * np.arange(-k_max, (nx - 1) * per_column + k_max + 1)
+    table = _hermite_functions(dim, samples)
+    plus = per_column * np.arange(nx)[:, None] + k_max + offsets  # q_i + u_k
+    minus = plus[:, ::-1]  # q_i - u_k
+    integrand = np.zeros(plus.shape, dtype=np.complex128)
+    for weight, vec in parts:
+        psi = vec @ table
+        integrand += weight * psi[plus].conj() * psi[minus]
+    kernel = h * np.exp(2j * _SQRT2 * np.outer(ys, h * offsets))
+    return W_MAX * (kernel @ integrand.T).real
 
 
 @dataclass(frozen=True)
@@ -141,20 +143,9 @@ def _state_vectors(state_or_rho) -> list[tuple[float, np.ndarray]]:
 
 def wigner_point(state_or_rho, xi: complex) -> float:
     """W at a single phase-space point."""
-    parts = _state_vectors(state_or_rho)
     xi = complex(xi)
-    pad_dim = max(_padded_dim(vec, abs(xi)) for _, vec in parts)
-    parity = np.where(np.arange(pad_dim) % 2 == 0, 1.0, -1.0)
-    total = 0.0
-    clipped = False
-    for weight, vec in parts:
-        col = _axis_displace_all(np.array([-xi.real]), _pad(vec, pad_dim), False)[0]
-        disp = _axis_displace_all(np.array([-xi.imag]), col, True)[0]
-        clipped = clipped or float(np.sum(np.abs(disp[-3:]) ** 2)) > CLIP_TOL
-        total += weight * float(parity @ (np.abs(disp) ** 2))
-    if clipped:
-        _warn_clipped(1, 1)
-    return W_MAX * total
+    values = _raster(_state_vectors(state_or_rho), xi.real, 0.0, 1, np.array([xi.imag]))
+    return float(values[0, 0])
 
 
 def wigner_grid(
@@ -165,29 +156,15 @@ def wigner_grid(
 ) -> WignerGrid:
     """Raster W over bounds = (x_min, x_max, y_min, y_max)."""
     x_min, x_max, y_min, y_max = (float(b) for b in bounds)
-    parts = _state_vectors(state_or_rho)
-    xs = np.linspace(x_min, x_max, nx)
-    ys = np.linspace(y_min, y_max, ny)
-    corner = math.hypot(max(abs(x_min), abs(x_max)), max(abs(y_min), abs(y_max)))
-    pad_dim = max(_padded_dim(vec, corner) for _, vec in parts)
-    parity = np.where(np.arange(pad_dim) % 2 == 0, 1.0, -1.0)
-    w_y, v_y = _axis_eig(pad_dim, True)
-    row_phases = np.exp(-1j * np.outer(-ys, w_y))
-    values = np.zeros((ny, nx))
-    n_clipped = 0
-    for weight, vec in parts:
-        cols = _axis_displace_all(-xs, _pad(vec, pad_dim), False)  # (nx, dim)
-        projected = cols @ v_y.conj()  # row i holds v_y+ D(-x_i) vec
-        for i in range(nx):
-            disp = (row_phases * projected[i]) @ v_y.T  # (ny, dim)
-            probs = np.abs(disp) ** 2
-            n_clipped += int(np.count_nonzero(probs[:, -3:].sum(axis=1) > CLIP_TOL))
-            values[:, i] += W_MAX * weight * (probs @ parity)
-    if n_clipped:
-        _warn_clipped(n_clipped, nx * ny * len(parts))
-    return WignerGrid(
-        x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, nx=nx, ny=ny, values=values
+    # the grid checks its bounds and sizes before anything is evaluated
+    grid = WignerGrid(
+        x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, nx=nx, ny=ny,
+        values=np.empty((ny, nx)),
     )
+    grid.values[:] = _raster(
+        _state_vectors(state_or_rho), x_min, (x_max - x_min) / (nx - 1), nx, grid.ys
+    )
+    return grid
 
 
 def default_bounds(s: int, margin: float = 3.0) -> tuple[float, float, float, float]:
@@ -198,11 +175,11 @@ def default_bounds(s: int, margin: float = 3.0) -> tuple[float, float, float, fl
 
 def export_csv(grid: WignerGrid, fh: IO[str]) -> None:
     """Rows `x,y,w`, row-major over the raster, 17 significant digits."""
-    fh.write("x,y,w\n")
-    xs, ys = grid.xs, grid.ys
-    for j in range(grid.ny):
-        for i in range(grid.nx):
-            fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{grid.values[j, i]:.17g}\n")
+    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
+    ys = [f"{y:.17g}," for y in grid.ys.tolist()]
+    keys = [x + y for y in ys for x in xs]
+    ws = map("{:.17g}\n".format, grid.values.ravel().tolist())
+    fh.write("x,y,w\n" + "".join(map(operator.add, keys, ws)))
 
 
 def import_csv(fh: IO[str]) -> WignerGrid:
@@ -245,8 +222,7 @@ def export_pgm(grid: WignerGrid, fh: IO[str]) -> None:
     fh.write(f"# x_min={grid.x_min:.17g} x_max={grid.x_max:.17g}\n")
     fh.write(f"# y_min={grid.y_min:.17g} y_max={grid.y_max:.17g}\n")
     fh.write(f"{grid.nx} {grid.ny}\n255\n")
-    for j in range(grid.ny - 1, -1, -1):
-        fh.write(" ".join(str(v) for v in levels[j]) + "\n")
+    fh.write("".join(" ".join(map(str, row)) + "\n" for row in levels[::-1].tolist()))
 
 
 def count_lobes(
@@ -267,13 +243,9 @@ def count_lobes(
     dy = (grid.y_max - grid.y_min) / (grid.ny - 1)
     a = gaussian_filter(grid.values, sigma=(smooth_sigma / dy, smooth_sigma / dx))
     cut = rel_threshold * float(np.max(a))
-    count = 0
-    for j in range(1, grid.ny - 1):
-        for i in range(1, grid.nx - 1):
-            c = a[j, i]
-            if c <= cut:
-                continue
-            patch = a[j - 1:j + 2, i - 1:i + 2]
-            if c >= patch.max() and np.count_nonzero(patch == c) == 1:
-                count += 1
-    return count
+    ny, nx = a.shape
+    # the 3x3 patch of every interior cell, as nine shifted views
+    patch = [a[dj:ny - 2 + dj, di:nx - 2 + di] for dj in range(3) for di in range(3)]
+    c = patch[4]
+    is_peak = (c > cut) & (c >= np.max(patch, axis=0)) & (sum(p == c for p in patch) == 1)
+    return int(np.count_nonzero(is_peak))

@@ -1,11 +1,15 @@
 import io
 import math
+import warnings
+from functools import cache
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from zenocavity.fock import (
     FieldState,
+    annihilation_op,
     cat_state,
     coherent,
     displacement_op,
@@ -52,8 +56,8 @@ def test_grid_matches_pointwise_and_peaks_at_center():
     for jj in (0, 5, 10):
         for ii in (0, 4, 8):
             xi = complex(grid.xs[ii], grid.ys[jj])
-            # grid factorizes D(-xi) into row and column parts; agreement
-            # is limited by truncation-level roundoff
+            # the raster's u spacing divides sqrt(2) dx, the point's does
+            # not: two quadratures of one integral agree to rounding
             assert abs(grid.values[jj, ii] - wigner_point(psi, xi)) < 1e-10
 
 
@@ -83,18 +87,102 @@ def test_bounded_by_two_over_pi():
 
 
 def test_normalization_integral():
-    # evaluation pads internally, so the state's own dim is enough even
-    # though the displaced corners reach |xi - alpha| ~ 11
+    # position-space evaluation needs no padding, so the state's own dim
+    # is enough even though the corners lie |xi - alpha| ~ 11 away
     grid = wigner_grid(coherent(2, 48), (-7, 7, -7, 7), nx=141, ny=141)
     assert abs(grid.integral() - 1.0) < 1e-3
 
 
-def test_clipping_warns_beyond_padding_cap():
-    # displacements past the padding ceiling clip and must say so
-    with pytest.warns(RuntimeWarning):
-        wigner_point(vacuum(10), 22.0)
-    with pytest.warns(RuntimeWarning):
-        wigner_grid(vacuum(10), (18, 26, -2, 2), nx=5, ny=5)
+def test_far_points_give_the_exact_gaussian():
+    # far from the state's support W is its exact tail, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wigner_point(vacuum(10), 22.0) == pytest.approx(
+            TWO_OVER_PI * math.exp(-2 * 22.0**2), abs=1e-15)
+        grid = wigner_grid(vacuum(10), (18, 26, -2, 2), nx=5, ny=5)
+    exact = TWO_OVER_PI * np.exp(-2 * (grid.xs[None, :] ** 2 + grid.ys[:, None] ** 2))
+    assert np.max(np.abs(grid.values - exact)) < 1e-15
+
+
+def test_fine_raster_matches_gaussian():
+    # columns far closer than the u spacing go through interleaved
+    # sub-rasters; a 1e-4-wide window must still be the exact Gaussian
+    alpha = 1.0 + 0.5j
+    for width in (0.1, 1e-4):
+        grid = wigner_grid(coherent(alpha, 20), (1 - width, 1 + width, 0.4, 0.6), nx=41, ny=5)
+        xi = grid.xs[None, :] + 1j * grid.ys[:, None]
+        exact = TWO_OVER_PI * np.exp(-2 * np.abs(xi - alpha) ** 2)
+        assert np.max(np.abs(grid.values - exact)) < 1e-12
+
+
+ORACLE_PAD = 400
+
+
+@cache
+def _unit_displacements() -> tuple[np.ndarray, np.ndarray]:
+    """Dense D(-1) and D(-i) on ORACLE_PAD levels, by scipy.linalg.expm."""
+    a = annihilation_op(ORACLE_PAD)
+    return expm(a - a.conj().T), expm(-1j * (a + a.conj().T))
+
+
+def _powers(step: np.ndarray, ns: list[int], v: np.ndarray) -> list[np.ndarray]:
+    """step^n @ v for each integer n in ns; step is unitary."""
+    out = {0: v}
+    for n in range(1, max(ns) + 1):
+        out[n] = step @ out[n - 1]
+    for n in range(-1, min(ns) - 1, -1):
+        out[n] = step.conj().T @ out[n + 1]
+    return [out[n] for n in ns]
+
+
+def _dense_wigner(parts, xs: list[int], ys: list[int]) -> np.ndarray:
+    """Displaced-parity raster of sum_c w_c |v_c><v_c| at integer points.
+
+    D(-x - iy) = D(-i)^y D(-1)^x up to a phase, which the parity ignores.
+    The state is padded with zeros to ORACLE_PAD levels, enough for the
+    displaced dim-80 states up to |xi| ~ 7.
+    """
+    d_re, d_im = _unit_displacements()
+    parity = np.where(np.arange(ORACLE_PAD) % 2 == 0, 1.0, -1.0)
+    values = np.zeros((len(ys), len(xs)))
+    for weight, vec in parts:
+        v = np.zeros(ORACLE_PAD, dtype=np.complex128)
+        v[: len(vec)] = vec / np.linalg.norm(vec)
+        cols = np.stack(_powers(d_re, xs, v), axis=1)
+        for j, rows in enumerate(_powers(d_im, ys, cols)):
+            values[j] += TWO_OVER_PI * weight * (parity @ np.abs(rows) ** 2)
+    return values
+
+
+def _random_amps(rng, dim: int) -> np.ndarray:
+    return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+
+def test_raster_matches_dense_oracle_full_support():
+    psi = FieldState(_random_amps(np.random.default_rng(7), 80))
+    grid = wigner_grid(psi, (-5, 5, -5, 5), nx=11, ny=11)
+    lattice = list(range(-5, 6))
+    err = np.max(np.abs(grid.values - _dense_wigner([(1.0, psi.amps)], lattice, lattice)))
+    assert err < 1e-12
+
+
+def test_raster_matches_dense_oracle_top_fock_state():
+    # |79> has the widest spectrum a dim-80 state can have, and the
+    # [-12, 12]^2 window asks for the finest u spacing; the oracle's basis
+    # holds the displaced state on the central [-5, 5]^2
+    grid = wigner_grid(fock_basis(79, 80), (-12, 12, -12, 12), nx=25, ny=25)
+    lattice = list(range(-5, 6))
+    oracle = _dense_wigner([(1.0, fock_basis(79, 80).amps)], lattice, lattice)
+    assert np.max(np.abs(grid.values[7:18, 7:18] - oracle)) < 1e-12
+
+
+def test_raster_matches_dense_oracle_mixed_state():
+    rng = np.random.default_rng(11)
+    parts = [(w, _random_amps(rng, 30)) for w in (0.5, 0.3, 0.2)]
+    rho = sum(w * np.outer(v, v.conj()) / np.vdot(v, v).real for w, v in parts)
+    grid = wigner_grid(rho, (-4, 4, -3, 5), nx=9, ny=9)
+    oracle = _dense_wigner(parts, list(range(-4, 5)), list(range(-3, 6)))
+    assert np.max(np.abs(grid.values - oracle)) < 1e-12
 
 
 def test_displacement_covariance():
@@ -126,6 +214,29 @@ def test_csv_round_trip_bit_exact():
     buf2 = io.StringIO()
     export_csv(back, buf2)
     assert buf2.getvalue() == text
+
+
+def _reference_csv(grid: WignerGrid) -> str:
+    """The per-line writer that export_csv must reproduce byte for byte."""
+    lines = ["x,y,w\n"]
+    xs, ys = grid.xs, grid.ys
+    for j in range(grid.ny):
+        for i in range(grid.nx):
+            lines.append(f"{xs[i]:.17g},{ys[j]:.17g},{grid.values[j, i]:.17g}\n")
+    return "".join(lines)
+
+
+def test_csv_matches_per_line_writer():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(4, 7)) * 10.0 ** rng.integers(-300, 300, size=(4, 7))
+    values[0, :3] = [-0.0, 0.0, 5e-324]
+    values[3, -2:] = [-1.7976931348623157e308, 1.0 / 3.0]
+    grid = WignerGrid(x_min=-2.5, x_max=0.1, y_min=-0.3, y_max=7.0, nx=7, ny=4,
+                      values=values)
+    buf = io.StringIO()
+    export_csv(grid, buf)
+    assert buf.getvalue() == _reference_csv(grid)
+    assert ",-0\n" in buf.getvalue()
 
 
 def test_pgm_format_and_midpoint():
@@ -162,3 +273,20 @@ def test_pgm_header_records_bounds():
 def test_count_lobes_on_cats():
     assert count_lobes(wigner_grid(coherent(2, 40), (-5, 5, -5, 5))) == 1
     assert count_lobes(wigner_grid(cat_state(2.5, 1, 48), (-5, 5, -5, 5))) == 2
+
+
+def test_count_lobes_matches_loop_on_plateaus():
+    # rounding makes equal neighbours; a blur of 1e-3 cells is the identity
+    values = np.round(np.random.default_rng(5).normal(size=(15, 12)), 1)
+    values[5, 5:7] = 9.0  # a two-cell plateau holds no lobe
+    grid = WignerGrid(x_min=0, x_max=11, y_min=0, y_max=14, nx=12, ny=15, values=values)
+    for rel in (-1.0, 0.0, 0.25):
+        cut = rel * values.max()
+        expected = 0
+        for j in range(1, 14):
+            for i in range(1, 11):
+                c = values[j, i]
+                patch = values[j - 1:j + 2, i - 1:i + 2]
+                if c > cut and c >= patch.max() and np.count_nonzero(patch == c) == 1:
+                    expected += 1
+        assert count_lobes(grid, rel, smooth_sigma=1e-3) == expected
