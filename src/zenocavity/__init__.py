@@ -3,9 +3,9 @@
 Photon-number-selective kicks carve exclusion circles into the field's
 phase space; repeating them between small drive displacements confines,
 drags, stretches and crushes coherent components. The package covers the
-ideal stroboscopic engine, realistic finite-pulse kicks, cavity damping,
-the high-level tweezer/crush protocols, Wigner rasters and a config-driven
-command line runner.
+ideal stroboscopic engine, dressed kicks from a finite pulse, cavity
+damping, the tweezer, stretch and crush protocols, Wigner rasters and a
+config-driven command line runner.
 """
 
 from .fock import (
@@ -40,14 +40,12 @@ from .zeno import (
     uniform_schedule,
     zeno_limit_evolve,
     zeno_run,
-    zeno_step,
 )
 from .atomkick import (
-    JointKickResult,
     PulseParams,
+    conditioned_field_diagonal,
     dressed_detunings,
     pulse_block_unitary,
-    realistic_kick,
 )
 from .openquantum import (
     LindbladParams,
@@ -58,10 +56,8 @@ from .openquantum import (
     pure_density,
 )
 from .protocols import (
-    CrushSpec,
     TweezerTrajectory,
     crush_between,
-    crush_vacuum,
     energy_matched_cat_amplitude,
     linear_trajectory,
     multi_cat_factory,

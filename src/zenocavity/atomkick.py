@@ -25,8 +25,8 @@ In the resolved limit (Omega_R much below the line spacing) a 2*pi pulse
 flips the sign of |h,s> and leaves every other |h,n> untouched: the ideal
 kick 1 - 2|s><s| on the field, the atom always back in h. Finite Omega_R
 or a Rabi angle other than 2*pi leak population out of h; the conditioned
-field operator then is a diagonal contraction, reported together with the
-per-n leak.
+field operator then is a diagonal contraction whose per-n leak is
+1 - |<h,n|U_n|h,n>|^2.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .fock import FieldState
-
-#: selectivity ratios above this make the addressed line poorly resolved
-SELECTIVITY_WARN = 0.3
 
 
 @dataclass(frozen=True)
@@ -82,21 +77,6 @@ class PulseParams:
         if self.s == 0:
             return self.theta / self.rabi_drive
         return self.theta * math.sqrt(2.0) / self.rabi_drive
-
-
-@dataclass(frozen=True)
-class JointKickResult:
-    """Outcome of one realistic kick, conditioned on the atom back in h.
-
-    field_unitary_on_h: diagonal field operator <h,n|U_n|h,n> (a
-        contraction, unitary only in the ideal limit).
-    atom_leak: per-n population left outside |h> by the pulse.
-    success_probability: norm of the conditioned branch for the input state.
-    """
-
-    field_unitary_on_h: np.ndarray
-    atom_leak: np.ndarray
-    success_probability: float
 
 
 def dressed_detunings(n: int, params: PulseParams) -> tuple[float, float]:
@@ -154,35 +134,3 @@ def conditioned_field_diagonal(params: PulseParams, dim: int) -> np.ndarray:
     diag = np.array([pulse_block_unitary(n, params)[0, 0] for n in range(dim)])
     diag.flags.writeable = False
     return diag
-
-
-def atom_leak_per_n(params: PulseParams, dim: int) -> np.ndarray:
-    """Population leaving |h> at each photon number, 1 - |<h,n|U_n|h,n>|^2."""
-    diag = conditioned_field_diagonal(params, dim)
-    return np.clip(1.0 - np.abs(diag) ** 2, 0.0, 1.0)
-
-
-def realistic_kick(
-    state: FieldState, params: PulseParams, leak_threshold: float = 0.5
-) -> tuple[FieldState, JointKickResult]:
-    """Apply one pulse to the field with the atom starting in |h>.
-
-    The joint state after the pulse is sum_n amps[n] U_n |h or branch, n>;
-    conditioning on the atom found in h renormalizes the field and the
-    branch populations are reported, not silently discarded.
-    """
-    diag = conditioned_field_diagonal(params, state.dim)
-    leak = atom_leak_per_n(params, state.dim)
-    conditioned = diag * state.amps
-    p_success = float(np.linalg.norm(conditioned) ** 2)
-    if 1.0 - p_success > leak_threshold:
-        raise RuntimeError(
-            f"atom leak {1.0 - p_success:.3g} above threshold {leak_threshold:.3g};"
-            " pulse parameters do not realize a selective kick"
-        )
-    result = JointKickResult(
-        field_unitary_on_h=np.diag(diag),
-        atom_leak=leak,
-        success_probability=p_success,
-    )
-    return FieldState(conditioned), result

@@ -1,7 +1,13 @@
 """Run configuration: JSON schema, validation, presets.
 
 Configs are plain JSON. Complex numbers are written as [re, im] pairs.
-Validation collects every problem before raising, so an invalid config
+The dataclasses below are the schema: each field declares its type, its
+allowed choices (a Literal) and its range (an Annotated Range) once, and
+parsing checks them while it converts. Conversion is strict: a bool
+field takes only true/false, a Literal field only one of its strings, an
+int field only an integer or an integral float such as 40.0, and a number
+field no booleans or strings. _validate then checks the rules that relate
+several fields. Every problem is collected before raising, so an invalid config
 produces a single aggregated report. Presets live in the package as JSON
 files, one per reproduced figure panel plus a few extras.
 """
@@ -14,9 +20,9 @@ from dataclasses import MISSING, dataclass, field, is_dataclass
 from functools import lru_cache
 from importlib import resources
 from types import UnionType
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Annotated, Any, Literal, get_args, get_origin, get_type_hints
 
-PROTOCOLS = (
+Protocol = Literal[
     "zeno_confine",
     "zeno_upper",
     "tangential",
@@ -26,7 +32,8 @@ PROTOCOLS = (
     "crush",
     "four_cat",
     "realistic",
-)
+]
+PROTOCOLS: tuple[str, ...] = get_args(Protocol)
 
 
 class ConfigError(ValueError):
@@ -37,99 +44,113 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {p}" for p in problems))
 
 
+@dataclass(frozen=True)
+class Range:
+    """lo <= value <= hi (lo < value when open_lo); a list field's length."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    open_lo: bool = False
+
+    def __contains__(self, value: float) -> bool:
+        return (value > self.lo if self.open_lo else value >= self.lo) and value <= self.hi
+
+    def __str__(self) -> str:
+        if self.hi == math.inf:
+            if self.lo == 0:
+                return "positive" if self.open_lo else "non-negative"
+            return f"{'>' if self.open_lo else '>='} {self.lo:g}"
+        return f"in {'(' if self.open_lo else '['}{self.lo:g}, {self.hi:g}]"
+
+
+POSITIVE = Range(0, open_lo=True)
+NON_NEGATIVE = Range(0)
+#: Rabi angles PulseParams accepts; 0 switches dressed kicks off
+ANGLE = Range(0, 4 * math.pi)
+
+
 @dataclass
 class TrajectoryConfig:
     start: complex
     stop: complex
-    steps: int
-    s: int = 1
-    adiabatic_cap: float = 0.1
+    steps: Annotated[int, Range(1)]
+    s: Annotated[int, NON_NEGATIVE] = 1
+    adiabatic_cap: Annotated[float, POSITIVE] = 0.1
 
 
 @dataclass
 class PulseConfig:
-    omega: float = 2 * math.pi * 50e3  # rad/s
+    omega: Annotated[float, POSITIVE] = 2 * math.pi * 50e3  # rad/s
     theta: float = 2 * math.pi
-    rabi_drive: float = 0.0  # rad/s; 0 -> derived from total_duration
-    total_duration: float = 3.4e-3  # s, whole protocol
+    rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0  # rad/s; 0 -> from total_duration
+    total_duration: Annotated[float, NON_NEGATIVE] = 3.4e-3  # s, whole protocol
 
 
 @dataclass
 class LindbladConfig:
-    t_c: float = 0.13
-    n_th: float = 0.0
+    t_c: Annotated[float, POSITIVE] = 0.13
+    n_th: Annotated[float, NON_NEGATIVE] = 0.0
 
 
 @dataclass
 class WignerConfig:
-    nx: int = 121
-    ny: int = 121
+    nx: Annotated[int, Range(2)] = 121
+    ny: Annotated[int, Range(2)] = 121
     bounds: tuple[float, float, float, float] | None = None  # None -> auto
 
 
 @dataclass
 class RunConfig:
-    protocol: str
-    dim: int
-    s: int = 6
+    protocol: Protocol
+    dim: Annotated[int, Range(2)]
+    s: Annotated[int, NON_NEGATIVE] = 6
     beta: complex = 0.1
     alpha_init: complex = 0j
     cat_init: complex | None = None  # even cat |a> + |-a> instead of coherent
-    steps: int = 45
-    record_every: int = 1
-    snapshot_every: int = 0  # 0 -> no wigner snapshots
-    snapshot_steps: tuple[int, ...] = ()
+    steps: Annotated[int, Range(1)] = 45
+    record_every: Annotated[int, Range(1)] = 1
+    snapshot_every: Annotated[int, NON_NEGATIVE] = 0  # 0 -> no wigner snapshots
+    snapshot_steps: tuple[Annotated[int, NON_NEGATIVE], ...] = ()
     dump_states: bool = False
-    leak_tol: float = 1e-6
-    guard_levels: int = 3
+    leak_tol: Annotated[float, POSITIVE] = 1e-6
+    guard_levels: Annotated[int, Range(1)] = 3
     trajectories: tuple[TrajectoryConfig, ...] = ()
-    interleave: str = "roundrobin"
+    interleave: Literal["roundrobin", "sequential"] = "roundrobin"
     component_positions: tuple[complex, ...] = ()
-    overlap_tol: float = 1e-3
+    overlap_tol: Annotated[float, POSITIVE] = 1e-3
     gamma: complex = 0j  # tweezer_stretch hold point
     alpha_free: complex | None = None  # tweezer_stretch moving component
     crush_centers: tuple[complex, complex] = (-2.5, 2.5)
-    crush_steps: int = 200
+    crush_steps: Annotated[int, Range(1)] = 200
     n_components: int = 4
-    separation: float = 2.5
-    steps_per_crush: int = 200
+    separation: Annotated[float, POSITIVE] = 2.5
+    steps_per_crush: Annotated[int, Range(1)] = 200
     pulse: PulseConfig | None = None
-    kick_theta: float = 0.0  # 0 -> ideal kicks; else dressed kicks in zeno runs
-    kick_rabi_drive: float = 0.0
-    kick_omega: float = 2 * math.pi * 50e3
+    kick_theta: Annotated[float, ANGLE] = 0.0  # 0 -> ideal kicks; else dressed kicks
+    kick_rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0
+    kick_omega: Annotated[float, POSITIVE] = 2 * math.pi * 50e3
     lindblad: LindbladConfig = field(default_factory=LindbladConfig)
     wigner: WignerConfig = field(default_factory=WignerConfig)
-    theta_grid: tuple[float, ...] = (2 * math.pi, 2.0, 1.0, 0.5)
-    waypoints_per_component: int = 5
+    theta_grid: Annotated[
+        tuple[Annotated[float, Range(0, 4 * math.pi, open_lo=True)], ...], Range(1)
+    ] = (2 * math.pi, 2.0, 1.0, 0.5)
+    waypoints_per_component: Annotated[int, Range(2)] = 5  # one move at least
     target_alpha: complex | None = None
 
 
 def _validate(cfg: RunConfig, problems: list[str]) -> None:
-    if cfg.protocol not in PROTOCOLS:
+    """Rules that relate several fields; single-field rules live on the fields."""
+    top = cfg.dim - cfg.guard_levels
+    if cfg.s >= top:
         problems.append(
-            f"protocol: {cfg.protocol!r} is not one of {', '.join(PROTOCOLS)}"
+            f"s: {cfg.s} reaches the guard band of dim={cfg.dim} "
+            f"with guard_levels={cfg.guard_levels}"
         )
-    if cfg.dim < 2:
-        problems.append(f"dim: must be >= 2, got {cfg.dim}")
-    if cfg.steps < 1:
-        problems.append(f"steps: must be >= 1, got {cfg.steps}")
-    if cfg.record_every < 1:
-        problems.append("record_every: must be >= 1")
-    if cfg.s < 0:
-        problems.append("s: must be >= 0")
-    if cfg.s >= cfg.dim - cfg.guard_levels:
-        problems.append(f"s: {cfg.s} reaches the guard band of dim={cfg.dim}")
-    if cfg.leak_tol <= 0:
-        problems.append("leak_tol: must be positive")
-    if cfg.interleave not in ("roundrobin", "sequential"):
-        problems.append(f"interleave: {cfg.interleave!r} not roundrobin/sequential")
-    if cfg.protocol in ("tweezer_move",) and not cfg.trajectories:
+    if cfg.protocol == "tweezer_move" and not cfg.trajectories:
         problems.append("trajectories: required for tweezer_move")
     for k, traj in enumerate(cfg.trajectories):
-        if traj.steps < 1:
-            problems.append(f"trajectories[{k}].steps: must be >= 1")
-        if traj.s < 0:
-            problems.append(f"trajectories[{k}].s: must be >= 0")
+        if traj.s >= top:
+            problems.append(f"trajectories[{k}].s: {traj.s} reaches the guard band")
         jump = abs(traj.stop - traj.start) / traj.steps
         if jump > traj.adiabatic_cap * (1 + 1e-12):
             problems.append(
@@ -142,19 +163,19 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         n = cfg.n_components
         if n < 2 or (n & (n - 1)) != 0:
             problems.append(f"n_components: must be a power of two >= 2, got {n}")
-    if cfg.protocol == "realistic":
-        if cfg.pulse is None:
-            problems.append("pulse: required for realistic runs")
-        elif cfg.pulse.total_duration <= 0 and cfg.pulse.rabi_drive <= 0:
-            problems.append("pulse: needs total_duration or rabi_drive")
-        if cfg.lindblad.t_c <= 0:
-            problems.append("lindblad.t_c: must be positive")
-        if cfg.lindblad.n_th < 0:
-            problems.append("lindblad.n_th: must be non-negative")
+    if cfg.protocol == "realistic" and cfg.pulse is None:
+        problems.append("pulse: required for realistic runs")
+    if cfg.pulse is not None and not (cfg.pulse.total_duration or cfg.pulse.rabi_drive):
+        problems.append("pulse: needs total_duration or rabi_drive")
     if cfg.kick_theta and not cfg.kick_rabi_drive:
         problems.append("kick_rabi_drive: required when kick_theta is set")
-    if cfg.wigner.nx < 2 or cfg.wigner.ny < 2:
-        problems.append("wigner: nx and ny must be >= 2")
+    if cfg.wigner.bounds is not None:
+        x_min, x_max, y_min, y_max = cfg.wigner.bounds
+        if not (x_min < x_max and y_min < y_max):
+            problems.append(
+                "wigner.bounds: need x_min < x_max and y_min < y_max, "
+                f"got {list(cfg.wigner.bounds)}"
+            )
 
 
 #: keys that older configs may still carry, with the reason they are gone
@@ -163,27 +184,61 @@ _RETIRED_KEYS = {"lindblad.dt": "damping is now exact and has no integrator step
 
 @lru_cache(maxsize=None)
 def _field_types(cls: type) -> dict[str, Any]:
-    return get_type_hints(cls)
+    return get_type_hints(cls, include_extras=True)
+
+
+_KINDS = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    complex: "a number or [re, im] pair",
+}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _scalar(tp: type, value: Any) -> Any:
+    """value as the scalar type tp, or None where JSON holds another kind."""
+    if tp is bool:
+        return value if isinstance(value, bool) else None
+    if tp is int:
+        if isinstance(value, float):
+            return int(value) if value.is_integer() else None
+        return value if _is_number(value) else None
+    if tp is complex and isinstance(value, list) and len(value) == 2:
+        return complex(*value) if all(map(_is_number, value)) else None
+    return tp(value) if _is_number(value) else None
 
 
 def _convert(tp: Any, value: Any, key: str, problems: list[str]) -> Any:
-    """value as the field type tp; a problem is recorded where it does not fit."""
+    """value as the field type tp, within its declared choices and ranges;
+    a problem is recorded where it does not fit."""
+    if get_origin(tp) is Annotated:
+        tp, *ranges = get_args(tp)
+        before = len(problems)
+        out = _convert(tp, value, key, problems)
+        if len(problems) == before:
+            size, what = (len(out), "length ") if isinstance(out, tuple) else (out, "")
+            for r in ranges:
+                if size not in r:
+                    problems.append(f"{key}: {what}must be {r}, got {value!r}")
+        return out
     if get_origin(tp) is UnionType:  # X | None
         if value is None:
             return None
         tp = next(a for a in get_args(tp) if a is not type(None))
-    if tp in (int, float, complex):
-        if tp is complex and isinstance(value, list) and len(value) == 2:
-            if all(isinstance(v, (int, float)) for v in value):
-                value = complex(*value)
-        try:
-            return tp(value)
-        except (TypeError, ValueError):
-            kind = {int: "an integer", float: "a number", complex: "a number or [re, im] pair"}
-            problems.append(f"{key}: expected {kind[tp]}, got {value!r}")
-            return None
-    if tp in (str, bool):
-        return tp(value)
+    if get_origin(tp) is Literal:
+        if value in get_args(tp):
+            return value
+        problems.append(f"{key}: {value!r} is not one of {', '.join(get_args(tp))}")
+        return None
+    if tp in _KINDS:
+        out = _scalar(tp, value)
+        if out is None:
+            problems.append(f"{key}: expected {_KINDS[tp]}, got {value!r}")
+        return out
     if is_dataclass(tp):
         return _convert_object(tp, value, key, problems)
     args = get_args(tp)  # tuple[X, ...] or a fixed-length tuple

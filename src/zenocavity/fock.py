@@ -175,12 +175,6 @@ def displacement_op(beta: complex, dim: int) -> np.ndarray:
     return mat
 
 
-def apply_displacement(state: FieldState, beta: complex) -> FieldState:
-    if complex(beta) == 0:
-        return state
-    return FieldState(displacement_op(complex(beta), state.dim) @ state.amps)
-
-
 def displaced_fock(n: int, gamma: complex, dim: int) -> FieldState:
     """D(gamma)|n>: the eigenvector singled out by a displaced kick."""
     return FieldState(displacement_op(complex(gamma), dim)[:, n])

@@ -167,12 +167,6 @@ def wigner_grid(
     return grid
 
 
-def default_bounds(s: int, margin: float = 3.0) -> tuple[float, float, float, float]:
-    """Square window covering the exclusion circle of radius sqrt(s)."""
-    r = math.sqrt(max(s, 1)) + margin
-    return (-r, r, -r, r)
-
-
 def export_csv(grid: WignerGrid, fh: IO[str]) -> None:
     """Rows `x,y,w`, row-major over the raster, 17 significant digits."""
     xs = [f"{x:.17g}," for x in grid.xs.tolist()]

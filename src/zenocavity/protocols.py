@@ -45,15 +45,12 @@ class TweezerTrajectory:
 
     s: int
     waypoints: tuple[complex, ...]
-    kicks_per_step: int = 1
     adiabatic_cap: float = DEFAULT_ADIABATIC_CAP
 
     def __post_init__(self):
         wps = tuple(complex(w) for w in self.waypoints)
         if len(wps) < 1:
             raise ValueError("trajectory needs at least one waypoint")
-        if self.kicks_per_step < 1:
-            raise ValueError("kicks_per_step must be >= 1")
         object.__setattr__(self, "waypoints", wps)
         cap = self.adiabatic_cap * (1.0 + 1e-12)  # tolerate an exact-cap step
         for a, b in zip(wps, wps[1:]):
@@ -116,18 +113,12 @@ def _check_overlaps(
                 )
 
 
-def _kick(traj: TweezerTrajectory, gamma: complex, pulse: PulseParams | None) -> KickSpec:
-    return KickSpec(s=traj.s, gamma=gamma, pulse=pulse)
-
-
 def build_tweezer_schedule(
     trajectories: Sequence[TweezerTrajectory],
-    beta_free: complex = 0j,
     interleave: Literal["roundrobin", "sequential"] = "roundrobin",
     pulse: PulseParams | None = None,
-    merge_coincident: bool = True,
 ) -> Schedule:
-    """Schedule for moving tweezers: one kick at every waypoint.
+    """Schedule for moving tweezers: one kick at every waypoint, drive off.
 
     Counting the kick at the initial waypoint, a trajectory of n moves
     costs n + 1 kicks. The dragged component alternates between sitting
@@ -144,9 +135,8 @@ def build_tweezer_schedule(
     steps: list[Step] = []
     if interleave == "sequential":
         for traj in trajectories:
-            for p in range(traj.n_moves + 1):
-                kicks = (_kick(traj, traj.waypoints[p], pulse),) * traj.kicks_per_step
-                steps.append(Step(displacement=complex(beta_free), kicks=kicks))
+            for gamma in traj.waypoints:
+                steps.append(Step(kicks=(KickSpec(s=traj.s, gamma=gamma, pulse=pulse),)))
     elif interleave == "roundrobin":
         n_rounds = max(t.n_moves for t in trajectories) + 1
         for p in range(n_rounds):
@@ -155,11 +145,11 @@ def build_tweezer_schedule(
             for traj in trajectories:
                 gamma = traj.waypoints[min(p, traj.n_moves)]
                 key = (traj.s, gamma)
-                if merge_coincident and key in seen:
+                if key in seen:
                     continue
                 seen.append(key)
-                kicks.extend([_kick(traj, gamma, pulse)] * traj.kicks_per_step)
-            steps.append(Step(displacement=complex(beta_free), kicks=tuple(kicks)))
+                kicks.append(KickSpec(s=traj.s, gamma=gamma, pulse=pulse))
+            steps.append(Step(kicks=tuple(kicks)))
     else:
         raise ValueError(f"unknown interleave mode {interleave!r}")
     return Schedule(steps=tuple(steps))
@@ -168,11 +158,9 @@ def build_tweezer_schedule(
 def tweezer_run(
     state: FieldState,
     trajectories: Sequence[TweezerTrajectory],
-    beta_free: complex = 0j,
     interleave: Literal["roundrobin", "sequential"] = "roundrobin",
     component_positions: Sequence[complex] | None = None,
     overlap_tol: float = DEFAULT_OVERLAP_TOL,
-    pulse: PulseParams | None = None,
     record_every: int = 1,
     guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
@@ -182,16 +170,14 @@ def tweezer_run(
     component_positions lists where the state's coherent components sit,
     so trajectories can be checked against the ones they must not touch;
     pass the known centers from the protocol setup. Trajectories that
-    intentionally converge (crushes) are built through crush_vacuum
-    instead, which skips the pairwise check.
+    intentionally converge (crushes) run through crush_between instead,
+    which skips the pairwise check.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
     if component_positions is not None:
         _check_overlaps(trajectories, component_positions, overlap_tol)
-    schedule = build_tweezer_schedule(
-        trajectories, beta_free=beta_free, interleave=interleave, pulse=pulse
-    )
+    schedule = build_tweezer_schedule(trajectories, interleave=interleave)
     trace = zeno_run(
         state, schedule, record_every=record_every,
         guard_levels=guard_levels, leak_tol=leak_tol,
@@ -248,19 +234,6 @@ def stretch_cat(
     return out, fid
 
 
-@dataclass(frozen=True)
-class CrushSpec:
-    """Two converging tweezers and the state squeezed between them."""
-
-    left: TweezerTrajectory
-    right: TweezerTrajectory
-    initial_state: FieldState
-
-    def __post_init__(self):
-        if self.left.n_moves != self.right.n_moves:
-            raise ValueError("crush trajectories must have synchronized lengths")
-
-
 def crush_between(
     state: FieldState,
     center_a: complex,
@@ -272,28 +245,16 @@ def crush_between(
 ) -> tuple[FieldState, EvolutionTrace]:
     """Converge two s=1 circles from center_a/center_b onto the midpoint.
 
-    Both centers move simultaneously; the final kick, where the circles
-    coincide, is applied once. Custom endpoints allow a nonzero final
-    separation.
+    Both centers move simultaneously and push the wavefunction outside
+    both circles; the final kick, where the circles coincide, is applied
+    once. Custom endpoints allow a nonzero final separation.
     """
     mid = (complex(center_a) + complex(center_b)) / 2.0
-    spec = CrushSpec(
-        left=linear_trajectory(center_a, mid if end_a is None else end_a, n_steps),
-        right=linear_trajectory(center_b, mid if end_b is None else end_b, n_steps),
-        initial_state=state,
-    )
-    return crush_vacuum(spec, record_every=record_every)
-
-
-def crush_vacuum(
-    spec: CrushSpec, record_every: int = 1
-) -> tuple[FieldState, EvolutionTrace]:
-    """Run a crush: the wavefunction is pushed outside both moving circles."""
-    schedule = build_tweezer_schedule(
-        (spec.left, spec.right), beta_free=0j, interleave="roundrobin",
-        merge_coincident=True,
-    )
-    trace = zeno_run(spec.initial_state, schedule, record_every=record_every)
+    schedule = build_tweezer_schedule((
+        linear_trajectory(center_a, mid if end_a is None else end_a, n_steps),
+        linear_trajectory(center_b, mid if end_b is None else end_b, n_steps),
+    ))
+    trace = zeno_run(state, schedule, record_every=record_every)
     return trace.final_state, trace
 
 
@@ -347,21 +308,12 @@ def crush_fidelity_vs_matched_cat(state: FieldState) -> tuple[float, float, floa
     return energy, a, best
 
 
-@dataclass(frozen=True)
-class CrushPlanEntry:
-    center: complex
-    axis: complex  # unit vector of the approach direction
-    separation: float
-    n_steps: int
-
-
 def multi_cat_factory(
     n_components: int,
     dim: int,
     separation: float = 2.5,
     steps_per_crush: int = 200,
     initial_state: FieldState | None = None,
-    record_plan: list[CrushPlanEntry] | None = None,
 ) -> FieldState:
     """Build a 2^k-component superposition by successive crushes.
 
@@ -390,11 +342,6 @@ def multi_cat_factory(
                 end_a=pos,
                 end_b=pos,
             )
-            if record_plan is not None:
-                record_plan.append(
-                    CrushPlanEntry(center=pos, axis=axis, separation=separation,
-                                   n_steps=steps_per_crush)
-                )
             # the crushed component carries ~1/len(components) of the population
             gained = max(mean_energy(state) - e_before, 0.0)
             radius = math.sqrt(gained * len(components))

@@ -149,11 +149,12 @@ def _stretch_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     _write_wigner(out, cfg, outdir, cfg.steps)
     if cfg.dump_states:
         _write_state(out, outdir, cfg.steps)
+    rep = fock.truncation_check(out, cfg.guard_levels, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(out),
-        "leak": fock.truncation_check(out, cfg.guard_levels, cfg.leak_tol).top_population,
+        "leak": rep.top_population,
         "fidelity": fid,
-        "truncation_ok": fock.truncation_check(out, cfg.guard_levels, cfg.leak_tol).ok,
+        "truncation_ok": rep.ok,
     }
 
 
@@ -168,7 +169,6 @@ def _tweezer_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     positions = cfg.component_positions or tuple(t.start for t in cfg.trajectories)
     final, trace = protocols.tweezer_run(
         state, trajs,
-        beta_free=0j,  # tweezers run with the free drive off
         interleave=cfg.interleave,
         component_positions=positions,
         overlap_tol=cfg.overlap_tol,
@@ -191,8 +191,7 @@ def _tweezer_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
         "leak": rep.top_population,
         "fidelity": fid,
         "truncation_ok": rep.ok,
-        "kicks": sum(len(s.kicks) for s in
-                     protocols.build_tweezer_schedule(trajs, interleave=cfg.interleave).steps),
+        "kicks": trace.kicks,
     }
 
 

@@ -87,10 +87,6 @@ class Schedule:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def total_displacement(self) -> complex:
-        return sum((s.displacement for s in self.steps), 0j)
-
 
 def uniform_schedule(n_steps: int, beta: complex, kicks: Sequence[KickSpec]) -> Schedule:
     """n_steps identical steps: D(beta) then the given kicks."""
@@ -121,15 +117,13 @@ class EvolutionTrace:
     records: tuple[TraceRecord, ...]
     final_state: FieldState
     n_steps: int
+    kicks: int = 0  # kicks applied
     renormalizations: int = 0
     max_norm_drift: float = 0.0
     final_atom_leak: float = 0.0
 
     def energies(self) -> np.ndarray:
         return np.array([r.energy for r in self.records])
-
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self.records])
 
     def record_at(self, step: int) -> TraceRecord:
         for r in self.records:
@@ -212,33 +206,6 @@ def _check_kick_bounds(kicks: Iterable[KickSpec], dim: int, guard_levels: int) -
             )
 
 
-def zeno_step(
-    state: FieldState,
-    beta: complex,
-    kicks: Sequence[KickSpec] = (),
-    guard_levels: int = DEFAULT_GUARD_LEVELS,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-    check: bool = True,
-) -> FieldState:
-    """One stroboscopic step: D(beta), then kicks in list order, renormalized."""
-    dim = state.dim
-    _check_kick_bounds(kicks, dim, guard_levels)
-    amps = state.amps
-    beta = complex(beta)
-    if beta != 0:
-        amps = displacement_op(beta, dim) @ amps
-    for spec in kicks:
-        amps = _apply_kick(amps, spec, dim)
-    out = FieldState(amps)
-    if check:
-        report = truncation_check(out, guard_levels, leak_tol)
-        if not report.ok:
-            raise TruncationError(
-                f"truncation leak {report.top_population:.3e} above {leak_tol:.1e}"
-            )
-    return out
-
-
 def _uniform_dressed_context(schedule: Schedule):
     """(gamma, pulse) shared by every dressed kick, None without dressed
     kicks, or the string 'mixed' when centers or pulses differ."""
@@ -278,7 +245,6 @@ def zeno_run(
     snapshot_steps: Sequence[int] | None = None,
     guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
-    dressed_mode: str = "auto",
 ) -> EvolutionTrace:
     """Run a schedule and collect the evolution trace.
 
@@ -287,30 +253,23 @@ def zeno_run(
     final step. A truncation failure aborts with the partial trace
     attached to the exception.
 
-    Dressed kicks: in "joint" mode the amplitudes driven out of the atom
-    level h stay coherent between kicks (they can return at the next
-    pulse, which is what keeps Rabi angles far from 2*pi usable); the
-    trace reports the field conditioned on h plus the accumulated atom
-    leak. Joint mode needs every dressed kick at one center with one
-    pulse; "conditioned" projects onto h at every kick instead, and
-    "auto" picks joint whenever it applies.
+    Dressed kicks all at one center with one pulse run jointly: the
+    amplitudes driven out of the atom level h stay coherent between kicks
+    (they can return at the next pulse, which is what keeps Rabi angles
+    far from 2*pi usable); the trace reports the field conditioned on h
+    plus the accumulated atom leak. Dressed kicks whose centers or pulses
+    differ are conditioned on h at every kick instead.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    if dressed_mode not in ("auto", "joint", "conditioned"):
-        raise ValueError(f"unknown dressed_mode {dressed_mode!r}")
     dim = state.dim
     ctx = _uniform_dressed_context(schedule)
-    joint = ctx is not None and ctx != "mixed" and dressed_mode in ("auto", "joint")
-    if dressed_mode == "joint" and not joint:
-        raise ValueError(
-            "joint mode needs every dressed kick at one center with one pulse"
-        )
-    if ctx == "mixed" and dressed_mode == "auto":
+    joint = ctx is not None and ctx != "mixed"
+    if ctx == "mixed":
         logger.debug("dressed kicks vary in center/pulse; conditioning per kick")
     snapshots = frozenset(snapshot_steps or ())
     amps = state.amps.copy()
-    renorms = 0
+    kicks = renorms = 0
     max_drift = 0.0
     records: list[TraceRecord] = []
     atom_leak = 0.0
@@ -338,6 +297,7 @@ def zeno_run(
     n_steps = len(schedule.steps)
     for p, step in enumerate(schedule.steps, start=1):
         _check_kick_bounds(step.kicks, dim, guard_levels)
+        kicks += len(step.kicks)
         if step.displacement != 0:
             # parked branch amplitudes are spectators of the drive
             amps = displacement_op(step.displacement, dim) @ amps
@@ -376,6 +336,7 @@ def zeno_run(
                     records=tuple(records),
                     final_state=FieldState(amps),
                     n_steps=p,
+                    kicks=kicks,
                     renormalizations=renorms,
                     max_norm_drift=max_drift,
                     final_atom_leak=atom_leak,
@@ -392,6 +353,7 @@ def zeno_run(
         records=tuple(records),
         final_state=FieldState(amps),
         n_steps=n_steps,
+        kicks=kicks,
         renormalizations=renorms,
         max_norm_drift=max_drift,
         final_atom_leak=atom_leak,

@@ -28,11 +28,15 @@ def test_validation_aggregates_problems():
             "dim": 1,
             "steps": 0,
             "interleave": "diagonal",
+            "guard_levels": 0,
+            "theta_grid": [],
+            "wigner": {"nx": 1},
         })
     problems = err.value.problems
     assert len(problems) >= 4
     joined = " ".join(problems)
-    for frag in ("protocol", "dim", "steps", "interleave"):
+    for frag in ("protocol", "dim", "steps", "interleave", "guard_levels: ",
+                 "theta_grid: ", "wigner.nx: "):
         assert frag in joined
 
 
@@ -126,12 +130,58 @@ def test_invalid_config_exit_code(tmp_path):
      "wigner.bounds"),
     ({"protocol": "realistic", "dim": 40, "pulse": {}, "lindblad": {"n_th": -0.1}},
      "lindblad.n_th: must be non-negative"),
+    ({"protocol": "tweezer_move", "dim": 40,
+      "trajectories": [{"start": [2, 0], "stop": [2.5, 0], "steps": 0}]},
+     "trajectories[0].steps: must be >= 1"),
+    ({"protocol": "zeno_confine", "dim": 40, "guard_levels": 0}, "guard_levels: must be >= 1"),
+    ({"protocol": "zeno_confine", "dim": 40, "guard_levels": -5}, "guard_levels: must be >= 1"),
+    ({"protocol": "crush", "dim": 48, "crush_steps": 0}, "crush_steps: must be >= 1"),
+    ({"protocol": "four_cat", "dim": 48, "steps_per_crush": 0},
+     "steps_per_crush: must be >= 1"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {}, "waypoints_per_component": 0},
+     "waypoints_per_component: must be >= 2"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {}, "theta_grid": []},
+     "theta_grid: length must be >= 1"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {}, "theta_grid": [20.0]},
+     "theta_grid[0]: must be in (0, 12.5664]"),
+    ({"protocol": "zeno_confine", "dim": 40, "kick_theta": 20, "kick_rabi_drive": 3e4},
+     "kick_theta: must be in [0, 12.5664]"),
+    ({"protocol": "zeno_confine", "dim": 40, "kick_theta": 1.0, "kick_rabi_drive": -3e4},
+     "kick_rabi_drive: must be non-negative"),
+    ({"protocol": "zeno_confine", "dim": 40, "wigner": {"bounds": [6, -6, -6, 6]}},
+     "wigner.bounds: need x_min < x_max"),
+    ({"protocol": "zeno_confine", "dim": 40, "snapshot_steps": [-2]},
+     "snapshot_steps[0]: must be non-negative"),
+    ({"protocol": "zeno_confine", "dim": 40, "snapshot_every": -1},
+     "snapshot_every: must be non-negative"),
+    ({"protocol": "tweezer_move", "dim": 10,
+      "trajectories": [{"start": [0, 0], "stop": [0.5, 0], "steps": 5, "s": 7}]},
+     "trajectories[0].s: 7 reaches the guard band"),
+    ({"protocol": "zeno_confine", "dim": 40, "dump_states": "false"},
+     "dump_states: expected true or false, got 'false'"),
+    ({"protocol": "zeno_confine", "dim": 40, "record_every": True},
+     "record_every: expected an integer, got True"),
+    ({"protocol": "zeno_confine", "dim": 40.9}, "dim: expected an integer, got 40.9"),
+    ({"protocol": "zeno_confine", "dim": 40, "steps": 3.7},
+     "steps: expected an integer, got 3.7"),
+    ({"protocol": "zeno_confine", "dim": 40, "leak_tol": "1e-6"},
+     "leak_tol: expected a number, got '1e-6'"),
+    ({"protocol": "zeno_confine", "dim": 40, "beta": [True, 0]},
+     "beta: expected a number or [re, im] pair"),
+    ({"protocol": "zeno_confine", "dim": 40, "interleave": 1},
+     "interleave: 1 is not one of roundrobin, sequential"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_integral_floats_are_integers():
+    # sweep values arrive as floats, so `dim=40,48` must parse
+    cfg = parse_config({"protocol": "zeno_confine", "dim": 40.0, "steps": 3.0})
+    assert cfg.dim == 40 and type(cfg.dim) is int and type(cfg.steps) is int
 
 
 def test_lindblad_unknown_keys_rejected():

@@ -11,12 +11,10 @@ from zenocavity.fock import (
     vacuum,
 )
 from zenocavity.protocols import (
-    CrushSpec,
     TweezerTrajectory,
     build_tweezer_schedule,
     crush_between,
     crush_fidelity_vs_matched_cat,
-    crush_vacuum,
     energy_matched_cat_amplitude,
     gaussian_overlap,
     linear_trajectory,
@@ -24,6 +22,7 @@ from zenocavity.protocols import (
     stretch_cat,
     tweezer_run,
 )
+from zenocavity.zeno import zeno_run
 
 
 def test_linear_trajectory_examples():
@@ -144,24 +143,14 @@ def test_crush_examples():
     assert abs(matched - 2.5304) < 1e-3
     assert 0.75 < fid < 0.9  # frozen from this oracle run (0.8556)
     # degenerate zero-length crush leaves the vacuum alone
-    spec = CrushSpec(
-        left=TweezerTrajectory(s=1, waypoints=(-2.5 + 0j,)),
-        right=TweezerTrajectory(s=1, waypoints=(2.5 + 0j,)),
-        initial_state=vacuum(dim),
-    )
-    out, _ = crush_vacuum(spec)
+    schedule = build_tweezer_schedule([
+        TweezerTrajectory(s=1, waypoints=(-2.5 + 0j,)),
+        TweezerTrajectory(s=1, waypoints=(2.5 + 0j,)),
+    ])
+    out = zeno_run(vacuum(dim), schedule).final_state
     # the two parked kicks still graze the vacuum tail (overlap exp(-6.25)
     # per circle), so 'unchanged' holds to that tail only
     assert fidelity_pure(out, vacuum(dim)) > 0.9
-
-
-def test_crush_spec_validation():
-    with pytest.raises(ValueError):
-        CrushSpec(
-            left=TweezerTrajectory(s=1, waypoints=(0j, 0.05 + 0j)),
-            right=TweezerTrajectory(s=1, waypoints=(0j,)),
-            initial_state=vacuum(20),
-        )
 
 
 def test_energy_matched_cat_amplitude():
