@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any
 
-from .config import ConfigError, list_presets, load_config, parse_config, preset_raw
+from .config import ConfigError, list_presets, parse_config, preset_raw, read_config
 from .runner import run_config
 
 
@@ -141,31 +141,20 @@ def main(argv: list[str] | None = None) -> int:
                 print(name)
             return 0
         outdir = Path(args.out)
-        if args.command == "run":
-            cfg = load_config(args.config)
-            if args.dim:
-                raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-                raw["dim"] = args.dim
-                cfg = parse_config(raw)
-            summary = run_config(cfg, outdir)
-        elif args.command == "preset":
+        if args.command == "preset":
             raw = preset_raw(args.name)
-            if args.dim:
-                raw["dim"] = args.dim
-            cfg = parse_config(raw)
-            summary = run_config(cfg, outdir)
-        elif args.command == "sweep":
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            if args.dim:
-                raw["dim"] = args.dim
+        else:
+            raw = read_config(args.config)
+        if args.dim:
+            raw["dim"] = args.dim
+        if args.command == "sweep":
             rows = run_sweep(raw, args.ranges, outdir, workers=args.workers)
             failures = [r for r in rows if r["error"]]
             if not args.quiet:
                 print(f"sweep: {len(rows)} points, {len(failures)} failed; "
                       f"table in {outdir / 'sweep.csv'}")
             return 0
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
+        summary = run_config(parse_config(raw), outdir)
         if not args.quiet:
             print(json.dumps(summary, indent=2, sort_keys=True, default=float))
         return 0

@@ -81,7 +81,6 @@ class TrajectoryConfig:
 @dataclass
 class PulseConfig:
     omega: Annotated[float, POSITIVE] = 2 * math.pi * 50e3  # rad/s
-    theta: float = 2 * math.pi
     rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0  # rad/s; 0 -> from total_duration
     total_duration: Annotated[float, NON_NEGATIVE] = 3.4e-3  # s, whole protocol
 
@@ -179,7 +178,10 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
 
 
 #: keys that older configs may still carry, with the reason they are gone
-_RETIRED_KEYS = {"lindblad.dt": "damping is now exact and has no integrator step"}
+_RETIRED_KEYS = {
+    "lindblad.dt": "damping is now exact and has no integrator step",
+    "pulse.theta": "realistic runs take their angles from theta_grid",
+}
 
 
 @lru_cache(maxsize=None)
@@ -286,12 +288,16 @@ def parse_config(raw: dict[str, Any]) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
+def read_config(path: str) -> dict[str, Any]:
+    """The decoded JSON object of a config file, not yet parsed."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
     if not isinstance(raw, dict):
-        raise ConfigError(["top level: expected a JSON object"])
-    return parse_config(raw)
+        raise ConfigError([f"top level: expected a JSON object, got {raw!r}"])
+    return raw
 
 
 def list_presets() -> list[str]:

@@ -192,6 +192,8 @@ def stretch_cat(
     n_steps: int,
     alpha: complex | None = None,
     overlap_tol: float = DEFAULT_OVERLAP_TOL,
+    guard_levels: int = DEFAULT_GUARD_LEVELS,
+    leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> tuple[FieldState, float | None]:
     """Hold the component at gamma with an s=1 tweezer while the drive runs.
 
@@ -215,7 +217,8 @@ def stretch_cat(
                 f"({gaussian_overlap(gamma, alpha):.2e} > {overlap_tol:.1e})"
             )
     step = Step(displacement=beta, kicks=(KickSpec(s=1, gamma=gamma),))
-    trace = zeno_run(state, Schedule(steps=(step,) * n_steps))
+    trace = zeno_run(state, Schedule(steps=(step,) * n_steps),
+                     guard_levels=guard_levels, leak_tol=leak_tol)
     out = trace.final_state
     if alpha is not None:
         # free component picks up Im(beta alpha*) per step; the held one
@@ -242,6 +245,8 @@ def crush_between(
     end_a: complex | None = None,
     end_b: complex | None = None,
     record_every: int = 1,
+    guard_levels: int = DEFAULT_GUARD_LEVELS,
+    leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> tuple[FieldState, EvolutionTrace]:
     """Converge two s=1 circles from center_a/center_b onto the midpoint.
 
@@ -254,7 +259,8 @@ def crush_between(
         linear_trajectory(center_a, mid if end_a is None else end_a, n_steps),
         linear_trajectory(center_b, mid if end_b is None else end_b, n_steps),
     ))
-    trace = zeno_run(state, schedule, record_every=record_every)
+    trace = zeno_run(state, schedule, record_every=record_every,
+                     guard_levels=guard_levels, leak_tol=leak_tol)
     return trace.final_state, trace
 
 
@@ -314,6 +320,8 @@ def multi_cat_factory(
     separation: float = 2.5,
     steps_per_crush: int = 200,
     initial_state: FieldState | None = None,
+    guard_levels: int = DEFAULT_GUARD_LEVELS,
+    leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> FieldState:
     """Build a 2^k-component superposition by successive crushes.
 
@@ -341,6 +349,8 @@ def multi_cat_factory(
                 steps_per_crush,
                 end_a=pos,
                 end_b=pos,
+                guard_levels=guard_levels,
+                leak_tol=leak_tol,
             )
             # the crushed component carries ~1/len(components) of the population
             gained = max(mean_energy(state) - e_before, 0.0)

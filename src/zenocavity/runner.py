@@ -73,14 +73,15 @@ def _wigner_bounds(cfg: RunConfig) -> tuple[float, float, float, float]:
     return (-reach, reach, -reach, reach)
 
 
-def _write_wigner(state, cfg: RunConfig, outdir: Path, step: int) -> None:
+def _write_wigner(state, cfg: RunConfig, outdir: Path, stem: str) -> phasespace.WignerGrid:
     grid = phasespace.wigner_grid(
         state, _wigner_bounds(cfg), nx=cfg.wigner.nx, ny=cfg.wigner.ny
     )
-    with open(outdir / f"wigner_step{step:06d}.csv", "w", encoding="utf-8") as fh:
+    with open(outdir / f"{stem}.csv", "w", encoding="utf-8") as fh:
         phasespace.export_csv(grid, fh)
-    with open(outdir / f"wigner_step{step:06d}.pgm", "w", encoding="utf-8") as fh:
+    with open(outdir / f"{stem}.pgm", "w", encoding="utf-8") as fh:
         phasespace.export_pgm(grid, fh)
+    return grid
 
 
 def _write_state(state: fock.FieldState, outdir: Path, step: int) -> None:
@@ -94,11 +95,10 @@ def _emit_trace_artifacts(
 ) -> None:
     with open(outdir / "trace.csv", "w", encoding="utf-8") as fh:
         trace.to_csv(fh)
-    for rec in trace.records:
-        if rec.state is not None:
-            _write_wigner(rec.state, cfg, outdir, rec.step)
-            if cfg.dump_states:
-                _write_state(rec.state, outdir, rec.step)
+    for step, state in trace.states.items():
+        _write_wigner(state, cfg, outdir, f"wigner_step{step:06d}")
+        if cfg.dump_states:
+            _write_state(state, outdir, step)
 
 
 def _zeno_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
@@ -114,12 +114,11 @@ def _zeno_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
         leak_tol=cfg.leak_tol,
     )
     _emit_trace_artifacts(trace, cfg, outdir)
-    final = trace.records[-1]
     summary: dict[str, Any] = {
-        "energy": final.energy,
-        "leak": final.leak,
+        "energy": float(trace.energies[-1]),
+        "leak": float(trace.leaks[-1]),
         "atom_leak": trace.final_atom_leak,
-        "truncation_ok": final.truncation.ok,
+        "truncation_ok": True,  # zeno_run raises on a leak
         "renormalizations": trace.renormalizations,
         "fidelity": None,
         "snapshots": list(snaps),
@@ -145,8 +144,9 @@ def _stretch_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     out, fid = protocols.stretch_cat(
         state, cfg.gamma, cfg.beta, cfg.steps,
         alpha=cfg.alpha_free, overlap_tol=cfg.overlap_tol,
+        guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
     )
-    _write_wigner(out, cfg, outdir, cfg.steps)
+    _write_wigner(out, cfg, outdir, f"wigner_step{cfg.steps:06d}")
     if cfg.dump_states:
         _write_state(out, outdir, cfg.steps)
     rep = fock.truncation_check(out, cfg.guard_levels, cfg.leak_tol)
@@ -176,21 +176,19 @@ def _tweezer_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
         guard_levels=cfg.guard_levels,
         leak_tol=cfg.leak_tol,
     )
-    _write_wigner(state, cfg, outdir, 0)
-    _write_wigner(final, cfg, outdir, trace.n_steps)
+    _write_wigner(state, cfg, outdir, "wigner_step000000")
+    _write_wigner(final, cfg, outdir, f"wigner_step{trace.steps[-1]:06d}")
     if cfg.dump_states:
-        _write_state(final, outdir, trace.n_steps)
-    with open(outdir / "trace.csv", "w", encoding="utf-8") as fh:
-        trace.to_csv(fh)
+        _write_state(final, outdir, trace.steps[-1])
+    _emit_trace_artifacts(trace, cfg, outdir)
     fid = None
     if cfg.target_alpha is not None:
         fid = fock.fidelity_pure(final, fock.cat_state(cfg.target_alpha, 1.0, cfg.dim))
-    rep = fock.truncation_check(final, cfg.guard_levels, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(final),
-        "leak": rep.top_population,
+        "leak": float(trace.leaks[-1]),
         "fidelity": fid,
-        "truncation_ok": rep.ok,
+        "truncation_ok": True,  # zeno_run raises on a leak
         "kicks": trace.kicks,
     }
 
@@ -199,21 +197,20 @@ def _crush_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
     a, b = cfg.crush_centers
     final, trace = protocols.crush_between(
-        state, a, b, cfg.crush_steps, record_every=cfg.record_every
+        state, a, b, cfg.crush_steps, record_every=cfg.record_every,
+        guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
     )
-    with open(outdir / "trace.csv", "w", encoding="utf-8") as fh:
-        trace.to_csv(fh)
-    _write_wigner(final, cfg, outdir, trace.n_steps)
+    _emit_trace_artifacts(trace, cfg, outdir)
+    _write_wigner(final, cfg, outdir, f"wigner_step{trace.steps[-1]:06d}")
     if cfg.dump_states:
-        _write_state(final, outdir, trace.n_steps)
+        _write_state(final, outdir, trace.steps[-1])
     energy, matched_alpha, fid = protocols.crush_fidelity_vs_matched_cat(final)
-    rep = fock.truncation_check(final, cfg.guard_levels, cfg.leak_tol)
     return {
         "energy": energy,
         "matched_cat_amplitude": matched_alpha,
         "fidelity": fid,
-        "leak": rep.top_population,
-        "truncation_ok": rep.ok,
+        "leak": float(trace.leaks[-1]),
+        "truncation_ok": True,
     }
 
 
@@ -222,14 +219,9 @@ def _four_cat_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
         cfg.n_components, cfg.dim,
         separation=cfg.separation,
         steps_per_crush=cfg.steps_per_crush,
+        guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
     )
-    grid = phasespace.wigner_grid(
-        final, _wigner_bounds(cfg), nx=cfg.wigner.nx, ny=cfg.wigner.ny
-    )
-    with open(outdir / "wigner_final.csv", "w", encoding="utf-8") as fh:
-        phasespace.export_csv(grid, fh)
-    with open(outdir / "wigner_final.pgm", "w", encoding="utf-8") as fh:
-        phasespace.export_pgm(grid, fh)
+    grid = _write_wigner(final, cfg, outdir, "wigner_final")
     if cfg.dump_states:
         _write_state(final, outdir, 0)
     rep = fock.truncation_check(final, cfg.guard_levels, cfg.leak_tol)

@@ -7,6 +7,9 @@ exclusion circle at gamma conjugates it with D(gamma). Repeating steps
 confines any state initially below (or above) |s> to that block: |s> acts
 as a hard wall in phase space of radius sqrt(s) around gamma.
 
+A run keeps its diagnostics as arrays, one row per recorded step, and
+checks the guard-band leak on every step, recorded or not.
+
 The engine is sequential per run and keeps no shared mutable state, so
 independent runs can execute concurrently. Operators are cached by value;
 the cache has no semantic effect.
@@ -14,7 +17,6 @@ the cache has no semantic effect.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -29,13 +31,10 @@ from .fock import (
     DEFAULT_LEAK_TOL,
     FieldState,
     TruncationError,
-    TruncationReport,
     annihilation_op,
     creation_op,
     displacement_op,
-    mean_energy,
     photon_distribution,
-    truncation_check,
 )
 
 logger = logging.getLogger(__name__)
@@ -97,52 +96,36 @@ def uniform_schedule(n_steps: int, beta: complex, kicks: Sequence[KickSpec]) -> 
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    step: int
-    energy: float
-    probs: np.ndarray
-    truncation: TruncationReport
-    state: FieldState | None = None
-    atom_leak: float = 0.0
-
-    @property
-    def leak(self) -> float:
-        return self.truncation.top_population
-
-
-@dataclass(frozen=True)
 class EvolutionTrace:
-    """Per-step diagnostics of a stroboscopic run."""
+    """Diagnostics of a stroboscopic run, one array row per recorded step.
 
-    records: tuple[TraceRecord, ...]
+    steps, energies and leaks (population of the guard band) have one
+    entry per row; probs is the (rows, dim) photon distribution of the
+    normalised field. states maps each snapshot step to its FieldState.
+    """
+
+    steps: np.ndarray
+    energies: np.ndarray
+    probs: np.ndarray
+    leaks: np.ndarray
+    states: dict[int, FieldState]
     final_state: FieldState
-    n_steps: int
     kicks: int = 0  # kicks applied
     renormalizations: int = 0
     max_norm_drift: float = 0.0
     final_atom_leak: float = 0.0
 
-    def energies(self) -> np.ndarray:
-        return np.array([r.energy for r in self.records])
-
-    def record_at(self, step: int) -> TraceRecord:
-        for r in self.records:
-            if r.step == step:
-                return r
-        raise KeyError(f"no record at step {step}")
-
     def to_csv(self, fh: IO[str]) -> None:
         """Columns: step, energy, p0..p9, leak. 17 significant digits."""
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "energy"] + [f"p{n}" for n in range(10)] + ["leak"])
-        for r in self.records:
-            probs = np.zeros(10)
-            k = min(10, r.probs.size)
-            probs[:k] = r.probs[:k]
-            row = [str(r.step), f"{r.energy:.17g}"]
-            row += [f"{p:.17g}" for p in probs]
-            row.append(f"{r.leak:.17g}")
-            writer.writerow(row)
+        p10 = np.zeros((len(self.steps), 10))
+        p10[:, : self.probs.shape[1]] = self.probs[:, :10]
+        table = np.column_stack([self.energies, p10, self.leaks])
+        row = "{}," + ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+        header = ",".join(["step", "energy", *(f"p{n}" for n in range(10)), "leak"])
+        fh.write(header + "\n")
+        fh.writelines(
+            row.format(p, *v.tolist()) for p, v in zip(self.steps.tolist(), table)
+        )
 
 
 class ZenoTruncationError(TruncationError):
@@ -248,10 +231,11 @@ def zeno_run(
 ) -> EvolutionTrace:
     """Run a schedule and collect the evolution trace.
 
-    Records are kept at step 0, every record_every-th step, at every
-    requested snapshot step (those also keep the full state) and at the
-    final step. A truncation failure aborts with the partial trace
-    attached to the exception.
+    Rows are kept at step 0, every record_every-th step, every requested
+    snapshot step (those also keep the full state) and the final step.
+    The guard-band leak is checked after every step: the first step whose
+    leak reaches leak_tol is appended as the last row and the run aborts
+    with ZenoTruncationError, which carries the partial trace.
 
     Dressed kicks all at one center with one pulse run jointly: the
     amplitudes driven out of the atom level h stay coherent between kicks
@@ -263,6 +247,8 @@ def zeno_run(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     dim = state.dim
+    if not 0 < guard_levels < dim:
+        raise ValueError("guard_levels must lie in 1..dim-1")
     ctx = _uniform_dressed_context(schedule)
     joint = ctx is not None and ctx != "mixed"
     if ctx == "mixed":
@@ -271,8 +257,10 @@ def zeno_run(
     amps = state.amps.copy()
     kicks = renorms = 0
     max_drift = 0.0
-    records: list[TraceRecord] = []
     atom_leak = 0.0
+    levels = np.arange(dim)
+    rows: list[tuple[int, float, float]] = []  # step, energy, leak
+    states: dict[int, FieldState] = {}
 
     blocks = d_gamma = branch = None
     if joint:
@@ -281,21 +269,24 @@ def zeno_run(
         d_gamma = displacement_op(gamma_ctx, dim) if gamma_ctx != 0 else None
         branch = np.zeros((dim, 2), dtype=np.complex128)
 
-    def make_record(step_idx: int, vec: np.ndarray) -> TraceRecord:
-        st = FieldState(vec)
-        keep = step_idx in snapshots
-        return TraceRecord(
-            step=step_idx,
-            energy=mean_energy(st),
-            probs=photon_distribution(st),
-            truncation=truncation_check(st, guard_levels, leak_tol),
-            state=st if keep else None,
-            atom_leak=atom_leak,
-        )
-
-    records.append(make_record(0, amps))
     n_steps = len(schedule.steps)
-    for p, step in enumerate(schedule.steps, start=1):
+    # rows: step 0, every record_every-th step, the snapshots, the last step
+    probs = np.empty((n_steps // record_every + len(snapshots) + 2, dim))
+    # iteration p inspects the state after step p, then applies step p + 1
+    for p in range(n_steps + 1):
+        # a joint run's field is not unit-norm: the atom branch holds the rest
+        field = FieldState(amps).amps if joint else amps
+        pop = probs[len(rows)]
+        pop[:] = np.abs(field) ** 2
+        leak = float(pop[dim - guard_levels:].sum())
+        failed = p > 0 and not leak < leak_tol
+        if failed or p % record_every == 0 or p == n_steps or p in snapshots:
+            rows.append((p, float(levels @ pop), leak))
+            if p in snapshots:
+                states[p] = FieldState(field)
+        if failed or p == n_steps:
+            break
+        step = schedule.steps[p]
         _check_kick_bounds(step.kicks, dim, guard_levels)
         kicks += len(step.kicks)
         if step.displacement != 0:
@@ -328,36 +319,25 @@ def zeno_run(
                 amps = amps / nrm
                 renorms += 1
                 max_drift = max(max_drift, drift)
-        if p % record_every == 0 or p == n_steps or p in snapshots:
-            rec = make_record(p, amps)
-            records.append(rec)
-            if not rec.truncation.ok:
-                partial = EvolutionTrace(
-                    records=tuple(records),
-                    final_state=FieldState(amps),
-                    n_steps=p,
-                    kicks=kicks,
-                    renormalizations=renorms,
-                    max_norm_drift=max_drift,
-                    final_atom_leak=atom_leak,
-                )
-                raise ZenoTruncationError(
-                    f"truncation leak {rec.leak:.3e} above {leak_tol:.1e} at step {p}",
-                    partial,
-                )
-    logger.debug(
-        "zeno_run: %d steps, %d renormalizations, max norm drift %.3e, atom leak %.3e",
-        n_steps, renorms, max_drift, atom_leak,
-    )
-    return EvolutionTrace(
-        records=tuple(records),
+    steps, energies, leaks = map(np.array, zip(*rows))
+    trace = EvolutionTrace(
+        steps, energies, probs[: len(rows)], leaks,
+        states=states,
         final_state=FieldState(amps),
-        n_steps=n_steps,
         kicks=kicks,
         renormalizations=renorms,
         max_norm_drift=max_drift,
         final_atom_leak=atom_leak,
     )
+    if failed:
+        raise ZenoTruncationError(
+            f"truncation leak {leak:.3e} above {leak_tol:.1e} at step {p}", trace
+        )
+    logger.debug(
+        "zeno_run: %d steps, %d renormalizations, max norm drift %.3e, atom leak %.3e",
+        n_steps, renorms, max_drift, atom_leak,
+    )
+    return trace
 
 
 def drive_hamiltonian(drive_amp: complex, dim: int) -> np.ndarray:

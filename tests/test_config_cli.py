@@ -116,10 +116,21 @@ def test_dim_override(tmp_path):
     assert json.loads((tmp_path / "summary.json").read_text())["dim"] == 24
 
 
-def test_invalid_config_exit_code(tmp_path):
+def test_invalid_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"protocol": "crush"}))
     assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    # undecodable JSON and a top level that is not an object
+    bad.write_text('{"protocol": "crush", ')
+    for cmd in (["run"], ["sweep"]):
+        argv = cmd + [str(bad)] + (["dim=40"] if cmd == ["sweep"] else [])
+        assert main(argv + ["--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+    bad.write_text("[1, 2]")
+    for argv in (["run", str(bad)], ["run", str(bad), "--dim", "40"],
+                 ["sweep", str(bad), "dim=40"]):
+        assert main(argv + ["--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "top level: expected a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw, fragment", [
@@ -170,6 +181,8 @@ def test_invalid_config_exit_code(tmp_path):
      "beta: expected a number or [re, im] pair"),
     ({"protocol": "zeno_confine", "dim": 40, "interleave": 1},
      "interleave: 1 is not one of roundrobin, sequential"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {"theta": 99.0}},
+     "pulse.theta: unknown key (realistic runs take their angles from theta_grid)"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"

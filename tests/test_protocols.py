@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zenocavity.fock import (
+    FieldState,
     cat_state,
     coherent,
     fidelity_pure,
@@ -22,7 +23,7 @@ from zenocavity.protocols import (
     stretch_cat,
     tweezer_run,
 )
-from zenocavity.zeno import zeno_run
+from zenocavity.zeno import ZenoTruncationError, zeno_run
 
 
 def test_linear_trajectory_examples():
@@ -59,7 +60,7 @@ def test_tweezer_moves_component():
     final, trace = tweezer_run(psi, [traj], component_positions=[1.0])
     target = coherent(1.0 + 2.0j, dim)
     assert fidelity_pure(final, target) > 0.98
-    assert trace.n_steps == 41  # one kick per waypoint
+    assert trace.steps[-1] == 41  # one kick per waypoint
 
 
 def test_overlap_precondition():
@@ -151,6 +152,21 @@ def test_crush_examples():
     # the two parked kicks still graze the vacuum tail (overlap exp(-6.25)
     # per circle), so 'unchanged' holds to that tail only
     assert fidelity_pure(out, vacuum(dim)) > 0.9
+
+
+def test_protocols_forward_truncation_settings():
+    # a +-2.5 crush pushes the field into the top of a 24-level basis
+    with pytest.raises(ZenoTruncationError):
+        crush_between(vacuum(24), -2.5, 2.5, 200)
+    _, trace = crush_between(vacuum(24), -2.5, 2.5, 200, leak_tol=1e-2)
+    assert trace.steps[-1] == 201
+    with pytest.raises(ZenoTruncationError):
+        multi_cat_factory(2, 24)
+    multi_cat_factory(2, 24, leak_tol=1e-2)
+    psi = FieldState(coherent(0, 40).amps + coherent(3, 40).amps)
+    stretch_cat(psi, 0, 0.05, 4)
+    with pytest.raises(ZenoTruncationError):
+        stretch_cat(psi, 0, 0.05, 4, guard_levels=30)
 
 
 def test_energy_matched_cat_amplitude():

@@ -1,9 +1,11 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
 
+from zenocavity.atomkick import PulseParams
 from zenocavity.fock import (
     FieldState,
     coherent,
@@ -109,14 +111,14 @@ def test_zeno_step_matches_matrix_power_oracle():
 def test_zeno_run_kick_only_energy_constant():
     sched = Schedule(steps=(Step(displacement=0j, kicks=(KickSpec(s=2),)),) * 10)
     trace = zeno_run(coherent(1.0, 30), sched)
-    energies = trace.energies()
+    energies = trace.energies
     assert np.max(np.abs(energies - energies[0])) < 1e-12
 
 
 def test_zeno_run_confinement_cycle():
     # energy rises, plateaus near steps 20-30, returns near 0 around step 45
     trace = zeno_run(vacuum(48), uniform_schedule(50, 0.1, [KickSpec(s=6)]))
-    energies = trace.energies()
+    energies = trace.energies
     assert energies[25] > 3.5
     assert np.argmax(energies) in range(20, 31)
     assert min(energies[42:49]) < 0.3
@@ -172,11 +174,11 @@ def test_confinement_invariant():
     for beta, n_steps in ((0.1, 60), (0.05, 50)):
         trace = zeno_run(vacuum(60), uniform_schedule(n_steps, beta, [KickSpec(s=6)]),
                          leak_tol=1e-4)
-        worst = max(rec.probs[7:].sum() for rec in trace.records)
+        worst = trace.probs[:, 7:].sum(axis=1).max()
         assert worst < 5e-5
     # symmetric upper-block case
     trace = zeno_run(coherent(-5, 80), uniform_schedule(50, 0.1, [KickSpec(s=6)]))
-    worst = max(rec.probs[:6].sum() for rec in trace.records)
+    worst = trace.probs[:, :6].sum(axis=1).max()
     assert worst < 5e-5
 
 
@@ -184,8 +186,48 @@ def test_zeno_run_truncation_abort_carries_partial_trace():
     with pytest.raises(ZenoTruncationError) as err:
         zeno_run(vacuum(30), uniform_schedule(60, 0.1, [KickSpec(s=6)]))
     partial = err.value.trace
-    assert partial.records[-1].leak >= 1e-6
-    assert partial.n_steps < 60
+    assert partial.leaks[-1] >= 1e-6
+    assert partial.steps[-1] < 60
+
+
+def test_truncation_checked_on_every_step():
+    # the leak first reaches 1e-6 at step 40, between the recorded rows
+    with pytest.raises(ZenoTruncationError) as err:
+        zeno_run(vacuum(30), uniform_schedule(60, 0.1, [KickSpec(s=6)]), record_every=7)
+    partial = err.value.trace
+    assert partial.steps[-2:].tolist() == [35, 40]
+    assert partial.steps[-1] == 40 and partial.leaks[-1] >= 1e-6
+    assert "at step 40" in str(err.value)
+
+
+def test_trace_csv_matches_per_row_writer():
+    gap = 2 * math.pi * 50e3 * (math.sqrt(7) - math.sqrt(6))
+    pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=0.1 * gap, theta=5.5, s=6)
+    trace = zeno_run(
+        coherent(0.3, 48),
+        uniform_schedule(60, 0.1, [KickSpec(s=6, gamma=0.3 + 0.2j, pulse=pulse)]),
+        record_every=7, snapshot_steps=[17], leak_tol=1e-3,
+    )
+    assert trace.final_atom_leak > 0  # the joint dressed path
+    assert trace.steps.tolist() == [0, 7, 14, 17, 21, 28, 35, 42, 49, 56, 60]
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["step", "energy"] + [f"p{n}" for n in range(10)] + ["leak"])
+    rows = zip(trace.steps, trace.energies, trace.probs, trace.leaks)
+    for step, energy, probs, leak in rows:
+        writer.writerow([str(step), f"{energy:.17g}"]
+                        + [f"{p:.17g}" for p in probs[:10]] + [f"{leak:.17g}"])
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    assert buf.getvalue() == ref.getvalue()
+    # a basis below ten levels pads p0..p9 with zeros
+    small = zeno_run(vacuum(4), uniform_schedule(3, 0.01, [KickSpec(s=0)]),
+                     guard_levels=1)
+    buf = io.StringIO()
+    small.to_csv(buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[1] == "0,0,1,0,0,0,0,0,0,0,0,0,0"
+    assert all(len(line.split(",")) == 13 for line in lines)
 
 
 def test_trace_csv_format():
@@ -194,7 +236,7 @@ def test_trace_csv_format():
     trace.to_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "step,energy," + ",".join(f"p{n}" for n in range(10)) + ",leak"
-    assert len(lines) == 1 + len(trace.records)
+    assert len(lines) == 1 + len(trace.steps)
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[2]) == 1.0  # vacuum p0
 
@@ -202,12 +244,11 @@ def test_trace_csv_format():
 def test_record_thinning():
     trace = zeno_run(vacuum(24), uniform_schedule(20, 0.05, [KickSpec(s=4)]),
                      record_every=5)
-    assert [r.step for r in trace.records] == [0, 5, 10, 15, 20]
+    assert trace.steps.tolist() == [0, 5, 10, 15, 20]
     snap = zeno_run(vacuum(24), uniform_schedule(20, 0.05, [KickSpec(s=4)]),
                     record_every=5, snapshot_steps=[7])
-    assert [r.step for r in snap.records] == [0, 5, 7, 10, 15, 20]
-    assert snap.record_at(7).state is not None
-    assert snap.record_at(5).state is None
+    assert snap.steps.tolist() == [0, 5, 7, 10, 15, 20]
+    assert list(snap.states) == [7]
 
 
 def test_effective_hamiltonian_structure():
