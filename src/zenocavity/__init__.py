@@ -49,7 +49,6 @@ from .atomkick import (
 )
 from .openquantum import (
     LindbladParams,
-    TimedStep,
     evolve_master,
     fidelity_mixed,
     lindblad_rhs,

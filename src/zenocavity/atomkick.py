@@ -128,9 +128,22 @@ def pulse_block_unitary(n: int, params: PulseParams) -> np.ndarray:
     return (v * np.exp(-1j * w * tau)) @ v.conj().T
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
+def pulse_blocks(params: PulseParams, dim: int) -> np.ndarray:
+    """Per-n pulse propagators embedded in (h, +, -) slots; shape (dim, 3, 3).
+
+    At n = 0 (and with the minus branch excluded) the spare slot is the
+    identity, so an amplitude parked there is untouched.
+    """
+    blocks = np.tile(np.eye(3, dtype=np.complex128), (dim, 1, 1))
+    for n in range(dim):
+        u = pulse_block_unitary(n, params)
+        k = u.shape[0]
+        blocks[n, :k, :k] = u
+    blocks.flags.writeable = False
+    return blocks
+
+
 def conditioned_field_diagonal(params: PulseParams, dim: int) -> np.ndarray:
-    """Diagonal entries <h,n|U_n|h,n> for n = 0..dim-1."""
-    diag = np.array([pulse_block_unitary(n, params)[0, 0] for n in range(dim)])
-    diag.flags.writeable = False
-    return diag
+    """Diagonal entries <h,n|U_n|h,n> for n = 0..dim-1 (read-only)."""
+    return pulse_blocks(params, dim)[:, 0, 0]

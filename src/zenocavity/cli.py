@@ -30,8 +30,11 @@ from .runner import run_config
 def _apply_override(raw: dict[str, Any], dotted: str, value: Any) -> None:
     keys = dotted.split(".")
     node = raw
-    for k in keys[:-1]:
+    for depth, k in enumerate(keys[:-1], 1):
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            path = ".".join(keys[:depth])
+            raise ConfigError([f"range {dotted!r}: {path} holds {node!r}, not an object"])
     node[keys[-1]] = value
 
 

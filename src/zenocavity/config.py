@@ -145,6 +145,9 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
             f"s: {cfg.s} reaches the guard band of dim={cfg.dim} "
             f"with guard_levels={cfg.guard_levels}"
         )
+    late = [n for n in cfg.snapshot_steps if n > cfg.steps]
+    if late:
+        problems.append(f"snapshot_steps: {late} lie beyond steps={cfg.steps}")
     if cfg.protocol == "tweezer_move" and not cfg.trajectories:
         problems.append("trajectories: required for tweezer_move")
     for k, traj in enumerate(cfg.trajectories):
@@ -290,11 +293,16 @@ def parse_config(raw: dict[str, Any]) -> RunConfig:
 
 def read_config(path: str) -> dict[str, Any]:
     """The decoded JSON object of a config file, not yet parsed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"{path}: cannot read ({reason})"]) from None
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
     if not isinstance(raw, dict):
         raise ConfigError([f"top level: expected a JSON object, got {raw!r}"])
     return raw

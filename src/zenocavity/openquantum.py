@@ -5,12 +5,15 @@ Density matrices evolve under the damped-cavity master equation
     drho/dt = -i[H, rho] + (1/T_c)(1 + n_th)(a rho a+ - {a+a, rho}/2)
                          + (n_th/T_c)(a+ rho a - {a a+, rho}/2)
 
-with H = 0 or a linear drive, solved exactly. Damping keeps the offset
-d = m - k of each element rho[m, k], so exp(L t) splits into one small
-real block per offset; a drive adds a displacement of the damped frame
-(the phase-covariant damped oscillator; Walls & Milburn, Quantum Optics,
-ch. 6). lindblad_rhs, the generator, is the propagator's test oracle.
+with H = 0 or a linear drive -i(E* a - E a+), solved exactly. Damping
+keeps the offset d = m - k of each element rho[m, k], so exp(L t) splits
+into one small real block per offset; a drive adds a displacement of the
+damped frame (the phase-covariant damped oscillator; Walls & Milburn,
+Quantum Optics, ch. 6). lindblad_rhs, the generator, is the propagator's
+test oracle.
 
+Damped runs execute the engine's zeno.Schedule. A step's displacement
+beta costs |beta| / |E| seconds of drive at source amplitude E.
 Interrogation pulses take real time (their duration dominates a realistic
 run). A kick inside a damped segment is split symmetrically: damping runs
 for the full pulse duration while the conditioned kick map is applied
@@ -24,12 +27,12 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
 from .fock import FieldState, displacement_op
-from .zeno import KickSpec, displaced_kick, drive_hamiltonian
+from .zeno import Schedule, displaced_kick
 
 logger = logging.getLogger(__name__)
 
@@ -138,22 +141,16 @@ def evolve_damped(
     rho: np.ndarray,
     duration: float,
     params: LindbladParams | None,
-    hamiltonian: np.ndarray | None = None,
+    drive: complex = 0j,
 ) -> np.ndarray:
     """Exact master-equation evolution for `duration` seconds.
 
-    params None means no damping. hamiltonian, if given, must be a linear
-    drive (zeno.drive_hamiltonian); it acts after damping as D(beta), beta
+    params None means no damping. drive is the source amplitude E of the
+    linear drive -i(E* a - E a+); it acts after damping as D(beta), beta
     being the amplitude it builds up from the vacuum against damping.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    drive = 0j
-    if hamiltonian is not None:  # read E off H, and refuse anything else
-        drive = -1j * complex(hamiltonian[1, 0])
-        rest = hamiltonian - drive_hamiltonian(drive, rho.shape[0])
-        if np.max(np.abs(rest)) > 1e-12 * (1.0 + abs(drive)):
-            raise ValueError("only a linear drive -i(E* a - E a+) has an exact propagator")
     if params is None:
         beta = drive * duration
     else:
@@ -164,54 +161,6 @@ def evolve_damped(
         d = displacement_op(beta, rho.shape[0])
         rho = d @ rho @ d.conj().T
     return rho
-
-
-@dataclass(frozen=True)
-class TimedStep:
-    """One realistic protocol step with physical durations.
-
-    drive_amp is the source amplitude E (the drive hamiltonian is
-    -i(E* a - E a+), so drive_amp * drive_duration is the displacement it
-    produces). Center moves of the kicks are pulse retunings and take no
-    cavity time; every kick must carry pulse parameters, its duration is
-    the pulse length.
-    """
-
-    kicks: tuple[KickSpec, ...] = ()
-    drive_amp: complex = 0j
-    drive_duration: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kicks", tuple(self.kicks))
-        for k in self.kicks:
-            if k.pulse is None:
-                raise ValueError("timed steps need kicks with pulse parameters")
-        if self.drive_duration < 0:
-            raise ValueError("drive duration must be non-negative")
-
-    @property
-    def duration(self) -> float:
-        return self.drive_duration + sum(k.pulse.duration for k in self.kicks)
-
-
-def timed_steps_from_schedule(schedule, drive_amp: complex = 0j) -> tuple[TimedStep, ...]:
-    """Lift a stroboscopic Schedule into timed steps.
-
-    Every kick must carry pulse parameters. A nonzero step displacement
-    beta is driven over beta / drive_amp seconds with the given source
-    amplitude; beta = 0 steps take drive time zero.
-    """
-    out = []
-    for step in schedule.steps:
-        duration = 0.0
-        amp = 0j
-        if step.displacement != 0:
-            if drive_amp == 0:
-                raise ValueError("schedule displaces the field but drive_amp is zero")
-            duration = abs(step.displacement) / abs(complex(drive_amp))
-            amp = complex(step.displacement) / duration
-        out.append(TimedStep(kicks=step.kicks, drive_amp=amp, drive_duration=duration))
-    return tuple(out)
 
 
 @dataclass
@@ -243,19 +192,30 @@ def _mean_energy_rho(rho: np.ndarray) -> float:
 
 def evolve_master(
     rho: np.ndarray,
-    schedule: Sequence[TimedStep],
+    schedule: Schedule,
     params: LindbladParams | None,
     target: FieldState | None = None,
     positivity_tol: float = 1e-6,
+    drive_amp: complex = 0j,
 ) -> tuple[np.ndarray, MasterTrace]:
-    """Run a timed schedule on a density matrix under cavity damping.
+    """Run an engine schedule on a density matrix under cavity damping.
 
-    params None runs it undamped. Kicks act as the conditioned completely
-    positive branch (atom back in h): rho -> K rho K+ / p with the leak
-    1 - p accumulated in the trace; damping runs for the pulse duration
-    around the midpoint split. Aborts on a negative eigenvalue beyond
-    positivity_tol, which can only be accumulated rounding.
+    params None runs it undamped. A step's displacement beta is driven for
+    |beta| / |drive_amp| seconds at source amplitude beta / duration; a
+    schedule that displaces needs a nonzero drive_amp. Every kick must
+    carry pulse parameters, its duration is the pulse length; center moves
+    are pulse retunings and take no cavity time. Kicks act as the
+    conditioned completely positive branch (atom back in h):
+    rho -> K rho K+ / p with the leak 1 - p accumulated in the trace;
+    damping runs for the pulse duration around the midpoint split. Aborts
+    on a negative eigenvalue beyond positivity_tol, which can only be
+    accumulated rounding.
     """
+    for step in schedule.steps:
+        if step.displacement != 0 and drive_amp == 0:
+            raise ValueError("schedule displaces the field but drive_amp is zero")
+        if any(k.pulse is None for k in step.kicks):
+            raise ValueError("damped runs need kicks with pulse parameters")
     rho = np.array(rho, dtype=np.complex128)
     dim = rho.shape[0]
     trace = MasterTrace()
@@ -280,11 +240,11 @@ def evolve_master(
         )
 
     record()
-    for step in schedule:
-        if step.drive_duration > 0:
-            h = drive_hamiltonian(step.drive_amp, dim) if step.drive_amp != 0 else None
-            rho = evolve_damped(rho, step.drive_duration, params, h)
-            t += step.drive_duration
+    for step in schedule.steps:
+        if step.displacement != 0:
+            duration = abs(step.displacement) / abs(drive_amp)
+            rho = evolve_damped(rho, duration, params, step.displacement / duration)
+            t += duration
         for kick in step.kicks:
             tau = kick.pulse.duration
             rho = evolve_damped(rho, 0.5 * tau, params)

@@ -28,7 +28,6 @@ from .openquantum import (
     evolve_master,
     fidelity_mixed,
     pure_density,
-    timed_steps_from_schedule,
 )
 
 logger = logging.getLogger(__name__)
@@ -263,12 +262,11 @@ def realistic_point(
     schedule = protocols.build_tweezer_schedule(
         trajs, interleave=cfg.interleave, pulse=pulse
     )
-    timed = timed_steps_from_schedule(schedule)
-    duration = sum(s.duration for s in timed)
+    duration = sum(sum(k.pulse.duration for k in step.kicks) for step in schedule.steps)
     psi0 = fock.cat_state(start, 1.0, cfg.dim)
     target = fock.cat_state(stop, 1.0, cfg.dim)
     params = LindbladParams(cfg.lindblad.t_c, cfg.lindblad.n_th) if damping else None
-    rho, trace = evolve_master(pure_density(psi0), timed, params, target=target)
+    rho, trace = evolve_master(pure_density(psi0), schedule, params, target=target)
     fid = fidelity_mixed(rho, target)
     if keep_trace:
         return fid, duration, trace.total_kick_leak, trace

@@ -20,12 +20,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .atomkick import PulseParams, conditioned_field_diagonal, pulse_block_unitary
+from .atomkick import PulseParams, conditioned_field_diagonal, pulse_blocks
 from .fock import (
     DEFAULT_GUARD_LEVELS,
     DEFAULT_LEAK_TOL,
@@ -205,22 +204,6 @@ def _uniform_dressed_context(schedule: Schedule):
     return ctx
 
 
-@lru_cache(maxsize=64)
-def _joint_blocks(pulse: PulseParams, dim: int) -> np.ndarray:
-    """Per-n pulse propagators embedded in (h, +, -) slots; shape (dim,3,3).
-
-    At n = 0 (and with the minus branch excluded) the spare slot is the
-    identity, so the parked amplitude there is untouched.
-    """
-    blocks = np.tile(np.eye(3, dtype=np.complex128), (dim, 1, 1))
-    for n in range(dim):
-        u = pulse_block_unitary(n, pulse)
-        k = u.shape[0]
-        blocks[n, :k, :k] = u
-    blocks.flags.writeable = False
-    return blocks
-
-
 def zeno_run(
     state: FieldState,
     schedule: Schedule,
@@ -265,7 +248,7 @@ def zeno_run(
     blocks = d_gamma = branch = None
     if joint:
         gamma_ctx, pulse_ctx = ctx
-        blocks = _joint_blocks(pulse_ctx, dim)
+        blocks = pulse_blocks(pulse_ctx, dim)
         d_gamma = displacement_op(gamma_ctx, dim) if gamma_ctx != 0 else None
         branch = np.zeros((dim, 2), dtype=np.complex128)
 

@@ -131,6 +131,15 @@ def test_invalid_config_exit_code(tmp_path, capsys):
                  ["sweep", str(bad), "dim=40"]):
         assert main(argv + ["--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "top level: expected a JSON object" in capsys.readouterr().err
+    missing = tmp_path / "missing.json"
+    for argv in (["run", str(missing)], ["sweep", str(missing), "dim=40"]):
+        assert main(argv + ["--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert f"{missing}: cannot read" in capsys.readouterr().err
+    # a dotted range key cannot pass through a scalar
+    bad.write_text(json.dumps({"protocol": "zeno_confine", "dim": 40, "steps": 3}))
+    argv = ["sweep", str(bad), "dim.x=1,2", "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(argv) == 2
+    assert "range 'dim.x': dim holds 40, not an object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw, fragment", [
@@ -183,6 +192,8 @@ def test_invalid_config_exit_code(tmp_path, capsys):
      "interleave: 1 is not one of roundrobin, sequential"),
     ({"protocol": "realistic", "dim": 40, "pulse": {"theta": 99.0}},
      "pulse.theta: unknown key (realistic runs take their angles from theta_grid)"),
+    ({"protocol": "zeno_confine", "dim": 40, "steps": 10, "snapshot_steps": [500]},
+     "snapshot_steps: [500] lie beyond steps=10"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"

@@ -8,14 +8,12 @@ from zenocavity.atomkick import PulseParams
 from zenocavity.fock import cat_state, coherent, displacement_op, fock_basis, vacuum
 from zenocavity.openquantum import (
     LindbladParams,
-    TimedStep,
     check_density_matrix,
     evolve_damped,
     evolve_master,
     fidelity_mixed,
     lindblad_rhs,
     pure_density,
-    timed_steps_from_schedule,
 )
 from zenocavity.fock import FieldState
 from zenocavity.protocols import build_tweezer_schedule, linear_trajectory
@@ -99,11 +97,7 @@ def test_unitary_limit_matches_conditioned_zeno_run():
     psi0 = coherent(1.0, dim)
     # the kick centre moves, so zeno_run conditions on h at every kick
     trace = zeno_run(psi0, schedule, leak_tol=1e-2)
-    rho, _ = evolve_master(
-        pure_density(psi0),
-        timed_steps_from_schedule(schedule),
-        LindbladParams(t_c=1e9),
-    )
+    rho, _ = evolve_master(pure_density(psi0), schedule, LindbladParams(t_c=1e9))
     target = pure_density(trace.final_state)
     assert np.max(np.abs(rho - target)) < 1e-8
 
@@ -115,7 +109,7 @@ def test_trace_and_hermiticity_drift():
              linear_trajectory(-1.0, -2.0, 9, adiabatic_cap=0.15)]
     schedule = build_tweezer_schedule(trajs, pulse=pulse)
     rho0 = pure_density(cat_state(1.0, 1, 24))
-    rho, trace = evolve_master(rho0, timed_steps_from_schedule(schedule), params())
+    rho, trace = evolve_master(rho0, schedule, params())
     assert trace.records[-1].trace_err < 1e-6
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
     check_density_matrix(rho, positivity_tol=1e-6)
@@ -125,11 +119,11 @@ def test_segment_halving_convergence():
     # two driven damped half segments compose to the whole one
     dim = 24
     p = params(n_th=0.1)
-    h = drive_hamiltonian(30.0, dim)
+    e = 30.0
     rho0 = pure_density(coherent(1.0, dim))
     target = coherent(1.3, dim)
-    whole = evolve_damped(rho0, 0.01, p, h)
-    halves = evolve_damped(evolve_damped(rho0, 0.005, p, h), 0.005, p, h)
+    whole = evolve_damped(rho0, 0.01, p, drive=e)
+    halves = evolve_damped(evolve_damped(rho0, 0.005, p, drive=e), 0.005, p, drive=e)
     assert abs(fidelity_mixed(whole, target) - fidelity_mixed(halves, target)) < 1e-6
 
 
@@ -149,15 +143,14 @@ def test_block_propagator_matches_dense_expm(n_th):
 def test_driven_segment_matches_dense_expm():
     dim = 20
     p = params(n_th=0.05)
-    h = drive_hamiltonian(15.0 + 10.0j, dim)
+    e = 15.0 + 10.0j
+    h = drive_hamiltonian(e, dim)
     rho = pure_density(coherent(0.5, dim))
     t = 0.02
     ref = (expm(t * dense_generator(dim, p, h)) @ rho.ravel()).reshape(dim, dim)
-    assert np.max(np.abs(evolve_damped(rho, t, p, h) - ref)) < 1e-12
-    d = displacement_op((15.0 + 10.0j) * t, dim)  # undamped: D(E t)
-    assert np.max(np.abs(evolve_damped(rho, t, None, h) - d @ rho @ d.conj().T)) < 1e-12
-    with pytest.raises(ValueError, match="linear drive"):
-        evolve_damped(rho, t, p, h + np.eye(dim))
+    assert np.max(np.abs(evolve_damped(rho, t, p, drive=e) - ref)) < 1e-12
+    d = displacement_op(e * t, dim)  # undamped: D(E t)
+    assert np.max(np.abs(evolve_damped(rho, t, None, drive=e) - d @ rho @ d.conj().T)) < 1e-12
 
 
 def test_long_damping_stays_physical():
@@ -170,15 +163,22 @@ def test_long_damping_stays_physical():
 
 
 def test_drive_segment_displaces():
-    # a timed drive segment must reproduce the displacement beta = E * dt
+    # a displacement of 0.5 at E = 100 is driven for |beta| / |E| = 5 ms
     dim = 24
-    step = TimedStep(kicks=(), drive_amp=100.0, drive_duration=0.005)
-    rho, _ = evolve_master(pure_density(vacuum(dim)), [step], LindbladParams(t_c=1e9))
+    sched = Schedule(steps=(Step(displacement=0.5),))
+    rho, trace = evolve_master(
+        pure_density(vacuum(dim)), sched, LindbladParams(t_c=1e9), drive_amp=100.0
+    )
     assert abs(mean_n(rho) - 0.25) < 1e-6  # coherent(0.5)
-    sched_step = timed_steps_from_schedule(
-        Schedule(steps=(Step(displacement=0.5),)), drive_amp=100.0
-    )[0]
-    assert abs(sched_step.drive_duration - 0.005) < 1e-12
+    assert abs(trace.records[-1].t_seconds - 0.005) < 1e-12
+
+
+def test_master_schedule_validation():
+    rho = pure_density(vacuum(12))
+    with pytest.raises(ValueError, match="pulse parameters"):
+        evolve_master(rho, Schedule(steps=(Step(kicks=(KickSpec(s=1),)),)), params())
+    with pytest.raises(ValueError, match="drive_amp"):
+        evolve_master(rho, Schedule(steps=(Step(displacement=0.5),)), params())
 
 
 def test_fidelity_mixed_examples():
@@ -204,8 +204,8 @@ def test_lindblad_params_validation():
 
 def test_kick_leak_recorded():
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=3e4, theta=2.0, s=1)
-    step = TimedStep(kicks=(KickSpec(s=1, gamma=1.0, pulse=pulse),))
+    sched = Schedule(steps=(Step(kicks=(KickSpec(s=1, gamma=1.0, pulse=pulse),)),))
     # population on the addressed displaced level leaks out of h hard
     psi = FieldState(displacement_op(1.0, 20)[:, 1])
-    _, trace = evolve_master(pure_density(psi), [step], params())
+    _, trace = evolve_master(pure_density(psi), sched, params())
     assert trace.total_kick_leak > 0.5
