@@ -100,15 +100,14 @@ def pulse_block_unitary(n: int, params: PulseParams) -> np.ndarray:
 
     Basis {|h,n>, |+,n>, |-,n>} for n >= 1 (2x2 {h, +} when the minus
     branch is excluded), {|h,0>, |g,0>} at n = 0. Returns
-    exp(-i H_n tau) with tau the pulse duration for the target angle.
+    exp(-i H_n tau) with tau = params.duration: one pulse lasts the same
+    time on every block.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     coupling = params.rabi_drive / (2.0 * math.sqrt(2.0))
-    tau = params.theta * math.sqrt(2.0) / params.rabi_drive
     if n == 0:
         coupling = params.rabi_drive / 2.0
-        tau = params.theta / params.rabi_drive
         delta, _ = dressed_detunings(0, params)
         h = np.array([[0.0, coupling], [coupling, delta]], dtype=np.complex128)
     else:
@@ -125,7 +124,7 @@ def pulse_block_unitary(n: int, params: PulseParams) -> np.ndarray:
         else:
             h = np.array([[0.0, coupling], [coupling, d_plus]], dtype=np.complex128)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * tau)) @ v.conj().T
+    return (v * np.exp(-1j * w * params.duration)) @ v.conj().T
 
 
 @lru_cache(maxsize=64)

@@ -83,7 +83,7 @@ def run_sweep(
             _apply_override(point_raw, key, value)
         jobs.append((index, point_raw, str(outdir)))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]

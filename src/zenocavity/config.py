@@ -1,14 +1,16 @@
 """Run configuration: JSON schema, validation, presets.
 
 Configs are plain JSON. Complex numbers are written as [re, im] pairs.
-The dataclasses below are the schema: each field declares its type, its
-allowed choices (a Literal) and its range (an Annotated Range) once, and
-parsing checks them while it converts. Conversion is strict: a bool
-field takes only true/false, a Literal field only one of its strings, an
-int field only an integer or an integral float such as 40.0, and a number
-field no booleans or strings. _validate then checks the rules that relate
-several fields. Every problem is collected before raising, so an invalid config
-produces a single aggregated report. Presets live in the package as JSON
+The dataclasses below are the schema, one per protocol family; the
+`protocol` key picks the class, and a key that class does not declare is
+unknown. Each field declares its type, its allowed choices (a Literal)
+and its range (an Annotated Range) once, and parsing checks them while
+it converts. Conversion is strict: a bool field takes only true/false, a
+Literal field only one of its strings, an int field only an integer or
+an integral float such as 40.0, and a number field no booleans or
+strings. _validate then checks the rules that relate several fields.
+Every problem is collected before raising, so an invalid config produces
+a single aggregated report. Presets live in the package as JSON
 files, one per reproduced figure panel plus a few extras.
 """
 
@@ -21,20 +23,6 @@ from functools import lru_cache
 from importlib import resources
 from types import UnionType
 from typing import Annotated, Any, Literal, get_args, get_origin, get_type_hints
-
-Protocol = Literal[
-    "zeno_confine",
-    "zeno_upper",
-    "tangential",
-    "fig3_revival",
-    "tweezer_stretch",
-    "tweezer_move",
-    "crush",
-    "four_cat",
-    "realistic",
-]
-PROTOCOLS: tuple[str, ...] = get_args(Protocol)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message lists every detected problem."""
@@ -98,10 +86,20 @@ class WignerConfig:
     bounds: tuple[float, float, float, float] | None = None  # None -> auto
 
 
-@dataclass
-class RunConfig:
-    protocol: Protocol
+@dataclass(kw_only=True)
+class _PureRun:
+    """Keys of the protocols that evolve a pure state and draw its Wigner function."""
+
     dim: Annotated[int, Range(2)]
+    leak_tol: Annotated[float, POSITIVE] = 1e-6
+    guard_levels: Annotated[int, Range(1)] = 3
+    dump_states: bool = False
+    wigner: WignerConfig = field(default_factory=WignerConfig)
+
+
+@dataclass(kw_only=True)
+class ZenoConfig(_PureRun):
+    protocol: Literal["zeno_confine", "zeno_upper", "tangential", "fig3_revival"]
     s: Annotated[int, NON_NEGATIVE] = 6
     beta: complex = 0.1
     alpha_init: complex = 0j
@@ -110,48 +108,86 @@ class RunConfig:
     record_every: Annotated[int, Range(1)] = 1
     snapshot_every: Annotated[int, NON_NEGATIVE] = 0  # 0 -> no wigner snapshots
     snapshot_steps: tuple[Annotated[int, NON_NEGATIVE], ...] = ()
-    dump_states: bool = False
-    leak_tol: Annotated[float, POSITIVE] = 1e-6
-    guard_levels: Annotated[int, Range(1)] = 3
-    trajectories: tuple[TrajectoryConfig, ...] = ()
-    interleave: Literal["roundrobin", "sequential"] = "roundrobin"
-    component_positions: tuple[complex, ...] = ()
-    overlap_tol: Annotated[float, POSITIVE] = 1e-3
-    gamma: complex = 0j  # tweezer_stretch hold point
-    alpha_free: complex | None = None  # tweezer_stretch moving component
-    crush_centers: tuple[complex, complex] = (-2.5, 2.5)
-    crush_steps: Annotated[int, Range(1)] = 200
-    n_components: int = 4
-    separation: Annotated[float, POSITIVE] = 2.5
-    steps_per_crush: Annotated[int, Range(1)] = 200
-    pulse: PulseConfig | None = None
     kick_theta: Annotated[float, ANGLE] = 0.0  # 0 -> ideal kicks; else dressed kicks
     kick_rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0
     kick_omega: Annotated[float, POSITIVE] = 2 * math.pi * 50e3
-    lindblad: LindbladConfig = field(default_factory=LindbladConfig)
-    wigner: WignerConfig = field(default_factory=WignerConfig)
+
+
+@dataclass(kw_only=True)
+class StretchConfig(_PureRun):
+    protocol: Literal["tweezer_stretch"]
+    gamma: complex = 0j  # hold point
+    alpha_free: complex  # the moving component
+    beta: complex = 0.1
+    steps: Annotated[int, Range(1)] = 45
+    overlap_tol: Annotated[float, POSITIVE] = 1e-3
+
+
+@dataclass(kw_only=True)
+class TweezerConfig(_PureRun):
+    protocol: Literal["tweezer_move"]
+    alpha_init: complex = 0j
+    cat_init: complex | None = None
+    record_every: Annotated[int, Range(1)] = 1
+    trajectories: Annotated[tuple[TrajectoryConfig, ...], Range(1)]
+    interleave: Literal["roundrobin", "sequential"] = "roundrobin"
+    component_positions: tuple[complex, ...] = ()
+    overlap_tol: Annotated[float, POSITIVE] = 1e-3
+    target_alpha: complex | None = None  # even cat the fidelity compares against
+
+
+@dataclass(kw_only=True)
+class CrushConfig(_PureRun):
+    protocol: Literal["crush"]
+    alpha_init: complex = 0j
+    cat_init: complex | None = None
+    record_every: Annotated[int, Range(1)] = 1
+    crush_centers: tuple[complex, complex] = (-2.5, 2.5)
+    crush_steps: Annotated[int, Range(1)] = 200
+
+
+@dataclass(kw_only=True)
+class FourCatConfig(_PureRun):
+    protocol: Literal["four_cat"]
+    n_components: int = 4
+    separation: Annotated[float, POSITIVE] = 2.5
+    steps_per_crush: Annotated[int, Range(1)] = 200
+
+
+@dataclass(kw_only=True)
+class RealisticConfig:
+    protocol: Literal["realistic"]
+    dim: Annotated[int, Range(2)]
+    cat_init: complex = 2 + 0j
+    target_alpha: complex = 3 + 0j
+    interleave: Literal["roundrobin", "sequential"] = "roundrobin"
+    waypoints_per_component: Annotated[int, Range(2)] = 5  # one move at least
     theta_grid: Annotated[
         tuple[Annotated[float, Range(0, 4 * math.pi, open_lo=True)], ...], Range(1)
     ] = (2 * math.pi, 2.0, 1.0, 0.5)
-    waypoints_per_component: Annotated[int, Range(2)] = 5  # one move at least
-    target_alpha: complex | None = None
+    pulse: PulseConfig
+    lindblad: LindbladConfig = field(default_factory=LindbladConfig)
+
+
+RunConfig = (ZenoConfig | StretchConfig | TweezerConfig | CrushConfig | FourCatConfig
+             | RealisticConfig)
 
 
 def _validate(cfg: RunConfig, problems: list[str]) -> None:
     """Rules that relate several fields; single-field rules live on the fields."""
-    top = cfg.dim - cfg.guard_levels
-    if cfg.s >= top:
-        problems.append(
-            f"s: {cfg.s} reaches the guard band of dim={cfg.dim} "
-            f"with guard_levels={cfg.guard_levels}"
-        )
-    late = [n for n in cfg.snapshot_steps if n > cfg.steps]
-    if late:
-        problems.append(f"snapshot_steps: {late} lie beyond steps={cfg.steps}")
-    if cfg.protocol == "tweezer_move" and not cfg.trajectories:
-        problems.append("trajectories: required for tweezer_move")
-    for k, traj in enumerate(cfg.trajectories):
-        if traj.s >= top:
+    if isinstance(cfg, ZenoConfig):
+        if cfg.s >= cfg.dim - cfg.guard_levels:
+            problems.append(
+                f"s: {cfg.s} reaches the guard band of dim={cfg.dim} "
+                f"with guard_levels={cfg.guard_levels}"
+            )
+        late = [n for n in cfg.snapshot_steps if n > cfg.steps]
+        if late:
+            problems.append(f"snapshot_steps: {late} lie beyond steps={cfg.steps}")
+        if cfg.kick_theta and not cfg.kick_rabi_drive:
+            problems.append("kick_rabi_drive: required when kick_theta is set")
+    for k, traj in enumerate(cfg.trajectories if isinstance(cfg, TweezerConfig) else ()):
+        if traj.s >= cfg.dim - cfg.guard_levels:
             problems.append(f"trajectories[{k}].s: {traj.s} reaches the guard band")
         jump = abs(traj.stop - traj.start) / traj.steps
         if jump > traj.adiabatic_cap * (1 + 1e-12):
@@ -159,19 +195,14 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
                 f"trajectories[{k}]: waypoint jump {jump:.4g} exceeds "
                 f"adiabatic_cap {traj.adiabatic_cap:.4g}"
             )
-    if cfg.protocol == "tweezer_stretch" and cfg.alpha_free is None:
-        problems.append("alpha_free: required for tweezer_stretch")
-    if cfg.protocol == "four_cat":
+    if isinstance(cfg, FourCatConfig):
         n = cfg.n_components
         if n < 2 or (n & (n - 1)) != 0:
             problems.append(f"n_components: must be a power of two >= 2, got {n}")
-    if cfg.protocol == "realistic" and cfg.pulse is None:
-        problems.append("pulse: required for realistic runs")
-    if cfg.pulse is not None and not (cfg.pulse.total_duration or cfg.pulse.rabi_drive):
-        problems.append("pulse: needs total_duration or rabi_drive")
-    if cfg.kick_theta and not cfg.kick_rabi_drive:
-        problems.append("kick_rabi_drive: required when kick_theta is set")
-    if cfg.wigner.bounds is not None:
+    if isinstance(cfg, RealisticConfig):
+        if not (cfg.pulse.total_duration or cfg.pulse.rabi_drive):
+            problems.append("pulse: needs total_duration or rabi_drive")
+    elif cfg.wigner.bounds is not None:
         x_min, x_max, y_min, y_max = cfg.wigner.bounds
         if not (x_min < x_max and y_min < y_max):
             problems.append(
@@ -279,10 +310,24 @@ def _convert_object(cls: type, raw: Any, key: str, problems: list[str]) -> Any:
     return None if len(problems) > before else cls(**kwargs)
 
 
+#: the config class of each protocol name, read off the classes' Literals
+_CLASSES = {n: c for c in get_args(RunConfig) for n in get_args(_field_types(c)["protocol"])}
+
+
+@dataclass(kw_only=True)
+class _NoProtocol(_PureRun):  # what a config without a known protocol is judged on
+    protocol: Literal[tuple(_CLASSES)]
+
+
 def parse_config(raw: dict[str, Any]) -> RunConfig:
-    """Build and validate a RunConfig from decoded JSON (validation needs typed fields)."""
+    """Build and validate the config class of raw's protocol from decoded JSON
+    (validation needs typed fields); a key that class lacks is unknown."""
     problems: list[str] = []
-    cfg = _convert_object(RunConfig, raw, "", problems)
+    name = raw.get("protocol")
+    cls = _CLASSES.get(name, _NoProtocol) if isinstance(name, str) else _NoProtocol
+    if cls is _NoProtocol:  # the other keys cannot be judged without a protocol
+        raw = {k: v for k, v in raw.items() if k in ("protocol", "dim")}
+    cfg = _convert_object(cls, raw, "", problems)
     if problems:
         raise ConfigError(problems)
     _validate(cfg, problems)

@@ -1,10 +1,11 @@
-"""Executes a RunConfig: builds the protocol, runs it, writes artifacts.
+"""Executes a run config: builds the protocol, runs it, writes artifacts.
 
 Every run emits into its output directory:
 
     trace.csv                      per-step diagnostics (engine or master)
     wigner_stepNNNNNN.{csv,pgm}    snapshots where requested
     state_stepNNNNNN.txt           amplitude dumps (index re im) if enabled
+    wigner_final.{csv,pgm}         four_cat's final state (state_final.txt)
     summary.json                   machine-readable result
 
 Identical configs give bit-identical CSV output; there is no randomness
@@ -20,9 +21,8 @@ import time
 from pathlib import Path
 from typing import Any
 
-from . import fock, phasespace, protocols, zeno
+from . import config, fock, phasespace, protocols, zeno
 from .atomkick import PulseParams
-from .config import RunConfig
 from .openquantum import (
     LindbladParams,
     evolve_master,
@@ -33,7 +33,7 @@ from .openquantum import (
 logger = logging.getLogger(__name__)
 
 
-def _initial_state(cfg: RunConfig) -> fock.FieldState:
+def _initial_state(cfg: config.RunConfig) -> fock.FieldState:
     if cfg.cat_init is not None:
         return fock.cat_state(cfg.cat_init, 1.0, cfg.dim)
     if cfg.alpha_init != 0:
@@ -41,7 +41,7 @@ def _initial_state(cfg: RunConfig) -> fock.FieldState:
     return fock.vacuum(cfg.dim)
 
 
-def _kick_spec(cfg: RunConfig) -> zeno.KickSpec:
+def _kick_spec(cfg: config.ZenoConfig) -> zeno.KickSpec:
     if cfg.kick_theta:
         pulse = PulseParams(
             omega=cfg.kick_omega,
@@ -53,26 +53,30 @@ def _kick_spec(cfg: RunConfig) -> zeno.KickSpec:
     return zeno.KickSpec(s=cfg.s)
 
 
-def _snapshot_steps(cfg: RunConfig) -> tuple[int, ...]:
+def _snapshot_steps(cfg: config.ZenoConfig) -> tuple[int, ...]:
     steps = set(cfg.snapshot_steps)
     if cfg.snapshot_every > 0:
         steps.update(range(0, cfg.steps + 1, cfg.snapshot_every))
     return tuple(sorted(steps))
 
 
-def _wigner_bounds(cfg: RunConfig) -> tuple[float, float, float, float]:
+def _wigner_bounds(cfg: config.RunConfig) -> tuple[float, float, float, float]:
+    """The configured window, else a square that holds the kick circle
+    (s = 6 where the protocol has no s) and every configured amplitude."""
     if cfg.wigner.bounds is not None:
         return cfg.wigner.bounds
-    reach = math.sqrt(max(cfg.s, 1)) + 3.0
-    for traj in cfg.trajectories:
+    reach = math.sqrt(max(getattr(cfg, "s", 6), 1)) + 3.0
+    for traj in getattr(cfg, "trajectories", ()):
         reach = max(reach, abs(traj.start) + 2.0, abs(traj.stop) + 2.0)
-    for val in (cfg.alpha_init, cfg.cat_init, cfg.target_alpha):
+    for val in (getattr(cfg, k, 0) for k in ("alpha_init", "cat_init", "target_alpha")):
         if val:
             reach = max(reach, abs(complex(val)) + 3.0)
     return (-reach, reach, -reach, reach)
 
 
-def _write_wigner(state, cfg: RunConfig, outdir: Path, stem: str) -> phasespace.WignerGrid:
+def _write_wigner(
+    state, cfg: config.RunConfig, outdir: Path, stem: str
+) -> phasespace.WignerGrid:
     grid = phasespace.wigner_grid(
         state, _wigner_bounds(cfg), nx=cfg.wigner.nx, ny=cfg.wigner.ny
     )
@@ -83,24 +87,24 @@ def _write_wigner(state, cfg: RunConfig, outdir: Path, stem: str) -> phasespace.
     return grid
 
 
-def _write_state(state: fock.FieldState, outdir: Path, step: int) -> None:
-    with open(outdir / f"state_step{step:06d}.txt", "w", encoding="utf-8") as fh:
+def _write_state(state: fock.FieldState, outdir: Path, stem: str) -> None:
+    with open(outdir / f"{stem}.txt", "w", encoding="utf-8") as fh:
         for n, c in enumerate(state.amps):
             fh.write(f"{n} {c.real:.17g} {c.imag:.17g}\n")
 
 
 def _emit_trace_artifacts(
-    trace: zeno.EvolutionTrace, cfg: RunConfig, outdir: Path
+    trace: zeno.EvolutionTrace, cfg: config.RunConfig, outdir: Path
 ) -> None:
     with open(outdir / "trace.csv", "w", encoding="utf-8") as fh:
         trace.to_csv(fh)
     for step, state in trace.states.items():
         _write_wigner(state, cfg, outdir, f"wigner_step{step:06d}")
         if cfg.dump_states:
-            _write_state(state, outdir, step)
+            _write_state(state, outdir, f"state_step{step:06d}")
 
 
-def _zeno_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
+def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
     spec = _kick_spec(cfg)
     schedule = zeno.uniform_schedule(cfg.steps, cfg.beta, [spec])
@@ -135,7 +139,7 @@ def _zeno_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     return summary
 
 
-def _stretch_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
+def _stretch_protocol(cfg: config.StretchConfig, outdir: Path) -> dict[str, Any]:
     dim = cfg.dim
     state = fock.FieldState(
         fock.coherent(cfg.gamma, dim).amps + fock.coherent(cfg.alpha_free, dim).amps
@@ -147,7 +151,7 @@ def _stretch_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     )
     _write_wigner(out, cfg, outdir, f"wigner_step{cfg.steps:06d}")
     if cfg.dump_states:
-        _write_state(out, outdir, cfg.steps)
+        _write_state(out, outdir, f"state_step{cfg.steps:06d}")
     rep = fock.truncation_check(out, cfg.guard_levels, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(out),
@@ -157,7 +161,7 @@ def _stretch_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     }
 
 
-def _tweezer_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
+def _tweezer_protocol(cfg: config.TweezerConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
     trajs = [
         protocols.linear_trajectory(
@@ -178,7 +182,7 @@ def _tweezer_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     _write_wigner(state, cfg, outdir, "wigner_step000000")
     _write_wigner(final, cfg, outdir, f"wigner_step{trace.steps[-1]:06d}")
     if cfg.dump_states:
-        _write_state(final, outdir, trace.steps[-1])
+        _write_state(final, outdir, f"state_step{trace.steps[-1]:06d}")
     _emit_trace_artifacts(trace, cfg, outdir)
     fid = None
     if cfg.target_alpha is not None:
@@ -192,7 +196,7 @@ def _tweezer_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     }
 
 
-def _crush_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
+def _crush_protocol(cfg: config.CrushConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
     a, b = cfg.crush_centers
     final, trace = protocols.crush_between(
@@ -202,7 +206,7 @@ def _crush_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     _emit_trace_artifacts(trace, cfg, outdir)
     _write_wigner(final, cfg, outdir, f"wigner_step{trace.steps[-1]:06d}")
     if cfg.dump_states:
-        _write_state(final, outdir, trace.steps[-1])
+        _write_state(final, outdir, f"state_step{trace.steps[-1]:06d}")
     energy, matched_alpha, fid = protocols.crush_fidelity_vs_matched_cat(final)
     return {
         "energy": energy,
@@ -213,7 +217,7 @@ def _crush_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     }
 
 
-def _four_cat_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
+def _four_cat_protocol(cfg: config.FourCatConfig, outdir: Path) -> dict[str, Any]:
     final = protocols.multi_cat_factory(
         cfg.n_components, cfg.dim,
         separation=cfg.separation,
@@ -222,7 +226,7 @@ def _four_cat_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     )
     grid = _write_wigner(final, cfg, outdir, "wigner_final")
     if cfg.dump_states:
-        _write_state(final, outdir, 0)
+        _write_state(final, outdir, "state_final")
     rep = fock.truncation_check(final, cfg.guard_levels, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(final),
@@ -234,7 +238,7 @@ def _four_cat_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
 
 
 def realistic_point(
-    cfg: RunConfig, theta: float, damping: bool = True, keep_trace: bool = False
+    cfg: config.RealisticConfig, theta: float, damping: bool = True, keep_trace: bool = False
 ):
     """One damped tweezer run at the given Rabi angle.
 
@@ -243,7 +247,6 @@ def realistic_point(
     follows from spreading the configured total duration over the pulses
     unless rabi_drive is set explicitly.
     """
-    assert cfg.pulse is not None
     n_wp = cfg.waypoints_per_component
     n_pulses = 2 * n_wp
     if cfg.pulse.rabi_drive > 0:
@@ -252,8 +255,7 @@ def realistic_point(
         tau = cfg.pulse.total_duration / n_pulses
         rabi = theta * math.sqrt(2.0) / tau
     pulse = PulseParams(omega=cfg.pulse.omega, rabi_drive=rabi, theta=theta, s=1)
-    start = complex(cfg.cat_init if cfg.cat_init is not None else 2.0)
-    stop = complex(cfg.target_alpha if cfg.target_alpha is not None else 3.0)
+    start, stop = cfg.cat_init, cfg.target_alpha
     cap = abs(stop - start) / max(n_wp - 1, 1) * (1 + 1e-9)
     trajs = [
         protocols.linear_trajectory(start, stop, n_wp - 1, adiabatic_cap=cap),
@@ -273,7 +275,7 @@ def realistic_point(
     return fid, duration, trace.total_kick_leak
 
 
-def _realistic_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
+def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, Any]:
     rows = []
     best = None
     best_trace = None
@@ -309,25 +311,22 @@ def _realistic_protocol(cfg: RunConfig, outdir: Path) -> dict[str, Any]:
     }
 
 
-_DISPATCH = {
-    "zeno_confine": _zeno_protocol,
-    "zeno_upper": _zeno_protocol,
-    "tangential": _zeno_protocol,
-    "fig3_revival": _zeno_protocol,
-    "tweezer_stretch": _stretch_protocol,
-    "tweezer_move": _tweezer_protocol,
-    "crush": _crush_protocol,
-    "four_cat": _four_cat_protocol,
-    "realistic": _realistic_protocol,
+_PROTOCOLS = {
+    config.ZenoConfig: _zeno_protocol,
+    config.StretchConfig: _stretch_protocol,
+    config.TweezerConfig: _tweezer_protocol,
+    config.CrushConfig: _crush_protocol,
+    config.FourCatConfig: _four_cat_protocol,
+    config.RealisticConfig: _realistic_protocol,
 }
 
 
-def run_config(cfg: RunConfig, outdir: str | Path) -> dict[str, Any]:
+def run_config(cfg: config.RunConfig, outdir: str | Path) -> dict[str, Any]:
     """Execute a validated config; returns the summary (also written to disk)."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    summary = _DISPATCH[cfg.protocol](cfg, out)
+    summary = _PROTOCOLS[type(cfg)](cfg, out)
     summary["protocol"] = cfg.protocol
     summary["dim"] = cfg.dim
     summary["wall_time_s"] = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from zenocavity.atomkick import (
     PulseParams,
@@ -152,3 +153,18 @@ def test_theta1_schedule_tracks_ideal_run():
     )
     assert fidelity_pure(dressed.final_state, ideal.final_state) > 0.9
     assert dressed.final_atom_leak < 0.2
+
+def test_every_block_evolves_for_the_pulse_duration():
+    # one pulse has one length: the vacuum block of an s = 1 pulse and the
+    # n = 3 block of an s = 0 pulse both evolve for p.duration
+    for n, p in ((0, make_params(theta=2.0, ratio=0.2, s=1)),
+                 (3, make_params(theta=2.0, ratio=0.2, s=0))):
+        half, rs, rn = 0.5 * p.omega, math.sqrt(p.s), math.sqrt(n)
+        if n == 0:
+            g = p.rabi_drive / 2
+            h = np.array([[0, g], [g, -half * rs]])
+        else:
+            g = p.rabi_drive / (2 * math.sqrt(2))
+            h = np.array([[0, g, g], [g, half * (rn - rs), 0], [g, 0, -half * (rn + rs)]])
+        expected = expm(-1j * h * p.duration)
+        assert np.max(np.abs(pulse_block_unitary(n, p) - expected)) < 1e-10

@@ -2,8 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from zenocavity import cli
 from zenocavity.cli import main, run_sweep
 from zenocavity.config import (
     ConfigError,
@@ -22,22 +24,75 @@ def test_empty_config_lists_missing_keys():
 
 
 def test_validation_aggregates_problems():
+    # without a known protocol only protocol and dim can be judged
     with pytest.raises(ConfigError) as err:
         parse_config({
             "protocol": "no_such_thing",
             "dim": 1,
             "steps": 0,
             "interleave": "diagonal",
+        })
+    assert [p.split(":")[0] for p in err.value.problems] == ["protocol", "dim"]
+    with pytest.raises(ConfigError) as err:
+        parse_config({
+            "protocol": "zeno_confine",
+            "dim": 1,
+            "steps": 0,
             "guard_levels": 0,
-            "theta_grid": [],
             "wigner": {"nx": 1},
         })
     problems = err.value.problems
     assert len(problems) >= 4
     joined = " ".join(problems)
-    for frag in ("protocol", "dim", "steps", "interleave", "guard_levels: ",
-                 "theta_grid: ", "wigner.nx: "):
+    for frag in ("dim", "steps", "guard_levels: ", "wigner.nx: "):
         assert frag in joined
+    with pytest.raises(ConfigError) as err:
+        parse_config({
+            "protocol": "realistic",
+            "dim": 40,
+            "pulse": {},
+            "interleave": "diagonal",
+            "theta_grid": [],
+        })
+    joined = " ".join(err.value.problems)
+    for frag in ("interleave", "theta_grid: "):
+        assert frag in joined
+
+
+@pytest.mark.parametrize("raw, keys", [
+    ({"protocol": "zeno_confine", "dim": 40, "crush_steps": 5, "theta_grid": [1.0]},
+     ("crush_steps", "theta_grid")),
+    ({"protocol": "tweezer_move", "dim": 40, "snapshot_every": 5,
+      "trajectories": [{"start": [1, 0], "stop": [1.2, 0], "steps": 2}]},
+     ("snapshot_every",)),
+])
+def test_keys_the_protocol_does_not_read_exit_2(tmp_path, capsys, raw, keys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    for key in keys:
+        assert f"{key}: unknown key" in err
+
+
+def test_protocol_required_keys_reported_missing():
+    for raw, key in (
+        ({"protocol": "tweezer_stretch", "dim": 40}, "alpha_free"),
+        ({"protocol": "tweezer_move", "dim": 40}, "trajectories"),
+        ({"protocol": "realistic", "dim": 40}, "pulse"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.problems == [f"{key}: missing (required)"]
+
+
+def test_small_dim_parses_where_the_protocol_has_no_s():
+    # s and its guard-band rule belong to the Zeno protocols only
+    for raw in ({"protocol": "four_cat", "dim": 8}, {"protocol": "crush", "dim": 8},
+                {"protocol": "realistic", "dim": 8, "pulse": {}}):
+        assert parse_config(raw).dim == 8
+    with pytest.raises(ConfigError, match="s: 6 reaches the guard band"):
+        parse_config({"protocol": "zeno_confine", "dim": 8})
 
 
 def test_unknown_keys_rejected():
@@ -188,12 +243,13 @@ def test_invalid_config_exit_code(tmp_path, capsys):
      "leak_tol: expected a number, got '1e-6'"),
     ({"protocol": "zeno_confine", "dim": 40, "beta": [True, 0]},
      "beta: expected a number or [re, im] pair"),
-    ({"protocol": "zeno_confine", "dim": 40, "interleave": 1},
+    ({"protocol": "realistic", "dim": 40, "pulse": {}, "interleave": 1},
      "interleave: 1 is not one of roundrobin, sequential"),
     ({"protocol": "realistic", "dim": 40, "pulse": {"theta": 99.0}},
      "pulse.theta: unknown key (realistic runs take their angles from theta_grid)"),
     ({"protocol": "zeno_confine", "dim": 40, "steps": 10, "snapshot_steps": [500]},
      "snapshot_steps: [500] lie beyond steps=10"),
+    ({"protocol": [1], "dim": 40}, "protocol: [1] is not one of zeno_confine"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"
@@ -228,6 +284,41 @@ def test_state_dump_format(tmp_path):
     assert len(dump) == 20
     idx, re_part, im_part = dump[0].split()
     assert idx == "0" and float(re_part) == 1.0 and float(im_part) == 0.0
+
+
+def test_four_cat_dumps_its_final_state(tmp_path):
+    raw = {"protocol": "four_cat", "dim": 24, "n_components": 2, "separation": 1.5,
+           "steps_per_crush": 20, "dump_states": True, "wigner": {"nx": 11, "ny": 11}}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    names = sorted(p.name for p in (tmp_path / "o").iterdir())
+    assert names == ["state_final.txt", "summary.json", "wigner_final.csv", "wigner_final.pgm"]
+    dump = (tmp_path / "o" / "state_final.txt").read_text().splitlines()
+    amps = np.array([complex(float(r), float(i)) for _, r, i in map(str.split, dump)])
+    assert len(amps) == 24 and abs(np.vdot(amps, amps) - 1) < 1e-12
+
+
+def test_sweep_forks_no_more_workers_than_points(tmp_path, monkeypatch):
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    rows = run_sweep(preset_raw("qze"), ["beta=0.05,0.06"], tmp_path, workers=64)
+    assert seen == [2]
+    assert [r["error"] for r in rows] == ["", ""]
 
 
 def test_single_point_sweep_equals_run(tmp_path):
