@@ -2,10 +2,10 @@
 
 The cavity field lives on the basis |0>..|dim-1>. Pure states are
 normalized complex amplitude vectors (FieldState); operators are plain
-dense complex ndarrays of shape (dim, dim). Displacements are built as a
-true matrix exponential of the truncated generator so they are unitary on
-the truncated space to machine precision, which keeps conjugated kick
-operators exactly unitary.
+dense complex ndarrays of shape (dim, dim). Dense displacements are the
+matrix exponential of the truncated generator, unitary there to machine
+precision. One displaced number state D(gamma)|n> (a coherent state for
+n = 0, an ideal kick's vector) comes from its closed Laguerre form instead.
 
 Global phase carries no meaning here: states are compared via fidelity
 only, no phase canonicalization is applied anywhere.
@@ -90,9 +90,37 @@ def vacuum(dim: int) -> FieldState:
     return fock_basis(0, dim)
 
 
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    # log space keeps n! usable above n ~ 170
-    return np.array([math.lgamma(k + 1.0) for k in n])
+@lru_cache(maxsize=None)
+def _log_factorial(dim: int) -> np.ndarray:
+    # log(k!) for k < dim; log space keeps k! usable above k ~ 170
+    out = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    out.flags.writeable = False
+    return out
+
+
+def _fock_column(n: int, gamma: complex, dim: int) -> np.ndarray:
+    """<m|D(gamma)|n> for m < dim, not renormalized (Cahill & Glauber 1969):
+    sqrt(lo!/hi!) z^(hi-lo) e^(-|gamma|^2/2) L_lo^(hi-lo)(|gamma|^2) with
+    lo, hi = min, max(m, n) and z = gamma for m >= n, -gamma^* for m < n."""
+    if not 0 <= n < dim:
+        raise IndexError(f"Fock index {n} outside basis 0..{dim - 1}")
+    gamma = complex(gamma)
+    if gamma == 0:
+        return np.eye(1, dim, n, dtype=np.complex128)[0]
+    x = abs(gamma) ** 2
+    m = np.arange(dim)
+    k = np.abs(m - n)
+    lf = _log_factorial(dim)
+    half_log_ratio = 0.5 * (lf[np.minimum(m, n)] - lf[np.maximum(m, n)])
+    log_mag = k * math.log(abs(gamma)) + half_log_ratio - 0.5 * x
+    phase = np.exp(1j * k * np.where(m >= n, np.angle(gamma), np.angle(-gamma.conjugate())))
+    # Laguerre recurrence in the degree; row j < n stops at degree j, rows m >= n at n
+    lag, prev, low = np.ones(dim), np.zeros(dim), np.empty(n)
+    for j in range(n):
+        low[j] = lag[j]
+        lag, prev = ((2 * j + 1 + k - x) * lag - (j + k) * prev) / (j + 1), lag
+    lag[:n] = low
+    return np.exp(log_mag) * lag * phase
 
 
 def coherent(alpha: complex, dim: int, enforce_truncation: bool = True) -> FieldState:
@@ -109,15 +137,8 @@ def coherent(alpha: complex, dim: int, enforce_truncation: bool = True) -> Field
         raise TruncationError(
             f"coherent amplitude {alpha} needs dim >= {required_dim(alpha)}, got {dim}"
         )
-    alpha = complex(alpha)
-    n = np.arange(dim)
-    if alpha == 0:
-        return fock_basis(0, dim)
-    # amps[n] = alpha^n / sqrt(n!) * e^{-|alpha|^2/2}, evaluated in log space
-    log_mag = n * math.log(abs(alpha)) - 0.5 * _log_factorial(n) - 0.5 * abs(alpha) ** 2
-    phase = np.exp(1j * n * np.angle(alpha))
-    amps = np.exp(log_mag) * phase
-    return FieldState(amps)
+    # the n = 0 column: amps[n] = alpha^n / sqrt(n!) * e^{-|alpha|^2/2}
+    return FieldState(_fock_column(0, alpha, dim))
 
 
 def cat_state(
@@ -158,8 +179,8 @@ def displacement_op(beta: complex, dim: int) -> np.ndarray:
 
     Built by diagonalizing the Hermitian generator i(beta a^dag - beta^* a),
     so the result is unitary to machine precision (a Pade expm is not),
-    which the conjugated kicks rely on. Cached for the drive displacement a
-    schedule reuses; kept small as kick centres rarely repeat (100 kB each at dim 80).
+    which dressed kicks rely on. Cached for the drive and the dressed-kick
+    centres runs reuse (100 kB each at dim 80); ideal kicks use displaced_fock.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -175,9 +196,12 @@ def displacement_op(beta: complex, dim: int) -> np.ndarray:
     return mat
 
 
-def displaced_fock(n: int, gamma: complex, dim: int) -> FieldState:
-    """D(gamma)|n>: the eigenvector singled out by a displaced kick."""
-    return FieldState(displacement_op(complex(gamma), dim)[:, n])
+def displaced_fock(n: int, gamma: complex, dim: int) -> np.ndarray:
+    """D(gamma)|n>, unit norm: the vector an ideal kick at gamma reflects. It is
+    the untruncated column cut at dim and renormalized, where displacement_op
+    gives the truncated generator's column (README, Conventions)."""
+    col = _fock_column(n, gamma, dim)
+    return col / np.linalg.norm(col)
 
 
 def photon_distribution(state: FieldState) -> np.ndarray:

@@ -85,32 +85,45 @@ def gaussian_overlap(a: complex, b: complex) -> float:
     return math.exp(-abs(complex(a) - complex(b)) ** 2)
 
 
+def _component_frames(
+    trajectories: Sequence[TweezerTrajectory],
+    interleave: Literal["roundrobin", "sequential"],
+) -> np.ndarray:
+    """Where each trajectory's component sits, one row per round
+    (roundrobin) or per kick (sequential), in build_tweezer_schedule's order."""
+    if interleave == "roundrobin":
+        n_rounds = max(t.n_moves for t in trajectories) + 1
+        return np.array([[t.waypoints[min(r, t.n_moves)] for t in trajectories]
+                         for r in range(n_rounds)])
+    # sequential: earlier trajectories have parked at their end, later ones wait at their start
+    return np.array([
+        [t.waypoints[-1] for t in trajectories[:k]] + [gamma]
+        + [t.waypoints[0] for t in trajectories[k + 1:]]
+        for k, traj in enumerate(trajectories) for gamma in traj.waypoints
+    ])
+
+
 def _check_overlaps(
     trajectories: Sequence[TweezerTrajectory],
     component_positions: Sequence[complex],
     overlap_tol: float,
+    interleave: Literal["roundrobin", "sequential"],
 ) -> None:
-    # a trajectory targets the component sitting at its first waypoint
-    for k, traj in enumerate(trajectories):
-        for pos in component_positions:
-            if gaussian_overlap(traj.waypoints[0], pos) > 0.5:
-                continue  # this is the trapped component
-            worst = max(gaussian_overlap(w, pos) for w in traj.waypoints)
-            if worst > overlap_tol:
-                raise ValueError(
-                    f"trajectory {k} passes within overlap "
-                    f"{worst:.2e} > {overlap_tol:.1e} of the component at {pos}"
-                )
-    for k, ta in enumerate(trajectories):
-        for tb in trajectories[k + 1:]:
-            worst = max(
-                gaussian_overlap(wa, wb)
-                for wa, wb in zip(ta.waypoints, tb.waypoints)
+    # a trajectory carries the component sitting at its first waypoint;
+    # the other listed components stay where they are
+    frames = _component_frames(trajectories, interleave)
+    still = [p for p in component_positions
+             if all(gaussian_overlap(w, p) <= 0.5 for w in frames[0])]
+    frames = np.concatenate([frames, np.broadcast_to(still, (len(frames), len(still)))], axis=1)
+    for k in range(len(trajectories)):
+        overlap = np.exp(-np.abs(frames[:, k + 1:] - frames[:, k:k + 1]) ** 2)
+        if overlap.size and overlap.max() > overlap_tol:
+            row, col = np.unravel_index(np.argmax(overlap), overlap.shape)
+            raise ValueError(
+                f"components at {frames[row, k]:.4g} (trajectory {k}) and "
+                f"{frames[row, k + 1 + col]:.4g} come within overlap "
+                f"{overlap[row, col]:.2e} > {overlap_tol:.1e}"
             )
-            if worst > overlap_tol:
-                raise ValueError(
-                    f"two trajectories overlap (gaussian overlap {worst:.2e})"
-                )
 
 
 def build_tweezer_schedule(
@@ -176,7 +189,7 @@ def tweezer_run(
     if not trajectories:
         raise ValueError("need at least one trajectory")
     if component_positions is not None:
-        _check_overlaps(trajectories, component_positions, overlap_tol)
+        _check_overlaps(trajectories, component_positions, overlap_tol, interleave)
     schedule = build_tweezer_schedule(trajectories, interleave=interleave)
     trace = zeno_run(
         state, schedule, record_every=record_every,

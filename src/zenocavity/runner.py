@@ -66,8 +66,12 @@ def _wigner_bounds(cfg: config.RunConfig) -> tuple[float, float, float, float]:
     if cfg.wigner.bounds is not None:
         return cfg.wigner.bounds
     reach = math.sqrt(max(getattr(cfg, "s", 6), 1)) + 3.0
-    for traj in getattr(cfg, "trajectories", ()):
-        reach = max(reach, abs(traj.start) + 2.0, abs(traj.stop) + 2.0)
+    ends = [z for traj in getattr(cfg, "trajectories", ()) for z in (traj.start, traj.stop)]
+    if isinstance(cfg, config.StretchConfig):
+        # the hold point and where the free component starts and stops
+        ends += [cfg.gamma, cfg.alpha_free, cfg.alpha_free + cfg.steps * cfg.beta]
+    for z in ends:
+        reach = max(reach, abs(z) + 2.0)
     for val in (getattr(cfg, k, 0) for k in ("alpha_init", "cat_init", "target_alpha")):
         if val:
             reach = max(reach, abs(complex(val)) + 3.0)

@@ -32,6 +32,7 @@ from .fock import (
     TruncationError,
     annihilation_op,
     creation_op,
+    displaced_fock,
     displacement_op,
     photon_distribution,
 )
@@ -171,7 +172,7 @@ def _apply_kick(amps: np.ndarray, spec: KickSpec, dim: int) -> np.ndarray:
             out = amps.copy()
             out[spec.s] = -out[spec.s]
             return out
-        v = displacement_op(spec.gamma, dim)[:, spec.s]
+        v = displaced_fock(spec.s, spec.gamma, dim)
         return amps - 2.0 * np.vdot(v, amps) * v
     diag = conditioned_field_diagonal(spec.pulse, dim)
     if spec.gamma == 0:

@@ -14,6 +14,7 @@ from zenocavity.config import (
     parse_config,
     preset_raw,
 )
+from zenocavity.phasespace import import_csv
 
 
 def test_empty_config_lists_missing_keys():
@@ -284,6 +285,18 @@ def test_state_dump_format(tmp_path):
     assert len(dump) == 20
     idx, re_part, im_part = dump[0].split()
     assert idx == "0" and float(re_part) == 1.0 and float(im_part) == 0.0
+
+
+def test_stretch_window_holds_the_moving_component(tmp_path):
+    # the free component ends at 4.5 + 20 * 0.05 = 5.5, beyond the s = 6 window
+    raw = {"protocol": "tweezer_stretch", "dim": 80, "gamma": -2, "alpha_free": 4.5,
+           "beta": 0.05, "steps": 20}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    with open(tmp_path / "o" / "wigner_step000020.csv", encoding="utf-8") as fh:
+        grid = import_csv(fh)
+    assert np.max(np.abs(grid.values[:, -1])) < 1e-3
 
 
 def test_four_cat_dumps_its_final_state(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from zenocavity.fock import (
     FieldState,
@@ -10,6 +11,7 @@ from zenocavity.fock import (
     cat_state,
     coherent,
     creation_op,
+    displaced_fock,
     displacement_op,
     fidelity_pure,
     fock_basis,
@@ -162,3 +164,55 @@ def test_states_normalized_and_immutable():
     assert abs(np.linalg.norm(st.amps) - 1) <= 1e-12
     with pytest.raises(ValueError):
         st.amps[0] = 1.0
+
+
+def padded_displacement(gamma, dim, pad=250):
+    # independent oracle: expm of the generator on dim + pad levels, cut at dim
+    big = dim + pad
+    a = np.diag(np.sqrt(np.arange(1, big, dtype=float)), k=1).astype(complex)
+    return expm(gamma * a.conj().T - np.conj(gamma) * a)[:dim, :dim]
+
+
+@pytest.mark.parametrize("dim, ns, gamma_max", [
+    (40, range(8), 1.42),  # criterion 9
+    (64, [1], 3.6),        # fig4d
+    (80, [1], 5.6),        # tweezer moves of the benchmark
+    (80, [30], 3.0),
+    (120, [60], 2.0),
+])
+def test_displaced_fock_matches_padded_expm(dim, ns, gamma_max):
+    rng = np.random.default_rng(dim + max(ns))
+    inside = gamma_max * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+    for gamma in (inside, gamma_max * np.exp(2.2j)):  # the edge: the widest column
+        d = padded_displacement(gamma, dim)
+        for n in ns:
+            v = displaced_fock(n, gamma, dim)
+            ref = d[:, n] / np.linalg.norm(d[:, n])
+            phase = np.vdot(v, ref) / abs(np.vdot(v, ref))  # global phase only
+            assert v.dtype == np.complex128
+            assert abs(np.linalg.norm(v) - 1) < 1e-14
+            assert np.max(np.abs(v * phase - ref)) < 1e-12
+
+
+def test_displaced_fock_at_zero_is_the_number_state():
+    for n in (0, 3, 29):
+        assert np.array_equal(displaced_fock(n, 0, 30), fock_basis(n, 30).amps)
+    with pytest.raises(IndexError):
+        displaced_fock(30, 0.5, 30)
+
+
+def test_coherent_matches_log_space_reference_bit_for_bit():
+    # the closed form alpha^n / sqrt(n!) e^{-|alpha|^2/2} as coherent built it
+    # before it became the n = 0 column of displaced_fock
+    def reference(alpha, dim):
+        n = np.arange(dim)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+        log_mag = n * math.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
+        return FieldState(np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))).amps
+
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        dim = int(rng.integers(10, 161))
+        alpha = complex(*rng.uniform(-1, 1, 2)) * max(math.sqrt(dim - 1.0) - 3.0, 0.5)
+        built = coherent(alpha, dim, enforce_truncation=False).amps
+        assert np.array_equal(built, reference(alpha, dim))

@@ -7,6 +7,7 @@ from zenocavity.fock import (
     FieldState,
     cat_state,
     coherent,
+    displacement_op,
     fidelity_pure,
     mean_energy,
     vacuum,
@@ -71,6 +72,29 @@ def test_overlap_precondition():
         tweezer_run(psi, [traj], component_positions=[0.5, 1.8])
     # same run with the far component declared far away is fine
     tweezer_run(psi, [traj], component_positions=[0.5, -4.0])
+
+
+def test_ideal_kicks_build_no_dense_displacement():
+    displacement_op.cache_clear()
+    dim = 60
+    traj = linear_trajectory(1.0, 1.0 + 1.5j, 15)
+    tweezer_run(coherent(1.0, dim), [traj], component_positions=[1.0])
+    crush_between(vacuum(dim), -2.0, 2.0, 40)
+    assert displacement_op.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("interleave", ["roundrobin", "sequential"])
+def test_overlap_checked_against_parked_components(interleave):
+    # A parks its component at 4+3i after 30 moves; B's longer path then
+    # sweeps through that spot (round 67 or so), which waypoint-by-index
+    # comparison misses
+    dim = 100
+    psi = FieldState(coherent(4, dim).amps + coherent(-2 + 6j, dim).amps)
+    t_a = linear_trajectory(4, 4 + 3j, 30)
+    t_b = linear_trajectory(-2 + 6j, 6 + 2j, 90)
+    with pytest.raises(ValueError, match="come within overlap"):
+        tweezer_run(psi, [t_a, t_b], interleave=interleave,
+                    component_positions=[4, -2 + 6j])
 
 
 def test_untouched_component_invariance():

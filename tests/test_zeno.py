@@ -64,7 +64,7 @@ def test_displaced_kick_examples():
     assert is_unitary(u, 1e-10)
     assert is_hermitian(u, 1e-10)
     assert np.max(np.abs(u @ u - np.eye(dim))) < 1e-10
-    v = displaced_fock(1, spec.gamma, dim).amps
+    v = displaced_fock(1, spec.gamma, dim)
     assert np.max(np.abs(u @ v + v)) < 1e-10  # conjugated eigenvector, eigenvalue -1
 
 
