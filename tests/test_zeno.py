@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zenocavity.atomkick import PulseParams
+from zenocavity.atomkick import PulseParams, pulse_blocks
 from zenocavity.fock import (
     FieldState,
     coherent,
@@ -228,6 +228,47 @@ def test_trace_csv_matches_per_row_writer():
     lines = buf.getvalue().splitlines()
     assert lines[1] == "0,0,1,0,0,0,0,0,0,0,0,0,0"
     assert all(len(line.split(",")) == 13 for line in lines)
+
+
+def test_joint_dressed_run_matches_dense_step_matrix():
+    # one (centre, pulse) runs jointly: the field in h and the two parked
+    # atom-branch amplitudes evolve under one 3*dim step matrix
+    dim, s, beta, gamma, n_steps = 30, 6, 0.1, 0.3 + 0.2j, 40
+    omega = 2 * math.pi * 50e3
+    gap = omega * (math.sqrt(s + 1) - math.sqrt(s))
+    pulse = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=5.5, s=s)
+    trace = zeno_run(
+        coherent(0.3, dim),
+        uniform_schedule(n_steps, beta, [KickSpec(s=s, gamma=gamma, pulse=pulse)]),
+        leak_tol=1e-3,
+    )
+    blocks = pulse_blocks(pulse, dim)
+    mix = np.zeros((3 * dim, 3 * dim), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            mix[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = np.diag(blocks[:, i, j])
+
+    def on_field(op):
+        out = np.eye(3 * dim, dtype=complex)
+        out[:dim, :dim] = op
+        return out
+
+    d_gamma = displacement_op(gamma, dim)
+    step = (on_field(d_gamma) @ mix @ on_field(d_gamma.conj().T)
+            @ on_field(displacement_op(beta, dim)))
+    v = np.zeros(3 * dim, dtype=complex)
+    v[:dim] = coherent(0.3, dim).amps
+    energies = []
+    for p in range(n_steps + 1):
+        field = v[:dim] / np.linalg.norm(v[:dim])
+        energies.append(np.arange(dim) @ np.abs(field) ** 2)
+        if p < n_steps:
+            v = step @ v
+    assert trace.steps.tolist() == list(range(n_steps + 1))
+    assert np.max(np.abs(trace.energies - energies)) < 1e-12
+    assert np.max(np.abs(trace.final_state.amps - field)) < 1e-12
+    assert abs(trace.final_atom_leak - np.linalg.norm(v[dim:]) ** 2) < 1e-12
+    assert 1e-4 < trace.final_atom_leak < 1e-3
 
 
 def test_trace_csv_format():
