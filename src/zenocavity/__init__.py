@@ -51,7 +51,6 @@ from .openquantum import (
     LindbladParams,
     evolve_master,
     fidelity_mixed,
-    lindblad_rhs,
     pure_density,
 )
 from .protocols import (

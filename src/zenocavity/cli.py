@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--dim", type=int, default=0, help="override basis size")
+        p.add_argument("--dim", type=int, help="override basis size")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p_run = sub.add_parser("run", help="execute a configuration file")
@@ -148,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             raw = preset_raw(args.name)
         else:
             raw = read_config(args.config)
-        if args.dim:
+        if args.dim is not None:
             raw["dim"] = args.dim
         if args.command == "sweep":
             rows = run_sweep(raw, args.ranges, outdir, workers=args.workers)

@@ -228,7 +228,7 @@ def evolve_master(
             if target is not None
             else math.nan
         )
-        purity = float(np.trace(rho @ rho).real)
+        purity = float(np.vdot(rho, rho).real)
         trace.records.append(
             MasterTraceRecord(
                 t_seconds=t,

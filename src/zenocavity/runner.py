@@ -8,8 +8,10 @@ Every run emits into its output directory:
     wigner_final.{csv,pgm}         four_cat's final state (state_final.txt)
     summary.json                   machine-readable result
 
-Identical configs give bit-identical CSV output; there is no randomness
-anywhere in the artifact.
+Identical configs give bit-identical CSV output on the same machine, with
+the same BLAS build and the same BLAS thread count; there is no randomness
+anywhere in the artifact. Wigner rasters can differ in the last digits
+between thread counts, since a threaded BLAS splits their matrix product.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -45,8 +45,8 @@ class KickSpec:
     """One selective kick: photon number s, circle center gamma.
 
     pulse = None gives the ideal instantaneous kick; a PulseParams models
-    the finite interrogation pulse (the kick is then the conditioned
-    diagonal contraction, and the step renormalizes).
+    the finite interrogation pulse, which can park field amplitude in the
+    atom branch (zeno_run says how that branch is carried).
     """
 
     s: int
@@ -102,6 +102,8 @@ class EvolutionTrace:
     steps, energies and leaks (population of the guard band) have one
     entry per row; probs is the (rows, dim) photon distribution of the
     normalised field. states maps each snapshot step to its FieldState.
+    final_atom_leak is the atom-branch population a joint dressed run ends
+    with; it is 0 when dressed kicks are conditioned per kick (zeno_run).
     """
 
     steps: np.ndarray
@@ -165,46 +167,6 @@ def displaced_kick(spec: KickSpec, dim: int) -> np.ndarray:
     return (d * diag) @ d.conj().T
 
 
-def _apply_kick(amps: np.ndarray, spec: KickSpec, dim: int) -> np.ndarray:
-    """Kick action on raw amplitudes, O(dim^2) worst case."""
-    if spec.pulse is None:
-        if spec.gamma == 0:
-            out = amps.copy()
-            out[spec.s] = -out[spec.s]
-            return out
-        v = displaced_fock(spec.s, spec.gamma, dim)
-        return amps - 2.0 * np.vdot(v, amps) * v
-    diag = conditioned_field_diagonal(spec.pulse, dim)
-    if spec.gamma == 0:
-        return diag * amps
-    d = displacement_op(spec.gamma, dim)
-    return d @ (diag * (d.conj().T @ amps))
-
-
-def _check_kick_bounds(kicks: Iterable[KickSpec], dim: int, guard_levels: int) -> None:
-    for spec in kicks:
-        if spec.s >= dim - guard_levels:
-            raise ValueError(
-                f"kick at s={spec.s} reaches into the guard band of a dim={dim} basis"
-            )
-
-
-def _uniform_dressed_context(schedule: Schedule):
-    """(gamma, pulse) shared by every dressed kick, None without dressed
-    kicks, or the string 'mixed' when centers or pulses differ."""
-    ctx = None
-    for step in schedule.steps:
-        for k in step.kicks:
-            if k.pulse is None:
-                continue
-            key = (k.gamma, k.pulse)
-            if ctx is None:
-                ctx = key
-            elif ctx != key:
-                return "mixed"
-    return ctx
-
-
 def zeno_run(
     state: FieldState,
     schedule: Schedule,
@@ -221,93 +183,88 @@ def zeno_run(
     leak reaches leak_tol is appended as the last row and the run aborts
     with ZenoTruncationError, which carries the partial trace.
 
-    Dressed kicks all at one center with one pulse run jointly: the
-    amplitudes driven out of the atom level h stay coherent between kicks
-    (they can return at the next pulse, which is what keeps Rabi angles
-    far from 2*pi usable); the trace reports the field conditioned on h
-    plus the accumulated atom leak. Dressed kicks whose centers or pulses
-    differ are conditioned on h at every kick instead.
+    The run evolves one array psi of shape (rows, dim). Row 0 is the field
+    while the atom sits in h; rows 1-2 hold what a dressed pulse drives into
+    the atom's (+, -) branch, and there is only row 0 when no kick is
+    dressed. The drive and ideal kicks act on row 0; a dressed kick applies
+    pulse_blocks to all rows in the frame of its centre. When every dressed
+    kick shares one (centre, pulse), the branch stays coherent between
+    kicks (it can return at the next pulse, which is what keeps Rabi angles
+    far from 2*pi usable) and final_atom_leak is its population. Otherwise
+    rows 1-2 are zeroed after every dressed kick: the field is conditioned
+    on h at every kick and final_atom_leak is 0. The trace reports the
+    field of row 0, normalised.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     dim = state.dim
     if not 0 < guard_levels < dim:
         raise ValueError("guard_levels must lie in 1..dim-1")
-    ctx = _uniform_dressed_context(schedule)
-    joint = ctx is not None and ctx != "mixed"
-    if ctx == "mixed":
-        logger.debug("dressed kicks vary in center/pulse; conditioning per kick")
+    distinct = {id(step): step for step in schedule.steps}.values()
+    for spec in (k for step in distinct for k in step.kicks):
+        if spec.s >= dim - guard_levels:
+            raise ValueError(
+                f"kick at s={spec.s} reaches into the guard band of a dim={dim} basis"
+            )
+    dressed = {(k.gamma, k.pulse) for step in distinct for k in step.kicks
+               if k.pulse is not None}
+    psi = np.zeros((3 if dressed else 1, dim), dtype=np.complex128)
+    psi[0] = state.amps
     snapshots = frozenset(snapshot_steps or ())
-    amps = state.amps.copy()
     kicks = renorms = 0
     max_drift = 0.0
-    atom_leak = 0.0
     levels = np.arange(dim)
     rows: list[tuple[int, float, float]] = []  # step, energy, leak
     states: dict[int, FieldState] = {}
-
-    blocks = d_gamma = branch = None
-    if joint:
-        gamma_ctx, pulse_ctx = ctx
-        blocks = pulse_blocks(pulse_ctx, dim)
-        d_gamma = displacement_op(gamma_ctx, dim) if gamma_ctx != 0 else None
-        branch = np.zeros((dim, 2), dtype=np.complex128)
 
     n_steps = len(schedule.steps)
     # rows: step 0, every record_every-th step, the snapshots, the last step
     probs = np.empty((n_steps // record_every + len(snapshots) + 2, dim))
     # iteration p inspects the state after step p, then applies step p + 1
     for p in range(n_steps + 1):
-        # a joint run's field is not unit-norm: the atom branch holds the rest
-        field = FieldState(amps).amps if joint else amps
         pop = probs[len(rows)]
-        pop[:] = np.abs(field) ** 2
+        pop[:] = np.abs(psi[0]) ** 2
+        if dressed:
+            pop /= pop.sum()  # the atom branch holds the rest of the norm
         leak = float(pop[dim - guard_levels:].sum())
         failed = p > 0 and not leak < leak_tol
         if failed or p % record_every == 0 or p == n_steps or p in snapshots:
             rows.append((p, float(levels @ pop), leak))
             if p in snapshots:
-                states[p] = FieldState(field)
+                states[p] = FieldState(psi[0])
         if failed or p == n_steps:
             break
         step = schedule.steps[p]
-        _check_kick_bounds(step.kicks, dim, guard_levels)
         kicks += len(step.kicks)
         if step.displacement != 0:
-            # parked branch amplitudes are spectators of the drive
-            amps = displacement_op(step.displacement, dim) @ amps
+            psi[0] = displacement_op(step.displacement, dim) @ psi[0]
         for spec in step.kicks:
-            if joint and spec.pulse is not None:
-                phi = d_gamma.conj().T @ amps if d_gamma is not None else amps
-                v = np.concatenate([phi[:, None], branch], axis=1)
-                v = np.einsum("nij,nj->ni", blocks, v)
-                phi, branch = v[:, 0], np.ascontiguousarray(v[:, 1:])
-                amps = d_gamma @ phi if d_gamma is not None else phi
+            if spec.pulse is None and spec.gamma == 0:
+                psi[0, spec.s] = -psi[0, spec.s]
+            elif spec.pulse is None:
+                v = displaced_fock(spec.s, spec.gamma, dim)
+                psi[0] -= 2.0 * np.vdot(v, psi[0]) * v
             else:
-                amps = _apply_kick(amps, spec, dim)
-        if joint:
-            total = math.sqrt(
-                float(np.linalg.norm(amps) ** 2 + np.linalg.norm(branch) ** 2)
-            )
-            drift = abs(1.0 - total)
-            if drift > 0.0:
-                amps = amps / total
-                branch = branch / total
-                renorms += 1
-                max_drift = max(max_drift, drift)
-            atom_leak = float(np.linalg.norm(branch) ** 2)
-        else:
-            nrm = float(np.linalg.norm(amps))
-            drift = abs(1.0 - nrm)
-            if drift > 0.0:
-                amps = amps / nrm
-                renorms += 1
-                max_drift = max(max_drift, drift)
+                if spec.gamma != 0:
+                    d = displacement_op(spec.gamma, dim)
+                    psi[0] = d.conj().T @ psi[0]
+                psi = np.einsum("nij,jn->in", pulse_blocks(spec.pulse, dim), psi)
+                if spec.gamma != 0:
+                    psi[0] = d @ psi[0]
+                if len(dressed) > 1:
+                    psi[1:] = 0.0
+        nrm = float(np.linalg.norm(psi))
+        drift = abs(1.0 - nrm)
+        if drift > 0.0:
+            psi = psi / nrm
+            renorms += 1
+            max_drift = max(max_drift, drift)
+    atom_leak = float(np.linalg.norm(psi[1:]) ** 2)
     steps, energies, leaks = map(np.array, zip(*rows))
     trace = EvolutionTrace(
         steps, energies, probs[: len(rows)], leaks,
         states=states,
-        final_state=FieldState(amps),
+        final_state=FieldState(psi[0]),
         kicks=kicks,
         renormalizations=renorms,
         max_norm_drift=max_drift,

@@ -166,10 +166,14 @@ def test_run_matches_preset_and_is_deterministic(tmp_path):
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
 
 
-def test_dim_override(tmp_path):
+def test_dim_override(tmp_path, capsys):
     rc = main(["preset", "qze", "--out", str(tmp_path), "--dim", "24", "--quiet"])
     assert rc == 0
     assert json.loads((tmp_path / "summary.json").read_text())["dim"] == 24
+    for dim in ("0", "1"):
+        rc = main(["preset", "qze", "--out", str(tmp_path / dim), "--dim", dim, "--quiet"])
+        assert rc == 2
+        assert "dim: must be >= 2" in capsys.readouterr().err
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
