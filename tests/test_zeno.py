@@ -9,6 +9,7 @@ from zenocavity.atomkick import PulseParams, pulse_blocks
 from zenocavity.fock import (
     FieldState,
     coherent,
+    displaced_fock,
     displacement_op,
     fidelity_pure,
     fock_basis,
@@ -55,8 +56,6 @@ def test_kick_op_basics():
 
 
 def test_displaced_kick_examples():
-    from zenocavity.fock import displaced_fock
-
     assert np.allclose(displaced_kick(KickSpec(s=2), 10), kick_op(2, 10))
     dim = 40
     spec = KickSpec(s=1, gamma=0.8 - 0.4j)
@@ -269,6 +268,126 @@ def test_joint_dressed_run_matches_dense_step_matrix():
     assert np.max(np.abs(trace.final_state.amps - field)) < 1e-12
     assert abs(trace.final_atom_leak - np.linalg.norm(v[dim:]) ** 2) < 1e-12
     assert 1e-4 < trace.final_atom_leak < 1e-3
+
+
+CHUNK = 32  # the engine's chunk length; the lengths below straddle it
+
+
+def _reference_run(state, schedule, record_every, snapshots, leak_tol, guard_levels=3):
+    """Plain per-step loop over dense step matrices of (field in h, atom branch).
+
+    Returns the trace's arrays, the normalised snapshot and final fields, the
+    atom-branch population, the kicks applied and the failing step (or None).
+    """
+    dim = state.dim
+    dressed = {(k.gamma, k.pulse) for st in schedule.steps for k in st.kicks
+               if k.pulse is not None}
+    size = (3 if dressed else 1) * dim
+
+    def on_field(op):
+        out = np.eye(size, dtype=complex)
+        out[:dim, :dim] = op
+        return out
+
+    def step_matrix(step):
+        m = on_field(displacement_op(step.displacement, dim))
+        for k in step.kicks:
+            if k.pulse is None:
+                v = displaced_fock(k.s, k.gamma, dim)
+                kick = on_field(np.eye(dim) - 2.0 * np.outer(v, v.conj()))
+            else:
+                blocks = pulse_blocks(k.pulse, dim)
+                mix = np.zeros((size, size), dtype=complex)
+                for i in range(3):
+                    for j in range(3):
+                        mix[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = np.diag(
+                            blocks[:, i, j])
+                d = on_field(displacement_op(k.gamma, dim))
+                kick = d @ mix @ d.conj().T
+                if len(dressed) > 1:
+                    kick[dim:] = 0.0  # conditioned on h at every kick
+            m = kick @ m
+        return m
+
+    distinct = {id(st): st for st in schedule.steps}
+    matrices = {key: step_matrix(st) for key, st in distinct.items()}
+    v = np.zeros(size, dtype=complex)
+    v[:dim] = state.amps
+    n_steps = len(schedule.steps)
+    rows, states, kicks, failed = [], {}, 0, None
+    for p in range(n_steps + 1):
+        field = v[:dim] / np.linalg.norm(v[:dim])
+        pop = np.abs(field) ** 2
+        leak = pop[dim - guard_levels:].sum()
+        if p > 0 and not leak < leak_tol:
+            failed = p
+        if failed or p % record_every == 0 or p == n_steps or p in snapshots:
+            rows.append((p, np.arange(dim) @ pop, pop, leak))
+            if p in snapshots:
+                states[p] = field
+        if failed or p == n_steps:
+            break
+        kicks += len(schedule.steps[p].kicks)
+        v = matrices[id(schedule.steps[p])] @ v
+        v /= np.linalg.norm(v)
+    steps, energies, probs, leaks = (np.array(c) for c in zip(*rows))
+    atom_leak = np.linalg.norm(v[dim:]) ** 2
+    return steps, energies, probs, leaks, states, field, atom_leak, kicks, failed
+
+
+def _chunk_test_schedule(mode, n_steps):
+    omega = 2 * math.pi * 50e3
+    gap = omega * (math.sqrt(7) - math.sqrt(6))
+    pulse = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=5.5, s=6)
+    if mode == "ideal":
+        kicks = (KickSpec(s=6), KickSpec(s=0, gamma=3j))
+    elif mode == "joint":
+        kicks = (KickSpec(s=6, gamma=0.3 + 0.2j, pulse=pulse),)
+    else:  # two dressed centres: conditioned per kick
+        other = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=6.0, s=6)
+        kicks = (KickSpec(s=6, gamma=0.3 + 0.2j, pulse=pulse),
+                 KickSpec(s=6, gamma=-0.2j, pulse=other))
+    driven, undriven = Step(displacement=0.1, kicks=kicks), Step(kicks=kicks)
+    # every fifth step has no drive
+    return Schedule(steps=tuple(undriven if p % 5 == 4 else driven for p in range(n_steps)))
+
+
+@pytest.mark.parametrize("mode", ["ideal", "joint", "conditioned"])
+def test_chunked_run_matches_per_step_reference(mode):
+    snapshots = [CHUNK - 1, CHUNK, CHUNK + 1]
+
+    def check(trace, ref):
+        steps, energies, probs, leaks, states, field, atom_leak, kicks, _ = ref
+        assert trace.steps.tolist() == steps.tolist()
+        assert np.max(np.abs(trace.energies - energies)) < 1e-12
+        assert np.max(np.abs(trace.probs - probs)) < 1e-12
+        assert np.max(np.abs(trace.leaks - leaks)) < 1e-12
+        assert sorted(trace.states) == sorted(states)
+        for p, amps in states.items():
+            assert np.max(np.abs(trace.states[p].amps - amps)) < 1e-12
+        assert np.max(np.abs(trace.final_state.amps - field)) < 1e-12
+        assert abs(trace.final_atom_leak - atom_leak) < 1e-12
+        assert trace.kicks == kicks
+
+    for n_steps in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
+        schedule = _chunk_test_schedule(mode, n_steps)
+        ref = _reference_run(vacuum(60), schedule, 7, snapshots, 1e-3)
+        assert ref[-1] is None
+        trace = zeno_run(vacuum(60), schedule, record_every=7,
+                         snapshot_steps=snapshots, leak_tol=1e-3)
+        check(trace, ref)
+        if mode == "joint":
+            assert trace.final_atom_leak > 1e-5
+    # in a smaller basis the leak first reaches 1e-6 inside a chunk
+    schedule = _chunk_test_schedule(mode, 2 * CHUNK + 3)
+    ref = _reference_run(vacuum(36), schedule, 7, snapshots, 1e-6)
+    failed = ref[-1]
+    assert failed is not None and failed % CHUNK not in (0, 1, CHUNK - 1)
+    with pytest.raises(ZenoTruncationError) as err:
+        zeno_run(vacuum(36), schedule, record_every=7, snapshot_steps=snapshots)
+    assert f"at step {failed}" in str(err.value)
+    assert err.value.trace.steps[-1] == failed
+    check(err.value.trace, ref)
 
 
 def test_trace_csv_format():
