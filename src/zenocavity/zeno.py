@@ -39,6 +39,9 @@ from .fock import (
 
 logger = logging.getLogger(__name__)
 
+#: steps advanced between two bulk diagnostic passes of zeno_run
+CHUNK = 32
+
 
 @dataclass(frozen=True)
 class KickSpec:
@@ -104,6 +107,9 @@ class EvolutionTrace:
     normalised field. states maps each snapshot step to its FieldState.
     final_atom_leak is the atom-branch population a joint dressed run ends
     with; it is 0 when dressed kicks are conditioned per kick (zeno_run).
+    renormalizations counts the chunks of CHUNK steps whose last state
+    zeno_run renormalised, and max_norm_drift is the largest drift over one
+    chunk; neither counts single steps.
     """
 
     steps: np.ndarray
@@ -194,6 +200,12 @@ def zeno_run(
     rows 1-2 are zeroed after every dressed kick: the field is conditioned
     on h at every kick and final_atom_leak is 0. The trace reports the
     field of row 0, normalised.
+
+    Steps advance in chunks of CHUNK into a (CHUNK + 1, rows, dim) buffer,
+    each step doing only its kick arithmetic. Once per chunk the probability
+    rows (each normalised by its own sum), leaks, energies and snapshots are
+    taken in bulk and the chunk's last state is renormalised. Steps after
+    the first leaking one are discarded and not counted in kicks.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -208,71 +220,79 @@ def zeno_run(
             )
     dressed = {(k.gamma, k.pulse) for step in distinct for k in step.kicks
                if k.pulse is not None}
-    psi = np.zeros((3 if dressed else 1, dim), dtype=np.complex128)
-    psi[0] = state.amps
-    snapshots = frozenset(snapshot_steps or ())
-    kicks = renorms = 0
+    buf = np.zeros((CHUNK + 1, 3 if dressed else 1, dim), dtype=np.complex128)
+    buf[0, 0] = state.amps
+    snapshots = np.array(sorted(set(snapshot_steps or ())), dtype=int)
+    renorms = 0
     max_drift = 0.0
-    levels = np.arange(dim)
-    rows: list[tuple[int, float, float]] = []  # step, energy, leak
     states: dict[int, FieldState] = {}
-
     n_steps = len(schedule.steps)
     # rows: step 0, every record_every-th step, the snapshots, the last step
-    probs = np.empty((n_steps // record_every + len(snapshots) + 2, dim))
-    # iteration p inspects the state after step p, then applies step p + 1
-    for p in range(n_steps + 1):
-        pop = probs[len(rows)]
-        pop[:] = np.abs(psi[0]) ** 2
-        if dressed:
-            pop /= pop.sum()  # the atom branch holds the rest of the norm
-        leak = float(pop[dim - guard_levels:].sum())
-        failed = p > 0 and not leak < leak_tol
-        if failed or p % record_every == 0 or p == n_steps or p in snapshots:
-            rows.append((p, float(levels @ pop), leak))
-            if p in snapshots:
-                states[p] = FieldState(psi[0])
-        if failed or p == n_steps:
-            break
-        step = schedule.steps[p]
-        kicks += len(step.kicks)
-        if step.displacement != 0:
-            psi[0] = displacement_op(step.displacement, dim) @ psi[0]
-        for spec in step.kicks:
-            if spec.pulse is None and spec.gamma == 0:
-                psi[0, spec.s] = -psi[0, spec.s]
-            elif spec.pulse is None:
-                v = displaced_fock(spec.s, spec.gamma, dim)
-                psi[0] -= 2.0 * np.vdot(v, psi[0]) * v
-            else:
-                if spec.gamma != 0:
-                    d = displacement_op(spec.gamma, dim)
-                    psi[0] = d.conj().T @ psi[0]
-                psi = np.einsum("nij,jn->in", pulse_blocks(spec.pulse, dim), psi)
-                if spec.gamma != 0:
-                    psi[0] = d @ psi[0]
-                if len(dressed) > 1:
-                    psi[1:] = 0.0
-        nrm = float(np.linalg.norm(psi))
+    size = n_steps // record_every + len(snapshots) + 2
+    steps, leaks, probs = np.empty(size, dtype=int), np.empty(size), np.empty((size, dim))
+    n_rows = 0
+    first = failed = 0  # buf[0] holds the state after step `first`
+    while not failed and first < n_steps:
+        todo = schedule.steps[first:first + CHUNK]
+        for psi, prev, step in zip(buf[1:], buf, todo):
+            psi[...] = prev
+            if step.displacement != 0:
+                psi[0] = displacement_op(step.displacement, dim) @ psi[0]
+            for spec in step.kicks:
+                if spec.pulse is None and spec.gamma == 0:
+                    psi[0, spec.s] = -psi[0, spec.s]
+                elif spec.pulse is None:
+                    v = displaced_fock(spec.s, spec.gamma, dim)
+                    psi[0] -= 2.0 * np.vdot(v, psi[0]) * v
+                else:
+                    if spec.gamma != 0:
+                        d = displacement_op(spec.gamma, dim)
+                        psi[0] = d.conj().T @ psi[0]
+                    psi[...] = np.einsum("nij,jn->in", pulse_blocks(spec.pulse, dim), psi)
+                    if spec.gamma != 0:
+                        psi[0] = d @ psi[0]
+                    if len(dressed) > 1:
+                        psi[1:] = 0.0
+        # step `first` closed the previous chunk; step 0 opens the first one
+        lo = 1 if first else 0
+        p = np.arange(first + lo, first + len(todo) + 1)
+        pop = np.abs(buf[lo:len(todo) + 1, 0]) ** 2
+        pop /= pop.sum(axis=1, keepdims=True)  # the atom branch holds the rest
+        leak = pop[:, dim - guard_levels:].sum(axis=1)
+        bad = np.flatnonzero((p > 0) & ~(leak < leak_tol))
+        if bad.size:
+            failed = int(p[bad[0]])
+            p, pop, leak = p[:bad[0] + 1], pop[:bad[0] + 1], leak[:bad[0] + 1]
+        snap = np.isin(p, snapshots)
+        keep = snap | (p % record_every == 0) | (p == n_steps) | (p == failed)
+        new = slice(n_rows, n_rows + np.count_nonzero(keep))
+        steps[new], leaks[new], probs[new] = p[keep], leak[keep], pop[keep]
+        n_rows = new.stop
+        for i in np.flatnonzero(snap):
+            states[int(p[i])] = FieldState(buf[lo + i, 0])
+        last = buf[lo + len(p) - 1]
+        nrm = float(np.linalg.norm(last))
         drift = abs(1.0 - nrm)
         if drift > 0.0:
-            psi = psi / nrm
+            last = last / nrm
             renorms += 1
             max_drift = max(max_drift, drift)
-    atom_leak = float(np.linalg.norm(psi[1:]) ** 2)
-    steps, energies, leaks = map(np.array, zip(*rows))
+        buf[0] = last
+        first = int(p[-1])
+    atom_leak = float(np.linalg.norm(buf[0, 1:]) ** 2)
+    probs = probs[:n_rows]
     trace = EvolutionTrace(
-        steps, energies, probs[: len(rows)], leaks,
+        steps[:n_rows], probs @ np.arange(dim), probs, leaks[:n_rows],
         states=states,
-        final_state=FieldState(psi[0]),
-        kicks=kicks,
+        final_state=FieldState(buf[0, 0]),
+        kicks=sum(len(step.kicks) for step in schedule.steps[:first]),
         renormalizations=renorms,
         max_norm_drift=max_drift,
         final_atom_leak=atom_leak,
     )
     if failed:
         raise ZenoTruncationError(
-            f"truncation leak {leak:.3e} above {leak_tol:.1e} at step {p}", trace
+            f"truncation leak {leak[-1]:.3e} above {leak_tol:.1e} at step {failed}", trace
         )
     logger.debug(
         "zeno_run: %d steps, %d renormalizations, max norm drift %.3e, atom leak %.3e",
