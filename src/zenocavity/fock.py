@@ -250,12 +250,3 @@ def truncation_check(
         raise ValueError("guard_levels must lie in 1..dim-1")
     top = float(photon_distribution(state)[state.dim - guard_levels:].sum())
     return TruncationReport(top_population=top, guard_levels=guard_levels, ok=top < leak_tol)
-
-
-def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    d = mat.shape[0]
-    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(d))) < tol)
-
-
-def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(mat - mat.conj().T)) < tol)

@@ -55,22 +55,6 @@ def pure_density(state: FieldState) -> np.ndarray:
     return np.outer(state.amps, state.amps.conj())
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-9,
-    positivity_tol: float = 1e-9,
-) -> None:
-    """Raise unless rho is Hermitian, unit trace and positive within tolerance."""
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise ValueError(f"trace {np.trace(rho).real!r} differs from 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < -positivity_tol:
-        raise ValueError(f"negative eigenvalue {w.min():.3e}")
-
-
 def _damping_terms(rho: np.ndarray, params: LindbladParams) -> np.ndarray:
     """(1+n_th)/T_c D[a] rho + n_th/T_c D[a+] rho via index shifts."""
     dim = rho.shape[0]

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from helpers import check_density_matrix
 from scipy.linalg import expm
 
 from zenocavity.atomkick import PulseParams
 from zenocavity.fock import cat_state, coherent, displacement_op, fock_basis, vacuum
 from zenocavity.openquantum import (
     LindbladParams,
-    check_density_matrix,
     evolve_damped,
     evolve_master,
     fidelity_mixed,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import is_hermitian, is_unitary
 
 from zenocavity.atomkick import PulseParams, pulse_blocks
 from zenocavity.fock import (
@@ -13,8 +14,6 @@ from zenocavity.fock import (
     displacement_op,
     fidelity_pure,
     fock_basis,
-    is_hermitian,
-    is_unitary,
     mean_energy,
     photon_distribution,
     vacuum,
@@ -270,7 +269,7 @@ def test_joint_dressed_run_matches_dense_step_matrix():
     assert 1e-4 < trace.final_atom_leak < 1e-3
 
 
-CHUNK = 32  # the engine's chunk length; the lengths below straddle it
+CHUNK = 32  # zeno.CHUNK; the schedule lengths below straddle it
 
 
 def _reference_run(state, schedule, record_every, snapshots, leak_tol, guard_levels=3):
