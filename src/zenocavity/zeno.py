@@ -220,8 +220,6 @@ def zeno_run(
             )
     dressed = {(k.gamma, k.pulse) for step in distinct for k in step.kicks
                if k.pulse is not None}
-    buf = np.zeros((CHUNK + 1, 3 if dressed else 1, dim), dtype=np.complex128)
-    buf[0, 0] = state.amps
     snapshots = np.array(sorted(set(snapshot_steps or ())), dtype=int)
     renorms = 0
     max_drift = 0.0
@@ -231,6 +229,8 @@ def zeno_run(
     size = n_steps // record_every + len(snapshots) + 2
     steps, leaks, probs = np.empty(size, dtype=int), np.empty(size), np.empty((size, dim))
     n_rows = 0
+    buf = np.zeros((CHUNK + 1, 3 if dressed else 1, dim), dtype=np.complex128)
+    buf[0, 0] = state.amps
     first = failed = 0  # buf[0] holds the state after step `first`
     while not failed and first < n_steps:
         todo = schedule.steps[first:first + CHUNK]
@@ -263,14 +263,15 @@ def zeno_run(
         if bad.size:
             failed = int(p[bad[0]])
             p, pop, leak = p[:bad[0] + 1], pop[:bad[0] + 1], leak[:bad[0] + 1]
-        snap = np.isin(p, snapshots)
-        keep = snap | (p % record_every == 0) | (p == n_steps) | (p == failed)
+        snaps = snapshots[(p[0] <= snapshots) & (snapshots <= p[-1])]
+        keep = (p % record_every == 0) | (p == n_steps) | (p == failed)
+        keep[snaps - p[0]] = True
         new = slice(n_rows, n_rows + np.count_nonzero(keep))
         steps[new], leaks[new], probs[new] = p[keep], leak[keep], pop[keep]
         n_rows = new.stop
-        for i in np.flatnonzero(snap):
-            states[int(p[i])] = FieldState(buf[lo + i, 0])
-        last = buf[lo + len(p) - 1]
+        for q in snaps.tolist():
+            states[q] = FieldState(buf[q - first, 0])
+        last = buf[p[-1] - first]
         nrm = float(np.linalg.norm(last))
         drift = abs(1.0 - nrm)
         if drift > 0.0:
