@@ -98,29 +98,34 @@ def _log_factorial(dim: int) -> np.ndarray:
     return out
 
 
-def _fock_column(n: int, gamma: complex, dim: int) -> np.ndarray:
-    """<m|D(gamma)|n> for m < dim, not renormalized (Cahill & Glauber 1969):
+def _fock_column(n: int, gammas: np.ndarray | list[complex], dim: int) -> np.ndarray:
+    """<m|D(gamma)|n> for m < dim, one row per centre of the 1-d gammas, not
+    renormalized (Cahill & Glauber 1969):
     sqrt(lo!/hi!) z^(hi-lo) e^(-|gamma|^2/2) L_lo^(hi-lo)(|gamma|^2) with
-    lo, hi = min, max(m, n) and z = gamma for m >= n, -gamma^* for m < n."""
+    lo, hi = min, max(m, n) and z = gamma for m >= n, -gamma^* for m < n.
+    |gamma|^2 and log|gamma| come from Python's abs and math.log per centre,
+    which keeps coherent's n = 0 row bit for bit; gamma = 0 gives |n>."""
     if not 0 <= n < dim:
         raise IndexError(f"Fock index {n} outside basis 0..{dim - 1}")
-    gamma = complex(gamma)
-    if gamma == 0:
-        return np.eye(1, dim, n, dtype=np.complex128)[0]
-    x = abs(gamma) ** 2
+    gs = [complex(c) for c in gammas]
+    g = np.array(gs, dtype=np.complex128)[:, None]
+    x = np.array([abs(c) ** 2 for c in gs])[:, None]
+    log_abs = np.array([math.log(abs(c)) if c else 0.0 for c in gs])[:, None]
     m = np.arange(dim)
     k = np.abs(m - n)
     lf = _log_factorial(dim)
     half_log_ratio = 0.5 * (lf[np.minimum(m, n)] - lf[np.maximum(m, n)])
-    log_mag = k * math.log(abs(gamma)) + half_log_ratio - 0.5 * x
-    phase = np.exp(1j * k * np.where(m >= n, np.angle(gamma), np.angle(-gamma.conjugate())))
-    # Laguerre recurrence in the degree; row j < n stops at degree j, rows m >= n at n
-    lag, prev, low = np.ones(dim), np.zeros(dim), np.empty(n)
+    log_mag = k * log_abs + half_log_ratio - 0.5 * x
+    phase = np.exp(1j * k * np.where(m >= n, np.angle(g), np.angle(-g.conj())))
+    # Laguerre recurrence in the degree; entries j < n stop at degree j, m >= n at n
+    lag, prev, low = np.ones((len(gs), dim)), np.zeros((len(gs), dim)), np.empty((len(gs), n))
     for j in range(n):
-        low[j] = lag[j]
+        low[:, j] = lag[:, j]
         lag, prev = ((2 * j + 1 + k - x) * lag - (j + k) * prev) / (j + 1), lag
-    lag[:n] = low
-    return np.exp(log_mag) * lag * phase
+    lag[:, :n] = low
+    out = np.exp(log_mag) * lag * phase
+    out[g[:, 0] == 0] = np.eye(1, dim, n, dtype=np.complex128)
+    return out
 
 
 def coherent(alpha: complex, dim: int, enforce_truncation: bool = True) -> FieldState:
@@ -138,7 +143,7 @@ def coherent(alpha: complex, dim: int, enforce_truncation: bool = True) -> Field
             f"coherent amplitude {alpha} needs dim >= {required_dim(alpha)}, got {dim}"
         )
     # the n = 0 column: amps[n] = alpha^n / sqrt(n!) * e^{-|alpha|^2/2}
-    return FieldState(_fock_column(0, alpha, dim))
+    return FieldState(_fock_column(0, [alpha], dim)[0])
 
 
 def cat_state(
@@ -179,8 +184,9 @@ def displacement_op(beta: complex, dim: int) -> np.ndarray:
 
     Built by diagonalizing the Hermitian generator i(beta a^dag - beta^* a),
     so the result is unitary to machine precision (a Pade expm is not),
-    which dressed kicks rely on. Cached for the drive and the dressed-kick
-    centres runs reuse (100 kB each at dim 80); ideal kicks use displaced_fock.
+    which dressed kicks rely on. Cached for the drives and dressed-kick
+    centres that runs reuse (100 kB each at dim 80); zeno_run looks up a
+    dressed centre once per chunk, and ideal kicks take displaced_fock rows.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -196,12 +202,15 @@ def displacement_op(beta: complex, dim: int) -> np.ndarray:
     return mat
 
 
-def displaced_fock(n: int, gamma: complex, dim: int) -> np.ndarray:
+def displaced_fock(n: int, gammas: complex | np.ndarray, dim: int) -> np.ndarray:
     """D(gamma)|n>, unit norm: the vector an ideal kick at gamma reflects. It is
     the untruncated column cut at dim and renormalized, where displacement_op
-    gives the truncated generator's column (README, Conventions)."""
-    col = _fock_column(n, gamma, dim)
-    return col / np.linalg.norm(col)
+    gives the truncated generator's column (README, Conventions). A 1-d array
+    of centres gives one row per centre, each equal to its scalar call."""
+    cols = _fock_column(n, np.atleast_1d(gammas), dim)
+    for col in cols:
+        col /= np.linalg.norm(col)
+    return cols if np.ndim(gammas) else cols[0]
 
 
 def photon_distribution(state: FieldState) -> np.ndarray:

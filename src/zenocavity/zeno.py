@@ -202,7 +202,10 @@ def zeno_run(
     field of row 0, normalised.
 
     Steps advance in chunks of CHUNK into a (CHUNK + 1, rows, dim) buffer,
-    each step doing only its kick arithmetic. Once per chunk the probability
+    each step doing only its kick arithmetic. Before its steps, a chunk
+    resolves the operands of its distinct kicks once: the ideal off-centre
+    columns in one displaced_fock call per s, and each dressed kick's pulse
+    blocks and frame displacement. Once per chunk the probability
     rows (each normalised by its own sum), leaks, energies and snapshots are
     taken in bulk and the chunk's last state is renormalised. Steps after
     the first leaking one are discarded and not counted in kicks.
@@ -234,6 +237,18 @@ def zeno_run(
     first = failed = 0  # buf[0] holds the state after step `first`
     while not failed and first < n_steps:
         todo = schedule.steps[first:first + CHUNK]
+        # operands of the chunk's distinct kicks, by id: the ideal off-centre
+        # columns in one displaced_fock call per s, dressed blocks and frames
+        specs = {id(k): k for st in {id(st): st for st in todo}.values() for k in st.kicks}
+        centres: dict[int, dict[complex, None]] = {}
+        for k in specs.values():
+            if k.pulse is None and k.gamma != 0:
+                centres.setdefault(k.s, {})[k.gamma] = None
+        columns = {(s, g): v for s, gs in centres.items()
+                   for g, v in zip(gs, displaced_fock(s, list(gs), dim))}
+        ops = {key: columns[k.s, k.gamma] if k.pulse is None else
+               (pulse_blocks(k.pulse, dim), displacement_op(k.gamma, dim) if k.gamma else None)
+               for key, k in specs.items() if k.pulse is not None or k.gamma != 0}
         for psi, prev, step in zip(buf[1:], buf, todo):
             psi[...] = prev
             if step.displacement != 0:
@@ -242,14 +257,14 @@ def zeno_run(
                 if spec.pulse is None and spec.gamma == 0:
                     psi[0, spec.s] = -psi[0, spec.s]
                 elif spec.pulse is None:
-                    v = displaced_fock(spec.s, spec.gamma, dim)
+                    v = ops[id(spec)]
                     psi[0] -= 2.0 * np.vdot(v, psi[0]) * v
                 else:
-                    if spec.gamma != 0:
-                        d = displacement_op(spec.gamma, dim)
+                    blocks, d = ops[id(spec)]
+                    if d is not None:
                         psi[0] = d.conj().T @ psi[0]
-                    psi[...] = np.einsum("nij,jn->in", pulse_blocks(spec.pulse, dim), psi)
-                    if spec.gamma != 0:
+                    psi[...] = np.einsum("nij,jn->in", blocks, psi)
+                    if d is not None:
                         psi[0] = d @ psi[0]
                     if len(dressed) > 1:
                         psi[1:] = 0.0

@@ -201,6 +201,20 @@ def test_displaced_fock_at_zero_is_the_number_state():
         displaced_fock(30, 0.5, 30)
 
 
+def test_displaced_fock_rows_match_single_columns():
+    rng = np.random.default_rng(14)
+    for n, dim in [(0, 10), (1, 40), (7, 80), (30, 160), (0, 160), (7, 10)]:
+        reach = max(math.sqrt(dim - 1.0) - 3.0, 0.5)
+        gammas = reach * np.sqrt(rng.uniform(size=9)) * np.exp(2j * math.pi * rng.uniform(size=9))
+        gammas[[0, 4]] = 0.0  # number-state rows among displaced ones
+        rows = displaced_fock(n, gammas, dim)
+        assert rows.shape == (gammas.size, dim) and rows.dtype == np.complex128
+        for gamma, row in zip(gammas, rows):
+            assert np.array_equal(row, displaced_fock(n, gamma, dim))
+    with pytest.raises(IndexError):
+        displaced_fock(10, [0.5, 0.0], 10)
+
+
 def test_coherent_matches_log_space_reference_bit_for_bit():
     # the closed form alpha^n / sqrt(n!) e^{-|alpha|^2/2} as coherent built it
     # before it became the n = 0 column of displaced_fock

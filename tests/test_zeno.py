@@ -338,6 +338,15 @@ def _chunk_test_schedule(mode, n_steps):
     omega = 2 * math.pi * 50e3
     gap = omega * (math.sqrt(7) - math.sqrt(6))
     pulse = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=5.5, s=6)
+    if mode == "moving":  # new ideal centres on every step for s = 1 and 2
+        way = complex(math.cos(0.3), math.sin(0.3))
+        steps = []
+        for p in range(n_steps):
+            centre = 0.07 * (p - 1 if p % 9 == 8 else p) * way  # repeats inside a chunk
+            kicks = (KickSpec(s=1, gamma=centre),
+                     KickSpec(s=2, gamma=0 if p % 6 == 5 else -0.5 * centre))
+            steps.append(Step(displacement=0 if p % 5 == 4 else 0.1 * way, kicks=kicks))
+        return Schedule(steps=tuple(steps))
     if mode == "ideal":
         kicks = (KickSpec(s=6), KickSpec(s=0, gamma=3j))
     elif mode == "joint":
@@ -351,7 +360,7 @@ def _chunk_test_schedule(mode, n_steps):
     return Schedule(steps=tuple(undriven if p % 5 == 4 else driven for p in range(n_steps)))
 
 
-@pytest.mark.parametrize("mode", ["ideal", "joint", "conditioned"])
+@pytest.mark.parametrize("mode", ["ideal", "joint", "conditioned", "moving"])
 def test_chunked_run_matches_per_step_reference(mode):
     snapshots = [CHUNK - 1, CHUNK, CHUNK + 1]
 
