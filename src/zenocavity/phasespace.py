@@ -19,11 +19,15 @@ no basis is padded. The integrand is band-limited by the basis size and
 the window, so the trapezoid rule on a fine enough u grid converges to
 machine precision. The u spacing divides sqrt(2) dx, hence every q +- u of
 a raster lies on one sampled position grid and a whole raster is one
-gather and one matrix product.
+gather and one matrix product. The integrand at -u is the conjugate of the
+one at u, so only u >= 0 is summed, by a real kernel. That layout (table,
+gathers, kernel) depends only on (dim, bounds, sizes) and is cached, so
+the snapshots of a run share one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,6 +41,8 @@ W_MAX = 2.0 / math.pi
 
 _SQRT2 = math.sqrt(2.0)
 
+_LEVELS = [str(v) for v in range(256)]  # PGM grey levels as text
+
 
 def _hermite_functions(dim: int, q: np.ndarray) -> np.ndarray:
     """Rows phi_0(q)..phi_{dim-1}(q) of the normalised Hermite functions."""
@@ -49,49 +55,67 @@ def _hermite_functions(dim: int, q: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _raster(
-    parts: list[tuple[float, np.ndarray]],
-    x_min: float,
-    x_step: float,
-    nx: int,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """values[j, i] = W(x_min + i x_step + 1j ys[j]) of the weighted parts.
+def _h_max(dim: int, y_min: float, y_max: float) -> float:
+    """Widest u spacing at which the trapezoid rule is exact (see _geometry)."""
+    y_abs = max(abs(y_min), abs(y_max))
+    return math.pi / (2.0 * math.sqrt(2.0 * dim + 1.0) + 2.0 * _SQRT2 * y_abs)
+
+
+@functools.lru_cache(maxsize=4)
+def _geometry(
+    dim: int, x_min: float, x_step: float, nx: int, y_min: float, y_max: float, ny: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Hermite table, u >= 0 gathers and real kernel of a raster.
 
     |psi(q)| and its spectrum both fade beyond sqrt(2 dim + 1), so the
     integrand lives on |u| < sqrt(2 dim + 1) + 7 and its frequencies stay
     below 2 sqrt(2 dim + 1) + 2 sqrt(2) |y|. The trapezoid rule of spacing
     h is exact to rounding while 2 pi / h, the first frequency it aliases
-    onto zero, is at least twice that band edge.
+    onto zero, is at least twice that band edge. The weight is h at u = 0
+    and 2h beyond, where u also stands for -u.
     """
-    dim = len(parts[0][1])
-    reach = math.sqrt(2.0 * dim + 1.0)
-    h_max = math.pi / (2.0 * reach + 2.0 * _SQRT2 * float(np.max(np.abs(ys))))
-    if nx > 1 and _SQRT2 * x_step < h_max:
-        # columns closer than h: evaluate interleaved sub-rasters whose
-        # spacing clears h, so the sampled grid stays O(reach / h) long
-        stride = math.ceil(h_max / (_SQRT2 * x_step))
-        values = np.empty((len(ys), nx))
-        for r in range(min(stride, nx)):
-            values[:, r::stride] = _raster(
-                parts, x_min + r * x_step, stride * x_step, len(range(r, nx, stride)), ys
-            )
-        return values
+    h_max = _h_max(dim, y_min, y_max)
     per_column = math.ceil(_SQRT2 * x_step / h_max) if nx > 1 else 1
     h = _SQRT2 * x_step / per_column if nx > 1 else h_max
-    k_max = math.ceil((reach + 7.0) / h)
-    offsets = np.arange(-k_max, k_max + 1)
+    k_max = math.ceil((math.sqrt(2.0 * dim + 1.0) + 7.0) / h)
+    offsets = np.arange(k_max + 1)
     # sample m sits at sqrt(2) x_min + (m - k_max) h; column i at m = i * per_column + k_max
     samples = _SQRT2 * x_min + h * np.arange(-k_max, (nx - 1) * per_column + k_max + 1)
     table = _hermite_functions(dim, samples)
-    plus = per_column * np.arange(nx)[:, None] + k_max + offsets  # q_i + u_k
-    minus = plus[:, ::-1]  # q_i - u_k
+    centre = per_column * np.arange(nx)[:, None] + k_max
+    angle = 2.0 * _SQRT2 * np.outer(np.linspace(y_min, y_max, ny), h * offsets)
+    weights = np.where(offsets == 0, h, 2.0 * h)
+    kernel = np.hstack([np.cos(angle) * weights, -np.sin(angle) * weights])
+    layout = (table, centre + offsets, centre - offsets, kernel)
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
+def _raster(
+    parts: list[tuple[float, np.ndarray]],
+    x_min: float, x_step: float, nx: int, y_min: float, y_max: float, ny: int,
+) -> np.ndarray:
+    """values[j, i] = W(x_min + i x_step + 1j y_j), y = linspace(y_min, y_max, ny)."""
+    dim = len(parts[0][1])
+    h_max = _h_max(dim, y_min, y_max)
+    if nx > 1 and _SQRT2 * x_step < h_max:
+        # columns closer than h: evaluate interleaved sub-rasters whose
+        # spacing clears h, so the sampled grid stays O(sqrt(dim) / h) long
+        stride = math.ceil(h_max / (_SQRT2 * x_step))
+        values = np.empty((ny, nx))
+        for r in range(min(stride, nx)):
+            values[:, r::stride] = _raster(
+                parts, x_min + r * x_step, stride * x_step, len(range(r, nx, stride)),
+                y_min, y_max, ny,
+            )
+        return values
+    table, plus, minus, kernel = _geometry(dim, x_min, x_step, nx, y_min, y_max, ny)
     integrand = np.zeros(plus.shape, dtype=np.complex128)
     for weight, vec in parts:
         psi = vec @ table
         integrand += weight * psi[plus].conj() * psi[minus]
-    kernel = h * np.exp(2j * _SQRT2 * np.outer(ys, h * offsets))
-    return W_MAX * (kernel @ integrand.T).real
+    return W_MAX * (kernel @ np.vstack([integrand.real.T, integrand.imag.T]))
 
 
 @dataclass(frozen=True)
@@ -144,7 +168,7 @@ def _state_vectors(state_or_rho) -> list[tuple[float, np.ndarray]]:
 def wigner_point(state_or_rho, xi: complex) -> float:
     """W at a single phase-space point."""
     xi = complex(xi)
-    values = _raster(_state_vectors(state_or_rho), xi.real, 0.0, 1, np.array([xi.imag]))
+    values = _raster(_state_vectors(state_or_rho), xi.real, 0.0, 1, xi.imag, xi.imag, 1)
     return float(values[0, 0])
 
 
@@ -162,7 +186,7 @@ def wigner_grid(
         values=np.empty((ny, nx)),
     )
     grid.values[:] = _raster(
-        _state_vectors(state_or_rho), x_min, (x_max - x_min) / (nx - 1), nx, grid.ys
+        _state_vectors(state_or_rho), x_min, (x_max - x_min) / (nx - 1), nx, y_min, y_max, ny
     )
     return grid
 
@@ -216,7 +240,7 @@ def export_pgm(grid: WignerGrid, fh: IO[str]) -> None:
     fh.write(f"# x_min={grid.x_min:.17g} x_max={grid.x_max:.17g}\n")
     fh.write(f"# y_min={grid.y_min:.17g} y_max={grid.y_max:.17g}\n")
     fh.write(f"{grid.nx} {grid.ny}\n255\n")
-    fh.write("".join(" ".join(map(str, row)) + "\n" for row in levels[::-1].tolist()))
+    fh.write("".join(" ".join([_LEVELS[v] for v in row]) + "\n" for row in levels[::-1].tolist()))
 
 
 def count_lobes(

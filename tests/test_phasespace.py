@@ -5,6 +5,7 @@ from functools import cache
 
 import numpy as np
 import pytest
+from helpers import full_range_raster
 from scipy.linalg import expm
 
 from zenocavity.fock import (
@@ -21,6 +22,8 @@ from zenocavity.openquantum import pure_density
 from zenocavity.phasespace import (
     W_MAX,
     WignerGrid,
+    _geometry,
+    _state_vectors,
     count_lobes,
     export_csv,
     export_pgm,
@@ -185,6 +188,43 @@ def test_raster_matches_dense_oracle_mixed_state():
     assert np.max(np.abs(grid.values - oracle)) < 1e-12
 
 
+def test_half_range_kernel_matches_full_complex_form():
+    # the integrand at -u is the conjugate of the one at u, so summing
+    # u >= 0 with a real kernel is the full complex sum up to rounding
+    rng = np.random.default_rng(11)
+    parts = [(w, _random_amps(rng, 30)) for w in (0.5, 0.3, 0.2)]
+    rho = sum(w * np.outer(v, v.conj()) / np.vdot(v, v).real for w, v in parts)
+    cases = [
+        (cat_state(2.5, 1, 80), (-6.0, 6.0, -6.0, 6.0), 121, 121),  # the rasters layout
+        (rho, (-4.0, 4.0, -3.0, 5.0), 9, 9),
+        (coherent(1.0 + 0.5j, 20), (1 - 1e-4, 1 + 1e-4, 0.4, 0.6), 41, 5),  # stride split
+    ]
+    for state, (x_min, x_max, y_min, y_max), nx, ny in cases:
+        grid = wigner_grid(state, (x_min, x_max, y_min, y_max), nx, ny)
+        oracle = full_range_raster(
+            _state_vectors(state), x_min, (x_max - x_min) / (nx - 1), nx, grid.ys
+        )
+        assert np.max(np.abs(grid.values - oracle)) <= 4e-15
+    for state, xi in ((cat_state(2.5, 1, 80), 0.3 - 0.7j), (rho, -1.2 + 0.4j), (vacuum(10), 22)):
+        xi = complex(xi)
+        oracle = full_range_raster(_state_vectors(state), xi.real, 0.0, 1, np.array([xi.imag]))
+        assert abs(wigner_point(state, xi) - oracle[0, 0]) <= 4e-15
+
+
+def test_raster_layout_cache_is_transparent():
+    psi = cat_state(2, 1, 40)
+    _geometry.cache_clear()
+    wigner_grid(psi, (-3, 3, -2, 2), nx=31, ny=21)
+    cached = wigner_grid(psi, (-3, 3, -2, 2), nx=31, ny=21)
+    assert _geometry.cache_info().hits == 1
+    _geometry.cache_clear()
+    rebuilt = wigner_grid(psi, (-3, 3, -2, 2), nx=31, ny=21)
+    assert np.array_equal(cached.values, rebuilt.values)
+    assert _geometry.cache_info().maxsize == 4
+    for arr in _geometry(40, -3.0, 0.2, 31, -2.0, 2.0, 21):
+        assert not arr.flags.writeable
+
+
 def test_displacement_covariance():
     psi = cat_state(1.2, 1, 30)
     gamma = 0.6 - 0.4j
@@ -260,6 +300,30 @@ def test_pgm_format_and_midpoint():
     rows = buf2.getvalue().splitlines()[6:]
     assert rows[-1].split()[0] == "0"  # bottom row written last
     assert rows[0].split()[-1] == "255"
+
+
+def _reference_pgm(grid: WignerGrid) -> str:
+    """The map(str, ...) writer that export_pgm must reproduce byte for byte."""
+    levels = np.clip(
+        np.round((grid.values + W_MAX) / (2.0 * W_MAX) * 255.0), 0, 255
+    ).astype(int)
+    return (
+        "P2\n# wigner raster, 0 -> W=-2/pi, 255 -> W=+2/pi\n"
+        f"# x_min={grid.x_min:.17g} x_max={grid.x_max:.17g}\n"
+        f"# y_min={grid.y_min:.17g} y_max={grid.y_max:.17g}\n"
+        f"{grid.nx} {grid.ny}\n255\n"
+        + "".join(" ".join(map(str, row)) + "\n" for row in levels[::-1].tolist())
+    )
+
+
+def test_pgm_matches_str_writer():
+    values = np.random.default_rng(4).uniform(-1.2 * W_MAX, 1.2 * W_MAX, size=(6, 9))
+    values[0, :8] = [-5.0, 5.0, -W_MAX, W_MAX, 0.0, -0.0, 1e-15, -1e-15]
+    grid = WignerGrid(x_min=-1, x_max=1, y_min=-2, y_max=3, nx=9, ny=6, values=values)
+    buf = io.StringIO()
+    export_pgm(grid, buf)
+    assert buf.getvalue() == _reference_pgm(grid)
+    assert buf.getvalue().splitlines()[-1].startswith("0 255 0 255 128 128 128 127 ")
 
 
 def test_pgm_header_records_bounds():
