@@ -16,6 +16,7 @@ files, one per reproduced figure panel plus a few extras.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import MISSING, dataclass, field, is_dataclass
@@ -236,16 +237,21 @@ def _is_number(value: Any) -> bool:
 
 
 def _scalar(tp: type, value: Any) -> Any:
-    """value as the scalar type tp, or None where JSON holds another kind."""
-    if tp is bool:
-        return value if isinstance(value, bool) else None
-    if tp is int:
-        if isinstance(value, float):
-            return int(value) if value.is_integer() else None
-        return value if _is_number(value) else None
-    if tp is complex and isinstance(value, list) and len(value) == 2:
-        return complex(*value) if all(map(_is_number, value)) else None
-    return tp(value) if _is_number(value) else None
+    """value as the scalar type tp. A ValueError names what was expected where
+    JSON holds another kind, or a float or complex that is not finite."""
+    if tp is bool and isinstance(value, bool):
+        return value
+    if tp is int and _is_number(value) and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    parts = value if tp is complex and isinstance(value, list) and len(value) == 2 else [value]
+    if tp in (float, complex) and all(map(_is_number, parts)):
+        try:  # NaN, Infinity and 1e400 (read as inf) are not finite
+            if cmath.isfinite(out := tp(*parts)):
+                return out
+        except OverflowError:  # nor is an integer beyond the float range
+            pass
+        raise ValueError("a finite number")
+    raise ValueError(_KINDS[tp])
 
 
 def _convert(tp: Any, value: Any, key: str, problems: list[str]) -> Any:
@@ -271,10 +277,11 @@ def _convert(tp: Any, value: Any, key: str, problems: list[str]) -> Any:
         problems.append(f"{key}: {value!r} is not one of {', '.join(get_args(tp))}")
         return None
     if tp in _KINDS:
-        out = _scalar(tp, value)
-        if out is None:
-            problems.append(f"{key}: expected {_KINDS[tp]}, got {value!r}")
-        return out
+        try:
+            return _scalar(tp, value)
+        except ValueError as exc:
+            problems.append(f"{key}: expected {exc}, got {value!r}")
+            return None
     if is_dataclass(tp):
         return _convert_object(tp, value, key, problems)
     args = get_args(tp)  # tuple[X, ...] or a fixed-length tuple

@@ -146,15 +146,11 @@ def coherent(alpha: complex, dim: int, enforce_truncation: bool = True) -> Field
     return FieldState(_fock_column(0, [alpha], dim)[0])
 
 
-def cat_state(
-    alpha: complex, phase: complex, dim: int, enforce_truncation: bool = True
-) -> FieldState:
+def cat_state(alpha: complex, phase: complex, dim: int) -> FieldState:
     """Normalized (|alpha> + phase * |-alpha>), |phase| = 1."""
     if abs(abs(phase) - 1.0) > 1e-9:
         raise ValueError("cat relative phase must lie on the unit circle")
-    plus = coherent(alpha, dim, enforce_truncation)
-    minus = coherent(-alpha, dim, enforce_truncation)
-    return FieldState(plus.amps + complex(phase) * minus.amps)
+    return FieldState(coherent(alpha, dim).amps + complex(phase) * coherent(-alpha, dim).amps)
 
 
 @lru_cache(maxsize=None)

@@ -19,13 +19,16 @@ run). A kick inside a damped segment is split symmetrically: damping runs
 for the full pulse duration while the conditioned kick map is applied
 instantaneously at the pulse midpoint; the splitting error is second
 order in (pulse duration / T_c).
+
+A damped run keeps its diagnostics in one record array, written to CSV
+in one pass as zeno_run's trace is.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO
 
@@ -55,8 +58,14 @@ def pure_density(state: FieldState) -> np.ndarray:
     return np.outer(state.amps, state.amps.conj())
 
 
-def _damping_terms(rho: np.ndarray, params: LindbladParams) -> np.ndarray:
-    """(1+n_th)/T_c D[a] rho + n_th/T_c D[a+] rho via index shifts."""
+def lindblad_rhs(
+    rho: np.ndarray, hamiltonian: np.ndarray | None, params: LindbladParams
+) -> np.ndarray:
+    """Generator of the master equation; traceless, Hermiticity-preserving.
+
+    The damping terms (1+n_th)/T_c D[a] rho + n_th/T_c D[a+] rho act by
+    index shifts. No run calls it: it is the block propagator's oracle.
+    """
     dim = rho.shape[0]
     n = np.arange(dim, dtype=np.float64)
     rate_down = (1.0 + params.n_th) / params.t_c
@@ -72,14 +81,6 @@ def _damping_terms(rho: np.ndarray, params: LindbladParams) -> np.ndarray:
         nn1 = n + 1.0
         nn1[-1] = 0.0
         out -= rate_up * 0.5 * (nn1[:, None] + nn1[None, :]) * rho
-    return out
-
-
-def lindblad_rhs(
-    rho: np.ndarray, hamiltonian: np.ndarray | None, params: LindbladParams
-) -> np.ndarray:
-    """Generator of the master equation; traceless, Hermiticity-preserving."""
-    out = _damping_terms(rho, params)
     if hamiltonian is not None:
         out -= 1j * (hamiltonian @ rho - rho @ hamiltonian)
     return out
@@ -89,7 +90,7 @@ def lindblad_rhs(
 def _damping_propagator(dim: int, decays: float, n_th: float) -> np.ndarray:
     """exp(L t), decays = t / T_c, as real blocks [d, i, j]: x_j = rho[j, j + d] -> x_i.
 
-    Terms as in _damping_terms, built block by block to keep temporaries
+    Terms as in lindblad_rhs, built block by block to keep temporaries
     small. Two entries: a run reuses one or two segment lengths.
     """
     from scipy.linalg import expm
@@ -147,31 +148,28 @@ def evolve_damped(
     return rho
 
 
-@dataclass
-class MasterTraceRecord:
-    t_seconds: float
-    energy: float
-    purity: float
-    fidelity_vs_target: float
-    trace_err: float
+#: most negative eigenvalue evolve_master takes for accumulated rounding
+POSITIVITY_TOL = 1e-6
+
+_RECORD = np.dtype([(name, np.float64) for name in
+                    ("t_seconds", "energy", "purity", "fidelity_vs_target", "trace_err")])
 
 
-@dataclass
+@dataclass(frozen=True)
 class MasterTrace:
-    records: list[MasterTraceRecord] = field(default_factory=list)
-    total_kick_leak: float = 0.0
+    """Diagnostics of a damped run. records has one row at step 0 and one
+    after every step, with the float64 fields of _RECORD (fidelity_vs_target
+    is nan without a target); total_kick_leak sums the kicks' leaks 1 - p."""
+
+    records: np.recarray
+    total_kick_leak: float
 
     def to_csv(self, fh: IO[str]) -> None:
-        fh.write("t_seconds,energy,purity,fidelity_vs_target,trace_err\n")
-        for r in self.records:
-            fh.write(
-                f"{r.t_seconds:.17g},{r.energy:.17g},{r.purity:.17g},"
-                f"{r.fidelity_vs_target:.17g},{r.trace_err:.17g}\n"
-            )
-
-
-def _mean_energy_rho(rho: np.ndarray) -> float:
-    return float(np.sum(np.arange(rho.shape[0]) * np.diag(rho).real))
+        """One header line, then one row per record. 17 significant digits."""
+        names = self.records.dtype.names
+        row = ",".join(["{:.17g}"] * len(names)) + "\n"
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row.format(*r) for r in self.records.tolist())
 
 
 def evolve_master(
@@ -179,7 +177,6 @@ def evolve_master(
     schedule: Schedule,
     params: LindbladParams | None,
     target: FieldState | None = None,
-    positivity_tol: float = 1e-6,
     drive_amp: complex = 0j,
 ) -> tuple[np.ndarray, MasterTrace]:
     """Run an engine schedule on a density matrix under cavity damping.
@@ -192,8 +189,9 @@ def evolve_master(
     conditioned completely positive branch (atom back in h):
     rho -> K rho K+ / p with the leak 1 - p accumulated in the trace;
     damping runs for the pulse duration around the midpoint split. Aborts
-    on a negative eigenvalue beyond positivity_tol, which can only be
-    accumulated rounding.
+    on a negative eigenvalue beyond POSITIVITY_TOL, which can only be
+    accumulated rounding. Row k of the preallocated records is filled
+    after step k; the trace is built once, at the end.
     """
     for step in schedule.steps:
         if step.displacement != 0 and drive_amp == 0:
@@ -202,29 +200,16 @@ def evolve_master(
             raise ValueError("damped runs need kicks with pulse parameters")
     rho = np.array(rho, dtype=np.complex128)
     dim = rho.shape[0]
-    trace = MasterTrace()
-    t = 0.0
+    records = np.recarray(len(schedule.steps) + 1, dtype=_RECORD)
+    kick_leak = t = 0.0
 
-    def record():
-        tr = float(np.trace(rho).real)
-        fid = (
-            float(np.real(np.vdot(target.amps, rho @ target.amps)))
-            if target is not None
-            else math.nan
-        )
-        purity = float(np.vdot(rho, rho).real)
-        trace.records.append(
-            MasterTraceRecord(
-                t_seconds=t,
-                energy=_mean_energy_rho(rho),
-                purity=purity,
-                fidelity_vs_target=fid,
-                trace_err=abs(tr - 1.0),
-            )
-        )
+    def record(k: int) -> None:
+        fid = math.nan if target is None else np.vdot(target.amps, rho @ target.amps).real
+        records[k] = (t, np.sum(np.arange(dim) * np.diag(rho).real), np.vdot(rho, rho).real,
+                      fid, abs(np.trace(rho).real - 1.0))
 
-    record()
-    for step in schedule.steps:
+    record(0)
+    for k, step in enumerate(schedule.steps, start=1):
         if step.displacement != 0:
             duration = abs(step.displacement) / abs(drive_amp)
             rho = evolve_damped(rho, duration, params, step.displacement / duration)
@@ -237,20 +222,17 @@ def evolve_master(
             p = float(np.trace(rho).real)
             if p <= 0:
                 raise RuntimeError("conditioned kick annihilated the state")
-            trace.total_kick_leak += 1.0 - p
+            kick_leak += 1.0 - p
             rho /= p
             rho = evolve_damped(rho, 0.5 * tau, params)
             t += tau
         rho = 0.5 * (rho + rho.conj().T)  # shed accumulated asymmetry
-        w = np.linalg.eigvalsh(rho)
-        if w.min() < -positivity_tol:
-            raise RuntimeError(
-                f"positivity violated ({w.min():.2e}) beyond rounding; "
-                "check dim and the kick leak"
-            )
-        record()
-    logger.debug("evolve_master: t=%.4g s, kick leak %.3g", t, trace.total_kick_leak)
-    return rho, trace
+        if (w := np.linalg.eigvalsh(rho).min()) < -POSITIVITY_TOL:
+            raise RuntimeError(f"positivity violated ({w:.2e}) beyond rounding; "
+                               "check dim and the kick leak")
+        record(k)
+    logger.debug("evolve_master: t=%.4g s, kick leak %.3g", t, kick_leak)
+    return rho, MasterTrace(records, kick_leak)
 
 
 def fidelity_mixed(rho: np.ndarray, psi: FieldState) -> float:

@@ -30,7 +30,7 @@ from .fock import (
     fidelity_pure,
     mean_energy,
 )
-from .zeno import EvolutionTrace, KickSpec, Schedule, Step, zeno_run
+from .zeno import EvolutionTrace, KickSpec, Schedule, Step, uniform_schedule, zeno_run
 from .atomkick import PulseParams
 
 DEFAULT_ADIABATIC_CAP = 0.1
@@ -229,8 +229,7 @@ def stretch_cat(
                 f"components at {gamma} and {alpha} overlap "
                 f"({gaussian_overlap(gamma, alpha):.2e} > {overlap_tol:.1e})"
             )
-    step = Step(displacement=beta, kicks=(KickSpec(s=1, gamma=gamma),))
-    trace = zeno_run(state, Schedule(steps=(step,) * n_steps),
+    trace = zeno_run(state, uniform_schedule(n_steps, beta, [KickSpec(s=1, gamma=gamma)]),
                      guard_levels=guard_levels, leak_tol=leak_tol)
     out = trace.final_state
     if alpha is not None:
@@ -332,7 +331,6 @@ def multi_cat_factory(
     dim: int,
     separation: float = 2.5,
     steps_per_crush: int = 200,
-    initial_state: FieldState | None = None,
     guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> FieldState:
@@ -348,7 +346,7 @@ def multi_cat_factory(
     """
     if n_components < 1 or (n_components & (n_components - 1)) != 0:
         raise ValueError("n_components must be a power of two")
-    state = initial_state if initial_state is not None else coherent(0, dim)
+    state = coherent(0, dim)
     components: list[complex] = [0j]
     axis = 1 + 0j
     while len(components) < n_components:

@@ -203,12 +203,13 @@ def zeno_run(
 
     Steps advance in chunks of CHUNK into a (CHUNK + 1, rows, dim) buffer,
     each step doing only its kick arithmetic. Before its steps, a chunk
-    resolves the operands of its distinct kicks once: the ideal off-centre
-    columns in one displaced_fock call per s, and each dressed kick's pulse
-    blocks and frame displacement. Once per chunk the probability
-    rows (each normalised by its own sum), leaks, energies and snapshots are
-    taken in bulk and the chunk's last state is renormalised. Steps after
-    the first leaking one are discarded and not counted in kicks.
+    resolves the operands of its distinct steps and kicks once: each drive
+    displacement, the ideal off-centre columns in one displaced_fock call
+    per s, and each dressed kick's pulse blocks and frame displacement.
+    Once per chunk the probability rows (each normalised by its own sum),
+    leaks, energies and snapshots are taken in bulk and the chunk's last
+    state is renormalised. Steps after the first leaking one are discarded
+    and not counted in kicks.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -237,9 +238,11 @@ def zeno_run(
     first = failed = 0  # buf[0] holds the state after step `first`
     while not failed and first < n_steps:
         todo = schedule.steps[first:first + CHUNK]
-        # operands of the chunk's distinct kicks, by id: the ideal off-centre
-        # columns in one displaced_fock call per s, dressed blocks and frames
-        specs = {id(k): k for st in {id(st): st for st in todo}.values() for k in st.kicks}
+        # operands of the chunk's distinct steps and kicks, by id: the drives,
+        # the ideal off-centre columns in one displaced_fock call per s,
+        # dressed blocks and frames
+        chunk_steps = {id(st): st for st in todo}
+        specs = {id(k): k for st in chunk_steps.values() for k in st.kicks}
         centres: dict[int, dict[complex, None]] = {}
         for k in specs.values():
             if k.pulse is None and k.gamma != 0:
@@ -249,10 +252,12 @@ def zeno_run(
         ops = {key: columns[k.s, k.gamma] if k.pulse is None else
                (pulse_blocks(k.pulse, dim), displacement_op(k.gamma, dim) if k.gamma else None)
                for key, k in specs.items() if k.pulse is not None or k.gamma != 0}
+        ops.update((key, displacement_op(st.displacement, dim))
+                   for key, st in chunk_steps.items() if st.displacement != 0)
         for psi, prev, step in zip(buf[1:], buf, todo):
             psi[...] = prev
             if step.displacement != 0:
-                psi[0] = displacement_op(step.displacement, dim) @ psi[0]
+                psi[0] = ops[id(step)] @ psi[0]
             for spec in step.kicks:
                 if spec.pulse is None and spec.gamma == 0:
                     psi[0, spec.s] = -psi[0, spec.s]
@@ -343,28 +348,22 @@ def block_populations(state: FieldState, s: int) -> tuple[float, float, float]:
     return float(p[:s].sum()), float(p[s]), float(p[s + 1:].sum())
 
 
-def zeno_limit_evolve(
-    state: FieldState,
-    drive_amp: complex,
-    s: int,
-    t: float,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-) -> FieldState:
+def zeno_limit_evolve(state: FieldState, drive_amp: complex, s: int, t: float) -> FieldState:
     """Evolve under exp(-i H_Z t); support stays in the initial block exactly.
 
     The state must start inside one block (below or above |s>) within
-    leak_tol. The tiny off-block remainder is projected out so the output
-    block support is exact.
+    DEFAULT_LEAK_TOL. The tiny off-block remainder is projected out so the
+    output block support is exact.
     """
     below, at_s, above = block_populations(state, s)
     outside_lower = at_s + above
     outside_upper = at_s + below
-    if min(outside_lower, outside_upper) > leak_tol:
+    if min(outside_lower, outside_upper) > DEFAULT_LEAK_TOL:
         raise ValueError(
             f"initial support straddles |{s}>: populations below/at/above = "
             f"{below:.3e}/{at_s:.3e}/{above:.3e}"
         )
-    in_lower = outside_lower <= leak_tol
+    in_lower = outside_lower <= DEFAULT_LEAK_TOL
     hz = effective_hamiltonian(drive_amp, s, state.dim)
     w, v = np.linalg.eigh(hz)
     amps = (v * np.exp(-1j * w * t)) @ (v.conj().T @ state.amps)

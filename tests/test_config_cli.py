@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -255,12 +256,66 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     ({"protocol": "zeno_confine", "dim": 40, "steps": 10, "snapshot_steps": [500]},
      "snapshot_steps: [500] lie beyond steps=10"),
     ({"protocol": [1], "dim": 40}, "protocol: [1] is not one of zeno_confine"),
+    ({"protocol": "zeno_confine", "dim": 40, "beta": math.nan},
+     "beta: expected a finite number, got nan"),
+    ({"protocol": "zeno_confine", "dim": 40, "alpha_init": math.inf},
+     "alpha_init: expected a finite number, got inf"),
+    ({"protocol": "zeno_confine", "dim": 40, "alpha_init": [1, -math.inf]},
+     "alpha_init: expected a finite number, got [1, -inf]"),
+    ({"protocol": "tweezer_move", "dim": 80,
+      "trajectories": [{"start": [2, math.nan], "stop": [2.5, 0], "steps": 5}]},
+     "trajectories[0].start: expected a finite number, got [2, nan]"),
+    ({"protocol": "zeno_confine", "dim": 40, "wigner": {"bounds": [-6, 6, -math.inf, 6]}},
+     "wigner.bounds[2]: expected a finite number, got -inf"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {}, "lindblad": {"t_c": 10**400}},
+     "lindblad.t_c: expected a finite number, got 1000"),
+    ({"protocol": "zeno_confine", "dim": math.nan}, "dim: expected an integer, got nan"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert fragment in capsys.readouterr().err
+
+
+def _float_leaves(node, path=()):
+    """Paths to the float and complex values of a parsed config."""
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _float_leaves(getattr(node, f.name), path + (f.name,))
+    elif isinstance(node, tuple):
+        for k, v in enumerate(node):
+            yield from _float_leaves(v, path + (k,))
+    elif isinstance(node, (float, complex)):
+        yield path
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_non_finite_numbers_exit_2(tmp_path, capsys, name):
+    # the preset with every key written out; Python's JSON reader takes NaN
+    # and Infinity and reads 1e400 as inf, and each is rejected at its key
+    cfg = load_preset(name)
+    full = json.loads(json.dumps(dataclasses.asdict(cfg), default=lambda z: [z.real, z.imag]))
+    assert parse_config(full) == cfg
+    bad, out = tmp_path / "bad.json", tmp_path / "o"
+    leaves = list(_float_leaves(cfg))
+    assert leaves
+    for path in leaves:
+        key = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+        raw = json.loads(json.dumps(full))
+        node = raw
+        for p in path[:-1]:
+            node = node[p]
+        is_pair = isinstance(node[path[-1]], list)
+        for token in ("NaN", "Infinity", "-Infinity", "1e400"):
+            for value in ['"@"', '[0, "@"]'] if is_pair else ['"@"']:
+                node[path[-1]] = json.loads(value)
+                bad.write_text(json.dumps(raw).replace('"@"', token))
+                assert main(["run", str(bad), "--out", str(out), "--quiet"]) == 2
+                err = capsys.readouterr().err
+                assert f"  - {key}: expected a finite number, got " in err, (key, token)
+                assert err.count("\n  - ") == 1
+                assert not out.exists()
 
 
 def test_integral_floats_are_integers():

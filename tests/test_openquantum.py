@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -209,3 +211,37 @@ def test_kick_leak_recorded():
     psi = FieldState(displacement_op(1.0, 20)[:, 1])
     _, trace = evolve_master(pure_density(psi), sched, params())
     assert trace.total_kick_leak > 0.5
+
+
+def row_writer_csv(trace):
+    """trace.csv written one record at a time, as before the record array."""
+    out = "t_seconds,energy,purity,fidelity_vs_target,trace_err\n"
+    for r in trace.records:
+        out += (f"{r.t_seconds:.17g},{r.energy:.17g},{r.purity:.17g},"
+                f"{r.fidelity_vs_target:.17g},{r.trace_err:.17g}\n")
+    return out
+
+
+@pytest.mark.parametrize("with_target", [True, False])
+def test_master_csv_matches_row_writer(with_target):
+    pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=2e4,
+                        theta=2 * math.pi, s=1)
+    trajs = [linear_trajectory(1.0, 1.5, 4, adiabatic_cap=0.15),
+             linear_trajectory(-1.0, -1.5, 4, adiabatic_cap=0.15)]
+    schedule = build_tweezer_schedule(trajs, pulse=pulse)
+    target = cat_state(1.5, 1, 24) if with_target else None
+    _, trace = evolve_master(pure_density(cat_state(1.0, 1, 24)), schedule,
+                             params(n_th=0.1), target=target)
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    assert buf.getvalue() == row_writer_csv(trace)
+    records = trace.records
+    assert len(records) == len(schedule.steps) + 1
+    fid = records.fidelity_vs_target
+    assert np.isfinite(fid).all() if with_target else np.isnan(fid).all()
+    for k in range(len(records)):
+        assert records.purity[k] == records[k].purity
+    records[-1].trace_err = 1e-6  # a record is a view: the column sees the write
+    assert records.trace_err[-1] == 1e-6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.total_kick_leak = 0.0

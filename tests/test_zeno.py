@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import is_hermitian, is_unitary
 
+from zenocavity import zeno
 from zenocavity.atomkick import PulseParams, pulse_blocks
 from zenocavity.fock import (
     FieldState,
@@ -417,6 +418,20 @@ def test_record_thinning():
                     record_every=5, snapshot_steps=[7])
     assert snap.steps.tolist() == [0, 5, 7, 10, 15, 20]
     assert list(snap.states) == [7]
+
+
+def test_drive_resolved_once_per_chunk(monkeypatch):
+    # every step of a uniform schedule is one Step: one drive lookup per chunk
+    calls = []
+
+    def counting(beta, dim):
+        calls.append(beta)
+        return displacement_op(beta, dim)
+
+    monkeypatch.setattr(zeno, "displacement_op", counting)
+    trace = zeno_run(vacuum(24), uniform_schedule(100, 0.05, [KickSpec(s=4)]))
+    assert trace.steps[-1] == 100
+    assert 1 <= len(calls) <= math.ceil(100 / CHUNK)
 
 
 def test_effective_hamiltonian_structure():
