@@ -174,8 +174,26 @@ RunConfig = (ZenoConfig | StretchConfig | TweezerConfig | CrushConfig | FourCatC
              | RealisticConfig)
 
 
+#: amplitudes the runner turns into coherent states, and the drive step beta
+_AMPLITUDES = ("alpha_init", "cat_init", "target_alpha", "gamma", "alpha_free", "beta")
+
+
 def _validate(cfg: RunConfig, problems: list[str]) -> None:
     """Rules that relate several fields; single-field rules live on the fields."""
+    amplitudes = {key: getattr(cfg, key, None) for key in _AMPLITUDES}
+    if amplitudes["cat_init"] is not None:
+        amplitudes["alpha_init"] = None  # the cat is built instead
+    for key, z in amplitudes.items():
+        if z is None or not z and key in ("alpha_init", "beta"):
+            continue  # no coherent state: the vacuum, or the identity D(0)
+        # the truncation rule of fock.required_dim, in floats: |z| may overflow
+        a = math.hypot(z.real, z.imag)
+        need = a * a + 6.0 * a + 10.0
+        if not need <= cfg.dim:
+            problems.append(
+                f"{key}: |{key}| = {a:.6g} needs dim >= |z|^2 + 6|z| + 10 = {need:.6g}, "
+                f"got dim={cfg.dim}"
+            )
     if isinstance(cfg, ZenoConfig):
         if cfg.s >= cfg.dim - cfg.guard_levels:
             problems.append(

@@ -225,7 +225,7 @@ def zeno_run(
     dressed = {(k.gamma, k.pulse) for step in distinct for k in step.kicks
                if k.pulse is not None}
     snapshots = np.array(sorted(set(snapshot_steps or ())), dtype=int)
-    renorms = 0
+    renorms = kicks = 0
     max_drift = 0.0
     states: dict[int, FieldState] = {}
     n_steps = len(schedule.steps)
@@ -299,6 +299,7 @@ def zeno_run(
             renorms += 1
             max_drift = max(max_drift, drift)
         buf[0] = last
+        kicks += sum(len(st.kicks) for st in todo[:p[-1] - first])
         first = int(p[-1])
     atom_leak = float(np.linalg.norm(buf[0, 1:]) ** 2)
     probs = probs[:n_rows]
@@ -306,7 +307,7 @@ def zeno_run(
         steps[:n_rows], probs @ np.arange(dim), probs, leaks[:n_rows],
         states=states,
         final_state=FieldState(buf[0, 0]),
-        kicks=sum(len(step.kicks) for step in schedule.steps[:first]),
+        kicks=kicks,
         renormalizations=renorms,
         max_norm_drift=max_drift,
         final_atom_leak=atom_leak,

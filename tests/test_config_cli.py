@@ -1,12 +1,15 @@
+import csv
 import dataclasses
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zenocavity import cli
+from zenocavity import cli, runner, zeno
 from zenocavity.cli import main, run_sweep
 from zenocavity.config import (
     ConfigError,
@@ -15,6 +18,7 @@ from zenocavity.config import (
     parse_config,
     preset_raw,
 )
+from zenocavity.fock import vacuum
 from zenocavity.phasespace import import_csv
 
 
@@ -90,9 +94,17 @@ def test_protocol_required_keys_reported_missing():
 
 def test_small_dim_parses_where_the_protocol_has_no_s():
     # s and its guard-band rule belong to the Zeno protocols only
-    for raw in ({"protocol": "four_cat", "dim": 8}, {"protocol": "crush", "dim": 8},
-                {"protocol": "realistic", "dim": 8, "pulse": {}}):
+    for raw in ({"protocol": "four_cat", "dim": 8}, {"protocol": "crush", "dim": 8}):
         assert parse_config(raw).dim == 8
+    # realistic has no s either: at dim 8 only its default cats do not fit
+    with pytest.raises(ConfigError) as err:
+        parse_config({"protocol": "realistic", "dim": 8, "pulse": {}})
+    assert [p.split(":")[0] for p in err.value.problems] == ["cat_init", "target_alpha"]
+    # a zero cat is still built from coherent states, which need dim >= 10
+    with pytest.raises(ConfigError) as err:
+        parse_config({"protocol": "crush", "dim": 8, "cat_init": 0})
+    assert err.value.problems == ["cat_init: |cat_init| = 0 needs dim >= |z|^2 + 6|z| + 10 "
+                                  "= 10, got dim=8"]
     with pytest.raises(ConfigError, match="s: 6 reaches the guard band"):
         parse_config({"protocol": "zeno_confine", "dim": 8})
 
@@ -318,6 +330,46 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, name):
                 assert not out.exists()
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"protocol": "zeno_confine", "alpha_init": "@"}, "alpha_init"),
+    ({"protocol": "crush", "cat_init": "@"}, "cat_init"),
+    ({"protocol": "tweezer_move", "target_alpha": "@",
+      "trajectories": [{"start": [1, 0], "stop": [1.1, 0], "steps": 1}]}, "target_alpha"),
+    ({"protocol": "tweezer_stretch", "gamma": "@", "alpha_free": 1}, "gamma"),
+    ({"protocol": "tweezer_stretch", "alpha_free": "@"}, "alpha_free"),
+    ({"protocol": "zeno_confine", "beta": "@"}, "beta"),
+    ({"protocol": "realistic", "pulse": {}, "cat_init": 1, "target_alpha": "@"},
+     "target_alpha"),
+])
+def test_amplitudes_beyond_the_basis_exit_2(tmp_path, capsys, raw, key):
+    # dim 40 holds |z|^2 + 6|z| + 10 <= 40, that is |z| <= sqrt(39) - 3 = 3.2450
+    def with_amplitude(z):
+        return json.loads(json.dumps({**raw, "dim": 40}).replace('"@"', json.dumps(z)))
+
+    for z in (3.24, [0, -3.24], [-2.29, 2.29]):
+        assert getattr(parse_config(with_amplitude(z)), key) is not None
+    bad = tmp_path / "bad.json"
+    for z in (3.25, [0, -3.25], [-2.3, 2.3]):
+        bad.write_text(json.dumps(with_amplitude(z)))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"  - {key}: |{key}| = 3.25" in err and "got dim=40" in err
+        assert err.count("\n  - ") == 1
+        assert not (tmp_path / "o").exists()
+
+
+def test_huge_drive_exits_2(tmp_path, capsys):
+    # a finite beta used to reach the run and fail in the eigensolver, exit 1
+    raw = preset_raw("qze")
+    bad = tmp_path / "bad.json"
+    for beta in (1e308, [1.7e308, 1.7e308]):  # |beta| of the second overflows
+        raw["beta"] = beta
+        bad.write_text(json.dumps(raw))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "  - beta: |beta| = " in err and "got dim=20" in err
+
+
 def test_integral_floats_are_integers():
     # sweep values arrive as floats, so `dim=40,48` must parse
     cfg = parse_config({"protocol": "zeno_confine", "dim": 40.0, "steps": 3.0})
@@ -439,3 +491,146 @@ def test_theta_sweep_on_realistic_kicks(tmp_path):
     assert all(r["error"] == "" for r in rows)
     assert fids[0] > fids[3]  # monotone tendency across the sweep ends
     assert fids[2] > 0.9  # one radian still reproduces the run
+
+
+#: the benchmark's Figure-3 sweep shape, with fewer steps
+_SWEEP = {"protocol": "fig3_revival", "dim": 48, "s": 6, "beta": 0.1, "steps": 150,
+          "record_every": 1, "leak_tol": 1e-4, "kick_rabi_drive": 2 * math.pi * 5e3}
+
+
+@pytest.fixture
+def cold_memo():
+    runner._IDEAL_FINALS.clear()
+    yield
+    runner._IDEAL_FINALS.clear()
+
+
+@pytest.fixture
+def zeno_calls(monkeypatch, cold_memo):
+    """The schedules zeno_run is called with, in order."""
+    calls, real = [], zeno.zeno_run
+
+    def counting(state, schedule, **kwargs):
+        calls.append(schedule)
+        return real(state, schedule, **kwargs)
+
+    monkeypatch.setattr(zeno, "zeno_run", counting)
+    return calls
+
+
+def _files(root):
+    """Each file under root by relative path; summary.json without wall_time_s."""
+    out = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "summary.json":
+                data = json.loads(data)
+                del data["wall_time_s"]
+            out[path.relative_to(root).as_posix()] = data
+    return out
+
+
+@pytest.mark.parametrize("ranges, calls, keys", [
+    (["kick_theta=0,6.4", "beta=0.099"], 2, 1),  # the benchmark's request
+    (["kick_theta=0,6.4,6.1,6.0", "beta=0.099"], 4, 1),  # K = 3 with the ideal point
+    (["kick_theta=6.4,6.1,6.0", "beta=0.099"], 4, 1),  # K = 3 without it
+    (["kick_theta=0,6.4", "beta=0.099,0.101"], 4, 2),  # beta varies fastest
+    (["beta=0.099,0.101", "kick_theta=6.4,6.1"], 6, 2),
+])
+def test_one_ideal_reference_per_key(tmp_path, zeno_calls, ranges, calls, keys):
+    rows = run_sweep(_SWEEP, ranges, tmp_path)
+    assert [r["error"] for r in rows] == [""] * len(rows)
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        thetas = [float(r["kick_theta"]) for r in csv.DictReader(fh)]
+    assert [r["fidelity"] is None for r in rows] == [t == 0 for t in thetas]
+    assert len(zeno_calls) == calls
+    assert len(runner._IDEAL_FINALS) == keys
+
+
+def test_reference_memo_changes_no_file(tmp_path, monkeypatch, cold_memo):
+    ranges = ["kick_theta=6.4,0,6.1", "beta=0.099,0.101"]
+    with monkeypatch.context() as m:  # every dressed point runs its own reference
+        m.setattr(runner, "_remember_ideal", lambda key, state: None)
+        run_sweep(_SWEEP, ranges, tmp_path / "off")
+    assert not runner._IDEAL_FINALS
+    run_sweep(_SWEEP, ranges, tmp_path / "cold")
+    assert len(runner._IDEAL_FINALS) == 2
+    run_sweep(_SWEEP, ranges, tmp_path / "warm")
+    off = _files(tmp_path / "off")
+    assert len(off) == 1 + 6 * 2
+    assert _files(tmp_path / "cold") == off
+    assert _files(tmp_path / "warm") == off
+    fids = [off[f"point_{k:04d}/summary.json"]["fidelity"] for k in (0, 1, 4, 5)]
+    assert all(0 < f < 1 for f in fids)
+
+
+def test_reference_memo_keeps_the_newest_keys(tmp_path, zeno_calls):
+    betas = [0.09 + 0.001 * k for k in range(runner.IDEAL_MEMO_SIZE + 1)]
+    run_sweep({**_SWEEP, "steps": 3}, ["beta=" + ",".join(map(repr, betas))], tmp_path)
+    kept = [key[2] for key in runner._IDEAL_FINALS]
+    assert kept == [complex(b) for b in betas[1:]]
+    # the oldest key is gone, so its dressed point runs the reference again
+    zeno_calls.clear()
+    run_sweep({**_SWEEP, "steps": 3}, ["kick_theta=6.4", f"beta={betas[0]!r},{betas[-1]!r}"],
+              tmp_path / "dressed")
+    assert len(zeno_calls) == 3
+
+
+def test_reference_memo_evicts_from_many_threads(cold_memo):
+    # concurrent inserts each evict the oldest keys: none may raise, and the
+    # memo ends holding exactly the newest IDEAL_MEMO_SIZE keys
+    state = vacuum(4)
+
+    def insert(worker):
+        for k in range(2000):
+            runner._remember_ideal((worker, k), state)
+        return worker
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(insert, w) for w in range(4)]
+            assert [f.result(timeout=60) for f in futures] == [0, 1, 2, 3]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runner._IDEAL_FINALS) == runner.IDEAL_MEMO_SIZE
+    kept = {}
+    for worker, k in runner._IDEAL_FINALS:
+        kept.setdefault(worker, []).append(k)
+    # a worker's later keys are newer, so what survives of it is its last keys
+    assert all(ks == list(range(2000 - len(ks), 2000)) for ks in kept.values())
+
+
+def test_sweep_workers_write_the_same_files(tmp_path, cold_memo):
+    # each worker process keeps its own memo; two workers split the points
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_SWEEP))
+    ranges = ["kick_theta=0,6.4,6.1", "beta=0.099,0.101"]
+    for workers in ("2", "1"):  # the forked workers start from a cold memo
+        argv = ["sweep", str(cfg), *ranges, "--workers", workers,
+                "--out", str(tmp_path / workers), "--quiet"]
+        assert main(argv) == 0
+    assert _files(tmp_path / "2") == _files(tmp_path / "1")
+
+
+def test_failing_reference_is_not_kept(tmp_path, monkeypatch, zeno_calls):
+    counting = zeno.zeno_run
+
+    def failing_reference(state, schedule, **kwargs):
+        trace = counting(state, schedule, **kwargs)
+        if schedule.steps[0].kicks[0].pulse is None:  # ideal kicks
+            raise zeno.ZenoTruncationError("truncation leak in the reference", trace)
+        return trace
+
+    ranges = ["kick_theta=6.4,6.1", "beta=0.099"]
+    with monkeypatch.context() as m:
+        m.setattr(zeno, "zeno_run", failing_reference)
+        rows = run_sweep(_SWEEP, ranges, tmp_path / "a")
+    assert [r["error"] for r in rows] == ["truncation leak in the reference"] * 2
+    assert [r["fidelity"] for r in rows] == [None, None]
+    assert len(zeno_calls) == 4 and not runner._IDEAL_FINALS
+    rows = run_sweep(_SWEEP, ranges, tmp_path / "b")
+    assert [r["error"] for r in rows] == ["", ""]
+    assert len(zeno_calls) == 4 + 3 and len(runner._IDEAL_FINALS) == 1

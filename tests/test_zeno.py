@@ -197,6 +197,7 @@ def test_truncation_checked_on_every_step():
     assert partial.steps[-2:].tolist() == [35, 40]
     assert partial.steps[-1] == 40 and partial.leaks[-1] >= 1e-6
     assert "at step 40" in str(err.value)
+    assert partial.kicks == 40  # the leaking step's kick, none after it
 
 
 def test_trace_csv_matches_per_row_writer():
