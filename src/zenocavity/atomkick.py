@@ -79,20 +79,40 @@ class PulseParams:
         return self.theta * math.sqrt(2.0) / self.rabi_drive
 
 
-def dressed_detunings(n: int, params: PulseParams) -> tuple[float, float]:
+def dressed_detunings(n: int | np.ndarray, params: PulseParams) -> tuple:
     """Detunings (transition minus drive) of the two branches at n photons.
 
-    At n = 0 there is a single bare line; its detuning is returned in the
-    first slot and the second is NaN.
+    Two floats, or two arrays for an array n. At n = 0 there is a single
+    bare line; its detuning is in the first slot and the second is NaN.
     """
-    if n < 0:
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError("n must be non-negative")
     half = 0.5 * params.omega
     rs = math.sqrt(params.s)
-    if n == 0:
-        return (-half * rs, math.nan)
-    rn = math.sqrt(n)
-    return (half * (rn - rs), -half * (rn + rs))
+    rn = np.sqrt(n)
+    return half * (rn - rs), np.where(n == 0, np.nan, -half * (rn + rs))[()]
+
+
+def _pulse_unitaries(params: PulseParams, n: np.ndarray) -> np.ndarray:
+    """exp(-i H_n tau) for each n in (h, +, -) slots, by one batched eigh; (len(n), 3, 3).
+
+    H_n couples h to |+,n> and |-,n> at Omega_R / (2 sqrt 2); at n = 0 it
+    couples h to the bare |g,0> (slot +) at Omega_R / 2. A slot outside
+    the block (|-,0>, or |-,n> without the minus branch) is the identity.
+    """
+    d_plus, d_minus = dressed_detunings(n, params)
+    minus = (n > 0) & params.include_minus_branch
+    coupling = params.rabi_drive / np.where(n == 0, 2.0, 2.0 * math.sqrt(2.0))
+    h = np.zeros((len(n), 3, 3), dtype=np.complex128)
+    h[:, 0, 1] = h[:, 1, 0] = coupling
+    h[:, 1, 1] = d_plus
+    h[minus, 0, 2] = h[minus, 2, 0] = coupling[minus]
+    h[minus, 2, 2] = d_minus[minus]
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * w * params.duration)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    u[~minus, 2] = u[~minus, :, 2] = (0, 0, 1)  # the spare slot, exactly
+    return u
 
 
 def pulse_block_unitary(n: int, params: PulseParams) -> np.ndarray:
@@ -103,28 +123,8 @@ def pulse_block_unitary(n: int, params: PulseParams) -> np.ndarray:
     exp(-i H_n tau) with tau = params.duration: one pulse lasts the same
     time on every block.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    coupling = params.rabi_drive / (2.0 * math.sqrt(2.0))
-    if n == 0:
-        coupling = params.rabi_drive / 2.0
-        delta, _ = dressed_detunings(0, params)
-        h = np.array([[0.0, coupling], [coupling, delta]], dtype=np.complex128)
-    else:
-        d_plus, d_minus = dressed_detunings(n, params)
-        if params.include_minus_branch:
-            h = np.array(
-                [
-                    [0.0, coupling, coupling],
-                    [coupling, d_plus, 0.0],
-                    [coupling, 0.0, d_minus],
-                ],
-                dtype=np.complex128,
-            )
-        else:
-            h = np.array([[0.0, coupling], [coupling, d_plus]], dtype=np.complex128)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * params.duration)) @ v.conj().T
+    k = 3 if n and params.include_minus_branch else 2
+    return _pulse_unitaries(params, np.array([n]))[0, :k, :k]
 
 
 @lru_cache(maxsize=64)
@@ -134,11 +134,7 @@ def pulse_blocks(params: PulseParams, dim: int) -> np.ndarray:
     At n = 0 (and with the minus branch excluded) the spare slot is the
     identity, so an amplitude parked there is untouched.
     """
-    blocks = np.tile(np.eye(3, dtype=np.complex128), (dim, 1, 1))
-    for n in range(dim):
-        u = pulse_block_unitary(n, params)
-        k = u.shape[0]
-        blocks[n, :k, :k] = u
+    blocks = _pulse_unitaries(params, np.arange(dim))
     blocks.flags.writeable = False
     return blocks
 

@@ -221,6 +221,12 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
     if isinstance(cfg, RealisticConfig):
         if not (cfg.pulse.total_duration or cfg.pulse.rabi_drive):
             problems.append("pulse: needs total_duration or rabi_drive")
+        # the amplitude rule with |z|^2 = n_th, the bath's mean occupancy; n_th = 0 adds none
+        n_th = cfg.lindblad.n_th
+        need = n_th + 6.0 * math.sqrt(n_th) + 10.0
+        if n_th and not need <= cfg.dim:
+            problems.append(f"lindblad.n_th: {n_th:.6g} needs dim >= n_th + 6 sqrt(n_th) + 10 "
+                            f"= {need:.6g}, got dim={cfg.dim}")
     elif cfg.wigner.bounds is not None:
         x_min, x_max, y_min, y_max = cfg.wigner.bounds
         if not (x_min < x_max and y_min < y_max):

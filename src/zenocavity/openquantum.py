@@ -90,35 +90,49 @@ def lindblad_rhs(
 def _damping_propagator(dim: int, decays: float, n_th: float) -> np.ndarray:
     """exp(L t), decays = t / T_c, as real blocks [d, i, j]: x_j = rho[j, j + d] -> x_i.
 
-    Terms as in lindblad_rhs, built block by block to keep temporaries
-    small. Two entries: a run reuses one or two segment lengths.
+    Terms as in lindblad_rhs, built for all d at once in place, each block
+    then replaced by its expm; two entries, as a run reuses one or two lengths.
     """
     from scipy.linalg import expm
 
-    nu = np.append(np.arange(1.0, dim), 0.0)  # diagonal of the truncated a a+
+    i = np.arange(dim)
+    d = i[:, None]
+    nu = np.append(np.arange(1.0, dim), np.zeros(dim))  # diagonal of the truncated a a+, padded
+    hop = np.sqrt(i[1:] * (i[1:] + d))
     prop = np.zeros((dim, dim, dim))
+    # += onto zeros: a zero diagonal entry reads +0.0 whatever its sign
+    prop[:, i, i] += -(1.0 + n_th) * (2 * i + d) / 2.0 - n_th * (nu[i] + nu[i + d]) / 2.0
+    prop[:, i[:-1], i[1:]] = (1.0 + n_th) * hop
+    prop[:, i[1:], i[:-1]] = n_th * hop
     for d in range(dim):
-        i = np.arange(dim - d)
-        hop = np.sqrt(i[1:] * (i[1:] + d))
-        gen = np.diag(-(1.0 + n_th) * (2 * i + d) / 2.0 - n_th * (nu[i] + nu[i + d]) / 2.0)
-        gen += np.diag((1.0 + n_th) * hop, 1) + np.diag(n_th * hop, -1)
-        prop[d, : dim - d, : dim - d] = expm(decays * gen)
+        block = expm(decays * prop[d, : dim - d, : dim - d])
+        prop[d] = 0.0  # the padding too
+        prop[d, : dim - d, : dim - d] = block
     return prop
+
+
+@lru_cache(maxsize=4)
+def _damp_layout(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat indices: x.put(dst, rho.take(src)) sets x[d, i] to (rho[i, i + d],
+    rho[i + d, i]), x of shape (dim, dim, 2). The first dim pairs are x[0, i, 0]."""
+    d, i = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
+    src = np.concatenate([i * dim + i + d, (i + d) * dim + i])
+    dst = np.concatenate([2 * (d * dim + i), 2 * (d * dim + i) + 1])
+    src.flags.writeable = dst.flags.writeable = False
+    return src, dst
 
 
 def _damp(rho: np.ndarray, decays: float, n_th: float) -> np.ndarray:
     """exp(L t) rho. L is symmetric in (m, k): rho[i + d, i] evolves under
     the block of rho[i, i + d]."""
     dim = rho.shape[0]
-    d, i = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
+    src, dst = _damp_layout(dim)
     x = np.zeros((dim, dim, 2), dtype=np.complex128)
-    x[d, i, 0] = rho[i, i + d]
-    x[d, i, 1] = rho[i + d, i]
+    x.put(dst, rho.take(src))
     # real blocks act on the real and imaginary parts side by side
     y = (_damping_propagator(dim, decays, n_th) @ x.view(np.float64)).view(np.complex128)
     out = np.empty((dim, dim), dtype=np.complex128)
-    out[i, i + d] = y[d, i, 0]
-    out[i + d, i] = y[d, i, 1]
+    out.put(src[dim:], y.take(dst[dim:]))  # the diagonal from its [0, i, 1] copy
     return out
 
 

@@ -11,7 +11,8 @@ Every run emits into its output directory:
 Identical configs give bit-identical CSV output on the same machine, with
 the same BLAS build and the same BLAS thread count; there is no randomness
 anywhere in the artifact. Wigner rasters can differ in the last digits
-between thread counts, since a threaded BLAS splits their matrix product.
+between thread counts, since a threaded BLAS splits their matrix product;
+summary.json records the thread settings the process saw (blas_threads).
 
 A dressed-kick Zeno run (kick_theta set) reports its fidelity against the
 same schedule run with ideal kicks. That reference's final state is kept
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
 from pathlib import Path
 from typing import Any
@@ -369,6 +371,8 @@ def run_config(cfg: config.RunConfig, outdir: str | Path) -> dict[str, Any]:
     summary["protocol"] = cfg.protocol
     summary["dim"] = cfg.dim
     summary["wall_time_s"] = time.perf_counter() - t0
+    summary["blas_threads"] = {k: os.environ.get(k) for k in
+                               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from zenocavity.atomkick import (
@@ -8,6 +9,7 @@ from zenocavity.atomkick import (
     conditioned_field_diagonal,
     dressed_detunings,
     pulse_block_unitary,
+    pulse_blocks,
 )
 from zenocavity.fock import fock_basis, coherent, fidelity_pure, FieldState
 from zenocavity.zeno import KickSpec, kick_op, uniform_schedule, zeno_run
@@ -154,17 +156,39 @@ def test_theta1_schedule_tracks_ideal_run():
     assert fidelity_pure(dressed.final_state, ideal.final_state) > 0.9
     assert dressed.final_atom_leak < 0.2
 
+
+def block_hamiltonian(n, p):
+    """H_n of the level scheme in the atomkick docstring, built independently."""
+    half, rs, rn = 0.5 * p.omega, math.sqrt(p.s), math.sqrt(n)
+    if n == 0:
+        g = p.rabi_drive / 2
+        return np.array([[0, g], [g, -half * rs]])
+    g = p.rabi_drive / (2 * math.sqrt(2))
+    h = np.array([[0, g, g], [g, half * (rn - rs), 0], [g, 0, -half * (rn + rs)]])
+    return h if p.include_minus_branch else h[:2, :2]
+
+
 def test_every_block_evolves_for_the_pulse_duration():
     # one pulse has one length: the vacuum block of an s = 1 pulse and the
     # n = 3 block of an s = 0 pulse both evolve for p.duration
     for n, p in ((0, make_params(theta=2.0, ratio=0.2, s=1)),
                  (3, make_params(theta=2.0, ratio=0.2, s=0))):
-        half, rs, rn = 0.5 * p.omega, math.sqrt(p.s), math.sqrt(n)
-        if n == 0:
-            g = p.rabi_drive / 2
-            h = np.array([[0, g], [g, -half * rs]])
-        else:
-            g = p.rabi_drive / (2 * math.sqrt(2))
-            h = np.array([[0, g, g], [g, half * (rn - rs), 0], [g, 0, -half * (rn + rs)]])
-        expected = expm(-1j * h * p.duration)
+        expected = expm(-1j * block_hamiltonian(n, p) * p.duration)
         assert np.max(np.abs(pulse_block_unitary(n, p) - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("minus", [True, False])
+@pytest.mark.parametrize("s", [0, 1, 6])
+def test_pulse_blocks_match_per_block_expm(s, minus):
+    p = make_params(theta=1.7, ratio=0.2, s=s, minus=minus)
+    for dim in (1, 2, 48):
+        blocks = pulse_blocks(p, dim)
+        assert blocks.shape == (dim, 3, 3) and not blocks.flags.writeable
+        for n in range(dim):
+            u = expm(-1j * block_hamiltonian(n, p) * p.duration)
+            k = u.shape[0]
+            assert np.max(np.abs(blocks[n, :k, :k] - u)) < 1e-12
+            embedded = np.eye(3, dtype=np.complex128)
+            embedded[:k, :k] = blocks[n, :k, :k]
+            assert blocks[n].tobytes() == embedded.tobytes()  # the spare slot, exactly
+            assert pulse_block_unitary(n, p).tobytes() == blocks[n, :k, :k].tobytes()

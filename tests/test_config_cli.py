@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -368,6 +370,38 @@ def test_huge_drive_exits_2(tmp_path, capsys):
         assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "  - beta: |beta| = " in err and "got dim=20" in err
+
+
+def test_thermal_occupancy_beyond_the_basis_exits_2(tmp_path, capsys):
+    # n_th + 6 sqrt(n_th) + 10 <= dim: dim 50 holds n_th = 16 and no more
+    raw = {**preset_raw("realistic"), "dim": 50, "lindblad": {"t_c": 0.13, "n_th": 16.0}}
+    assert parse_config(raw).lindblad.n_th == 16.0
+    bad = tmp_path / "bad.json"
+    # 1e308 used to reach the run and fail in the eigensolver, exit 1
+    for dim, n_th in ((50, 16.01), (49, 16.0), (40, 1e6), (40, 1e308)):
+        bad.write_text(json.dumps({**raw, "dim": dim, "lindblad": {"t_c": 0.13, "n_th": n_th}}))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"  - lindblad.n_th: {n_th:.6g} needs dim >= " in err and f"got dim={dim}" in err
+        assert err.count("\n  - ") == 1
+        assert not (tmp_path / "o").exists()
+    for name in list_presets():
+        load_preset(name)
+
+
+def test_summary_records_blas_threads(tmp_path):
+    src = str(Path(runner.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("MKL_NUM_THREADS", None)
+    code = "import sys; from zenocavity.cli import main; sys.exit(main(sys.argv[1:]))"
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", code, "preset", "qze", "--out", str(out), "--quiet"],
+                       env=env, check=True, timeout=300)
+        assert json.loads((out / "summary.json").read_text())["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": None}
 
 
 def test_integral_floats_are_integers():

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 from helpers import check_density_matrix
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from zenocavity.atomkick import PulseParams
 from zenocavity.fock import cat_state, coherent, displacement_op, fock_basis, vacuum
 from zenocavity.openquantum import (
     LindbladParams,
+    _damp,
+    _damp_layout,
+    _damping_propagator,
     evolve_damped,
     evolve_master,
     fidelity_mixed,
@@ -133,13 +138,19 @@ def test_segment_halving_convergence():
 def test_block_propagator_matches_dense_expm(n_th):
     rng = np.random.default_rng(5)
     p = params(n_th=n_th)
-    for dim in (6, 9):
-        gen = dense_generator(dim, p)
+    for dim in (1, 2, 6, 9, 40):
+        gen = csr_matrix(dense_generator(dim, p))
         # not Hermitian: both triangles are checked independently
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for t in (0.003, T_C, 3 * T_C):
-            ref = (expm(t * gen) @ m.ravel()).reshape(dim, dim)
+            ref = expm_multiply(t * gen, m.ravel()).reshape(dim, dim)
             assert np.max(np.abs(evolve_damped(m, t, p) - ref)) < 1e-12
+        # the cached layout is shared, read-only, and gives the same bits twice
+        assert not any(a.flags.writeable for a in _damp_layout(dim))
+        assert _damp(m, 0.7, n_th).tobytes() == _damp(m, 0.7, n_th).tobytes()
+        # block d fills the leading (dim - d) square; the padding is zero
+        d, i, j = np.indices((dim, dim, dim))
+        assert not _damping_propagator(dim, 0.7, n_th)[np.maximum(i, j) >= dim - d].any()
 
 
 def test_driven_segment_matches_dense_expm():
