@@ -35,7 +35,6 @@ from .zeno import (
     ZenoTruncationError,
     displaced_kick,
     effective_hamiltonian,
-    kick_op,
     topological_phase_identity_residual,
     uniform_schedule,
     zeno_limit_evolve,

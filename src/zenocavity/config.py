@@ -25,6 +25,9 @@ from importlib import resources
 from types import UnionType
 from typing import Annotated, Any, Literal, get_args, get_origin, get_type_hints
 
+from .fock import required_dim
+
+
 class ConfigError(ValueError):
     """Invalid configuration; message lists every detected problem."""
 
@@ -45,6 +48,8 @@ class Range:
         return (value > self.lo if self.open_lo else value >= self.lo) and value <= self.hi
 
     def __str__(self) -> str:
+        if self.lo == -math.inf:
+            return f"<= {self.hi:g}"
         if self.hi == math.inf:
             if self.lo == 0:
                 return "positive" if self.open_lo else "non-negative"
@@ -56,13 +61,21 @@ POSITIVE = Range(0, open_lo=True)
 NON_NEGATIVE = Range(0)
 #: Rabi angles PulseParams accepts; 0 switches dressed kicks off
 ANGLE = Range(0, 4 * math.pi)
+# Size caps, from one memory budget of 512 MB per run: at its cap, the
+# largest allocation a key drives (peak RSS growth, README) stays inside it.
+#: a full displacement cache, 256 matrices of 16 dim^2 bytes, is 268 MB
+MAX_DIM = Range(hi=256)
+#: one 1024 x 1024 raster with its CSV text peaks near 400 MB
+MAX_RASTER_SIDE = Range(hi=1024)
+#: zeno_run's trace rows (8 dim bytes each) take 200 MB at dim 256, a crush 250 MB
+MAX_STEPS = Range(hi=100_000)
 
 
 @dataclass
 class TrajectoryConfig:
     start: complex
     stop: complex
-    steps: Annotated[int, Range(1)]
+    steps: Annotated[int, Range(1), MAX_STEPS]
     s: Annotated[int, NON_NEGATIVE] = 1
     adiabatic_cap: Annotated[float, POSITIVE] = 0.1
 
@@ -82,8 +95,8 @@ class LindbladConfig:
 
 @dataclass
 class WignerConfig:
-    nx: Annotated[int, Range(2)] = 121
-    ny: Annotated[int, Range(2)] = 121
+    nx: Annotated[int, Range(2), MAX_RASTER_SIDE] = 121
+    ny: Annotated[int, Range(2), MAX_RASTER_SIDE] = 121
     bounds: tuple[float, float, float, float] | None = None  # None -> auto
 
 
@@ -91,7 +104,7 @@ class WignerConfig:
 class _PureRun:
     """Keys of the protocols that evolve a pure state and draw its Wigner function."""
 
-    dim: Annotated[int, Range(2)]
+    dim: Annotated[int, Range(2), MAX_DIM]
     leak_tol: Annotated[float, POSITIVE] = 1e-6
     guard_levels: Annotated[int, Range(1)] = 3
     dump_states: bool = False
@@ -105,7 +118,7 @@ class ZenoConfig(_PureRun):
     beta: complex = 0.1
     alpha_init: complex = 0j
     cat_init: complex | None = None  # even cat |a> + |-a> instead of coherent
-    steps: Annotated[int, Range(1)] = 45
+    steps: Annotated[int, Range(1), MAX_STEPS] = 45
     record_every: Annotated[int, Range(1)] = 1
     snapshot_every: Annotated[int, NON_NEGATIVE] = 0  # 0 -> no wigner snapshots
     snapshot_steps: tuple[Annotated[int, NON_NEGATIVE], ...] = ()
@@ -120,7 +133,7 @@ class StretchConfig(_PureRun):
     gamma: complex = 0j  # hold point
     alpha_free: complex  # the moving component
     beta: complex = 0.1
-    steps: Annotated[int, Range(1)] = 45
+    steps: Annotated[int, Range(1), MAX_STEPS] = 45
     overlap_tol: Annotated[float, POSITIVE] = 1e-3
 
 
@@ -144,7 +157,7 @@ class CrushConfig(_PureRun):
     cat_init: complex | None = None
     record_every: Annotated[int, Range(1)] = 1
     crush_centers: tuple[complex, complex] = (-2.5, 2.5)
-    crush_steps: Annotated[int, Range(1)] = 200
+    crush_steps: Annotated[int, Range(1), MAX_STEPS] = 200
 
 
 @dataclass(kw_only=True)
@@ -152,13 +165,13 @@ class FourCatConfig(_PureRun):
     protocol: Literal["four_cat"]
     n_components: int = 4
     separation: Annotated[float, POSITIVE] = 2.5
-    steps_per_crush: Annotated[int, Range(1)] = 200
+    steps_per_crush: Annotated[int, Range(1), MAX_STEPS] = 200
 
 
 @dataclass(kw_only=True)
 class RealisticConfig:
     protocol: Literal["realistic"]
-    dim: Annotated[int, Range(2)]
+    dim: Annotated[int, Range(2), MAX_DIM]
     cat_init: complex = 2 + 0j
     target_alpha: complex = 3 + 0j
     interleave: Literal["roundrobin", "sequential"] = "roundrobin"
@@ -186,10 +199,8 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
     for key, z in amplitudes.items():
         if z is None or not z and key in ("alpha_init", "beta"):
             continue  # no coherent state: the vacuum, or the identity D(0)
-        # the truncation rule of fock.required_dim, in floats: |z| may overflow
-        a = math.hypot(z.real, z.imag)
-        need = a * a + 6.0 * a + 10.0
-        if not need <= cfg.dim:
+        a = math.hypot(z.real, z.imag)  # abs(z) raises where |z| overflows
+        if not (need := required_dim(a)) <= cfg.dim:
             problems.append(
                 f"{key}: |{key}| = {a:.6g} needs dim >= |z|^2 + 6|z| + 10 = {need:.6g}, "
                 f"got dim={cfg.dim}"
@@ -223,8 +234,7 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
             problems.append("pulse: needs total_duration or rabi_drive")
         # the amplitude rule with |z|^2 = n_th, the bath's mean occupancy; n_th = 0 adds none
         n_th = cfg.lindblad.n_th
-        need = n_th + 6.0 * math.sqrt(n_th) + 10.0
-        if n_th and not need <= cfg.dim:
+        if n_th and not (need := required_dim(math.sqrt(n_th))) <= cfg.dim:
             problems.append(f"lindblad.n_th: {n_th:.6g} needs dim >= n_th + 6 sqrt(n_th) + 10 "
                             f"= {need:.6g}, got dim={cfg.dim}")
     elif cfg.wigner.bounds is not None:

@@ -36,7 +36,7 @@ class FieldState:
     """Pure cavity state: normalized amplitudes over |0>..|dim-1>."""
 
     amps: np.ndarray
-    dim: int = field(default=0)
+    dim: int = field(init=False)  # amps.size
 
     def __post_init__(self):
         # detach from the caller's buffer before freezing
@@ -68,13 +68,13 @@ class TruncationReport:
     ok: bool
 
 
-def required_dim(alpha_max: complex | float) -> int:
-    """Smallest dim passing the truncation rule for amplitudes up to alpha_max.
-
-    Rule: dim >= |a|^2 + 6|a| + 10, a Poisson-tail bound with safety margin.
-    """
-    a = abs(alpha_max)
-    return int(math.ceil(a * a + 6.0 * a + 10.0))
+def required_dim(alpha_max: complex | float) -> float:
+    """|a|^2 + 6|a| + 10 for a = alpha_max: the truncation rule, a Poisson-tail
+    bound with safety margin, holds for dim >= this. A float, inf where
+    |a|^2 overflows; |a| comes from math.hypot, so no part overflows alone."""
+    z = complex(alpha_max)
+    a = math.hypot(z.real, z.imag)
+    return a * a + 6.0 * a + 10.0
 
 
 def fock_basis(n: int, dim: int) -> FieldState:
@@ -138,9 +138,9 @@ def coherent(alpha: complex, dim: int, enforce_truncation: bool = True) -> Field
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if enforce_truncation and required_dim(alpha) > dim:
+    if enforce_truncation and not required_dim(alpha) <= dim:
         raise TruncationError(
-            f"coherent amplitude {alpha} needs dim >= {required_dim(alpha)}, got {dim}"
+            f"coherent amplitude {alpha} needs dim >= {required_dim(alpha):.6g}, got {dim}"
         )
     # the n = 0 column: amps[n] = alpha^n / sqrt(n!) * e^{-|alpha|^2/2}
     return FieldState(_fock_column(0, [alpha], dim)[0])

@@ -2,23 +2,21 @@
 
 Density matrices evolve under the damped-cavity master equation
 
-    drho/dt = -i[H, rho] + (1/T_c)(1 + n_th)(a rho a+ - {a+a, rho}/2)
-                         + (n_th/T_c)(a+ rho a - {a a+, rho}/2)
+    drho/dt = (1/T_c)(1 + n_th)(a rho a+ - {a+a, rho}/2)
+            + (n_th/T_c)(a+ rho a - {a a+, rho}/2),
 
-with H = 0 or a linear drive -i(E* a - E a+), solved exactly. Damping
-keeps the offset d = m - k of each element rho[m, k], so exp(L t) splits
-into one small real block per offset; a drive adds a displacement of the
-damped frame (the phase-covariant damped oscillator; Walls & Milburn,
-Quantum Optics, ch. 6). lindblad_rhs, the generator, is the propagator's
-test oracle.
+with H = 0, solved exactly. Damping keeps the offset d = m - k of each
+element rho[m, k], so exp(L t) splits into one small real block per
+offset (Walls & Milburn, Quantum Optics, ch. 6). lindblad_rhs, the
+generator, is the propagator's test oracle.
 
-Damped runs execute the engine's zeno.Schedule. A step's displacement
-beta costs |beta| / |E| seconds of drive at source amplitude E.
-Interrogation pulses take real time (their duration dominates a realistic
-run). A kick inside a damped segment is split symmetrically: damping runs
-for the full pulse duration while the conditioned kick map is applied
-instantaneously at the pulse midpoint; the splitting error is second
-order in (pulse duration / T_c).
+Damped runs execute the engine's zeno.Schedule with the drive off, as a
+tweezer moves its kick centre rather than the field: a step that
+displaces the field is refused. Interrogation pulses take real time
+(their duration dominates a realistic run). A kick inside a damped
+segment is split symmetrically: damping runs for the full pulse duration
+while the conditioned kick map is applied instantaneously at the pulse
+midpoint; the splitting error is second order in (pulse duration / T_c).
 
 A damped run keeps its diagnostics in one record array, written to CSV
 in one pass as zeno_run's trace is.
@@ -34,7 +32,7 @@ from typing import IO
 
 import numpy as np
 
-from .fock import FieldState, displacement_op
+from .fock import DEFAULT_GUARD_LEVELS, FieldState
 from .zeno import Schedule, displaced_kick
 
 logger = logging.getLogger(__name__)
@@ -58,9 +56,7 @@ def pure_density(state: FieldState) -> np.ndarray:
     return np.outer(state.amps, state.amps.conj())
 
 
-def lindblad_rhs(
-    rho: np.ndarray, hamiltonian: np.ndarray | None, params: LindbladParams
-) -> np.ndarray:
+def lindblad_rhs(rho: np.ndarray, params: LindbladParams) -> np.ndarray:
     """Generator of the master equation; traceless, Hermiticity-preserving.
 
     The damping terms (1+n_th)/T_c D[a] rho + n_th/T_c D[a+] rho act by
@@ -81,8 +77,6 @@ def lindblad_rhs(
         nn1 = n + 1.0
         nn1[-1] = 0.0
         out -= rate_up * 0.5 * (nn1[:, None] + nn1[None, :]) * rho
-    if hamiltonian is not None:
-        out -= 1j * (hamiltonian @ rho - rho @ hamiltonian)
     return out
 
 
@@ -137,43 +131,28 @@ def _damp(rho: np.ndarray, decays: float, n_th: float) -> np.ndarray:
 
 
 def evolve_damped(
-    rho: np.ndarray,
-    duration: float,
-    params: LindbladParams | None,
-    drive: complex = 0j,
+    rho: np.ndarray, duration: float, params: LindbladParams | None
 ) -> np.ndarray:
-    """Exact master-equation evolution for `duration` seconds.
-
-    params None means no damping. drive is the source amplitude E of the
-    linear drive -i(E* a - E a+); it acts after damping as D(beta), beta
-    being the amplitude it builds up from the vacuum against damping.
-    """
+    """Exact master-equation evolution for `duration` seconds; params None
+    means no damping, and rho comes back unchanged."""
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    if params is None:
-        beta = drive * duration
-    else:
-        rho = _damp(rho, duration / params.t_c, params.n_th)
-        # expm1 keeps beta exact when T_c is long against the segment
-        beta = -2.0 * drive * params.t_c * math.expm1(-duration / (2.0 * params.t_c))
-    if beta != 0:
-        d = displacement_op(beta, rho.shape[0])
-        rho = d @ rho @ d.conj().T
-    return rho
+    return rho if params is None else _damp(rho, duration / params.t_c, params.n_th)
 
 
 #: most negative eigenvalue evolve_master takes for accumulated rounding
 POSITIVITY_TOL = 1e-6
 
 _RECORD = np.dtype([(name, np.float64) for name in
-                    ("t_seconds", "energy", "purity", "fidelity_vs_target", "trace_err")])
+                    ("t_seconds", "energy", "purity", "fidelity_vs_target", "trace_err", "leak")])
 
 
 @dataclass(frozen=True)
 class MasterTrace:
     """Diagnostics of a damped run. records has one row at step 0 and one
     after every step, with the float64 fields of _RECORD (fidelity_vs_target
-    is nan without a target); total_kick_leak sums the kicks' leaks 1 - p."""
+    is nan without a target; leak is the population of the top
+    DEFAULT_GUARD_LEVELS levels); total_kick_leak sums the kicks' leaks 1 - p."""
 
     records: np.recarray
     total_kick_leak: float
@@ -191,15 +170,13 @@ def evolve_master(
     schedule: Schedule,
     params: LindbladParams | None,
     target: FieldState | None = None,
-    drive_amp: complex = 0j,
 ) -> tuple[np.ndarray, MasterTrace]:
     """Run an engine schedule on a density matrix under cavity damping.
 
-    params None runs it undamped. A step's displacement beta is driven for
-    |beta| / |drive_amp| seconds at source amplitude beta / duration; a
-    schedule that displaces needs a nonzero drive_amp. Every kick must
-    carry pulse parameters, its duration is the pulse length; center moves
-    are pulse retunings and take no cavity time. Kicks act as the
+    params None runs it undamped. The drive stays off: a step that
+    displaces the field is refused. Every kick must carry pulse
+    parameters, its duration is the pulse length; center moves are pulse
+    retunings and take no cavity time. Kicks act as the
     conditioned completely positive branch (atom back in h):
     rho -> K rho K+ / p with the leak 1 - p accumulated in the trace;
     damping runs for the pulse duration around the midpoint split. Aborts
@@ -208,8 +185,9 @@ def evolve_master(
     after step k; the trace is built once, at the end.
     """
     for step in schedule.steps:
-        if step.displacement != 0 and drive_amp == 0:
-            raise ValueError("schedule displaces the field but drive_amp is zero")
+        if step.displacement != 0:
+            raise ValueError(f"damped runs take no drive steps, got displacement "
+                             f"{step.displacement}")
         if any(k.pulse is None for k in step.kicks):
             raise ValueError("damped runs need kicks with pulse parameters")
     rho = np.array(rho, dtype=np.complex128)
@@ -219,15 +197,12 @@ def evolve_master(
 
     def record(k: int) -> None:
         fid = math.nan if target is None else np.vdot(target.amps, rho @ target.amps).real
-        records[k] = (t, np.sum(np.arange(dim) * np.diag(rho).real), np.vdot(rho, rho).real,
-                      fid, abs(np.trace(rho).real - 1.0))
+        pop = np.diag(rho).real
+        records[k] = (t, np.sum(np.arange(dim) * pop), np.vdot(rho, rho).real,
+                      fid, abs(np.trace(rho).real - 1.0), pop[-DEFAULT_GUARD_LEVELS:].sum())
 
     record(0)
     for k, step in enumerate(schedule.steps, start=1):
-        if step.displacement != 0:
-            duration = abs(step.displacement) / abs(drive_amp)
-            rho = evolve_damped(rho, duration, params, step.displacement / duration)
-            t += duration
         for kick in step.kicks:
             tau = kick.pulse.duration
             rho = evolve_damped(rho, 0.5 * tau, params)

@@ -85,22 +85,29 @@ def gaussian_overlap(a: complex, b: complex) -> float:
     return math.exp(-abs(complex(a) - complex(b)) ** 2)
 
 
-def _component_frames(
+def _frames(
     trajectories: Sequence[TweezerTrajectory],
     interleave: Literal["roundrobin", "sequential"],
-) -> np.ndarray:
-    """Where each trajectory's component sits, one row per round
-    (roundrobin) or per kick (sequential), in build_tweezer_schedule's order."""
+) -> list[tuple[tuple[complex, ...], tuple[int, ...]]]:
+    """One (positions, kicking) pair per schedule step: where each
+    trajectory's centre, and the component it carries, sits at that step,
+    and the indices of the trajectories that kick there.
+
+    Round-robin: step r moves every trajectory to its waypoint r (a
+    finished one stays at its end) and all of them kick. Sequential:
+    trajectory k runs its waypoints alone while the earlier ones sit at
+    their end and the later ones wait at their start.
+    """
     if interleave == "roundrobin":
         n_rounds = max(t.n_moves for t in trajectories) + 1
-        return np.array([[t.waypoints[min(r, t.n_moves)] for t in trajectories]
-                         for r in range(n_rounds)])
-    # sequential: earlier trajectories have parked at their end, later ones wait at their start
-    return np.array([
-        [t.waypoints[-1] for t in trajectories[:k]] + [gamma]
-        + [t.waypoints[0] for t in trajectories[k + 1:]]
-        for k, traj in enumerate(trajectories) for gamma in traj.waypoints
-    ])
+        everyone = tuple(range(len(trajectories)))
+        return [(tuple(t.waypoints[min(r, t.n_moves)] for t in trajectories), everyone)
+                for r in range(n_rounds)]
+    if interleave == "sequential":
+        return [(tuple(t.waypoints[-1] for t in trajectories[:k]) + (gamma,)
+                 + tuple(t.waypoints[0] for t in trajectories[k + 1:]), (k,))
+                for k, traj in enumerate(trajectories) for gamma in traj.waypoints]
+    raise ValueError(f"unknown interleave mode {interleave!r}")
 
 
 def _check_overlaps(
@@ -111,7 +118,7 @@ def _check_overlaps(
 ) -> None:
     # a trajectory carries the component sitting at its first waypoint;
     # the other listed components stay where they are
-    frames = _component_frames(trajectories, interleave)
+    frames = np.array([pos for pos, _ in _frames(trajectories, interleave)])
     still = [p for p in component_positions
              if all(gaussian_overlap(w, p) <= 0.5 for w in frames[0])]
     frames = np.concatenate([frames, np.broadcast_to(still, (len(frames), len(still)))], axis=1)
@@ -140,31 +147,14 @@ def build_tweezer_schedule(
     move size past the final waypoint; this discretization is what the
     quoted tweezer fidelities correspond to.
 
-    Round-robin: each round advances every trajectory one waypoint and
-    kicks once per trajectory (coincident centers are kicked once, as
-    when a crush closes). Sequential: trajectories run one after the
-    other.
+    The steps follow _frames: round-robin rounds kick once per trajectory
+    (coincident centers are kicked once, as when a crush closes), and
+    sequential trajectories run one after the other.
     """
-    steps: list[Step] = []
-    if interleave == "sequential":
-        for traj in trajectories:
-            for gamma in traj.waypoints:
-                steps.append(Step(kicks=(KickSpec(s=traj.s, gamma=gamma, pulse=pulse),)))
-    elif interleave == "roundrobin":
-        n_rounds = max(t.n_moves for t in trajectories) + 1
-        for p in range(n_rounds):
-            kicks: list[KickSpec] = []
-            seen: list[tuple[int, complex]] = []
-            for traj in trajectories:
-                gamma = traj.waypoints[min(p, traj.n_moves)]
-                key = (traj.s, gamma)
-                if key in seen:
-                    continue
-                seen.append(key)
-                kicks.append(KickSpec(s=traj.s, gamma=gamma, pulse=pulse))
-            steps.append(Step(kicks=tuple(kicks)))
-    else:
-        raise ValueError(f"unknown interleave mode {interleave!r}")
+    steps = []
+    for positions, kicking in _frames(trajectories, interleave):
+        centres = dict.fromkeys((trajectories[k].s, positions[k]) for k in kicking)
+        steps.append(Step(kicks=tuple(KickSpec(s=s, gamma=g, pulse=pulse) for s, g in centres)))
     return Schedule(steps=tuple(steps))
 
 
@@ -203,50 +193,46 @@ def stretch_cat(
     gamma: complex,
     beta: complex,
     n_steps: int,
-    alpha: complex | None = None,
+    alpha: complex,
     overlap_tol: float = DEFAULT_OVERLAP_TOL,
     guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
-) -> tuple[FieldState, float | None]:
+) -> tuple[FieldState, float]:
     """Hold the component at gamma with an s=1 tweezer while the drive runs.
 
     After n_steps the free component alpha moves to alpha + n_steps*beta
     and picks up the phase exp(i * n_steps * Im(beta * conj(alpha))).
-    When alpha is given the overlap precondition is enforced and the
-    fidelity against that analytic target is returned.
+    The components must not overlap; returns the final state and its
+    fidelity against that analytic target.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     gamma = complex(gamma)
     beta = complex(beta)
-    fid = None
+    alpha = complex(alpha)
     if n_steps == 0:
-        return state, (1.0 if alpha is not None else None)
-    if alpha is not None:
-        alpha = complex(alpha)
-        if gaussian_overlap(gamma, alpha) > overlap_tol:
-            raise ValueError(
-                f"components at {gamma} and {alpha} overlap "
-                f"({gaussian_overlap(gamma, alpha):.2e} > {overlap_tol:.1e})"
-            )
+        return state, 1.0
+    if gaussian_overlap(gamma, alpha) > overlap_tol:
+        raise ValueError(
+            f"components at {gamma} and {alpha} overlap "
+            f"({gaussian_overlap(gamma, alpha):.2e} > {overlap_tol:.1e})"
+        )
     trace = zeno_run(state, uniform_schedule(n_steps, beta, [KickSpec(s=1, gamma=gamma)]),
                      guard_levels=guard_levels, leak_tol=leak_tol)
     out = trace.final_state
-    if alpha is not None:
-        # free component picks up Im(beta alpha*) per step; the held one
-        # picks up the topological phase 2 Im(beta gamma*) per step (zero
-        # for real-axis configurations, where the relative phase reduces
-        # to the bare exp(i N Im(beta alpha*)))
-        rel = np.exp(
-            1j * n_steps * ((beta * np.conj(alpha)).imag
-                            - 2.0 * (beta * np.conj(gamma)).imag)
-        )
-        target_amps = (
-            coherent(gamma, state.dim).amps
-            + rel * coherent(alpha + n_steps * beta, state.dim).amps
-        )
-        fid = fidelity_pure(out, FieldState(target_amps))
-    return out, fid
+    # free component picks up Im(beta alpha*) per step; the held one
+    # picks up the topological phase 2 Im(beta gamma*) per step (zero
+    # for real-axis configurations, where the relative phase reduces
+    # to the bare exp(i N Im(beta alpha*)))
+    rel = np.exp(
+        1j * n_steps * ((beta * np.conj(alpha)).imag
+                        - 2.0 * (beta * np.conj(gamma)).imag)
+    )
+    target_amps = (
+        coherent(gamma, state.dim).amps
+        + rel * coherent(alpha + n_steps * beta, state.dim).amps
+    )
+    return out, fidelity_pure(out, FieldState(target_amps))
 
 
 def crush_between(

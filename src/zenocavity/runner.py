@@ -297,10 +297,10 @@ def realistic_point(
         rabi = theta * math.sqrt(2.0) / tau
     pulse = PulseParams(omega=cfg.pulse.omega, rabi_drive=rabi, theta=theta, s=1)
     start, stop = cfg.cat_init, cfg.target_alpha
-    cap = abs(stop - start) / max(n_wp - 1, 1) * (1 + 1e-9)
+    # the config sets the move size: no adiabatic cap applies
     trajs = [
-        protocols.linear_trajectory(start, stop, n_wp - 1, adiabatic_cap=cap),
-        protocols.linear_trajectory(-start, -stop, n_wp - 1, adiabatic_cap=cap),
+        protocols.linear_trajectory(start, stop, n_wp - 1, adiabatic_cap=math.inf),
+        protocols.linear_trajectory(-start, -stop, n_wp - 1, adiabatic_cap=math.inf),
     ]
     schedule = protocols.build_tweezer_schedule(
         trajs, interleave=cfg.interleave, pulse=pulse
@@ -339,6 +339,7 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
                 f"{r['theta']:.17g},{r['fidelity']:.17g},"
                 f"{r['duration_s']:.17g},{r['kick_leak']:.17g}\n"
             )
+    leak = float(best_trace.records.leak.max())
     return {
         "fidelity": best["fidelity"],
         "best_theta": best["theta"],
@@ -346,8 +347,8 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
         "kick_leak": best["kick_leak"],
         "fidelity_undamped": fid_undamped,
         "energy": None,
-        "leak": None,
-        "truncation_ok": True,
+        "leak": leak,
+        "truncation_ok": leak < fock.DEFAULT_LEAK_TOL,
         "grid": rows,
     }
 

@@ -144,33 +144,21 @@ class ZenoTruncationError(TruncationError):
         self.trace = trace
 
 
-def kick_op(s: int, dim: int) -> np.ndarray:
-    """Ideal kick 1 - 2|s><s|: diagonal, involutive, unitary, Hermitian."""
-    if not 0 <= s < dim:
-        raise IndexError(f"kick index {s} outside basis 0..{dim - 1}")
-    diag = np.ones(dim, dtype=np.complex128)
-    diag[s] = -1.0
-    return np.diag(diag)
-
-
 def displaced_kick(spec: KickSpec, dim: int) -> np.ndarray:
     """Kick operator centered at spec.gamma as a dense matrix.
 
-    Ideal: D(gamma) (1 - 2|s><s|) D(-gamma), a rank-1 reflection. Dressed:
-    the conjugated conditioned diagonal (a contraction, not unitary).
+    Ideal: D(gamma) (1 - 2|s><s|) D(-gamma), a rank-1 reflection, involutive,
+    unitary and Hermitian. Dressed: the conjugated conditioned diagonal (a
+    contraction, not unitary). D(0) is the exact identity, so a kick at the
+    origin is the bare diagonal.
     """
     if spec.s >= dim:
         raise IndexError(f"kick index {spec.s} outside basis 0..{dim - 1}")
-    if spec.pulse is None:
-        if spec.gamma == 0:
-            return kick_op(spec.s, dim)
-        v = displacement_op(spec.gamma, dim)[:, spec.s]
-        return np.eye(dim, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
-    diag = conditioned_field_diagonal(spec.pulse, dim)
-    if spec.gamma == 0:
-        return np.diag(diag)
     d = displacement_op(spec.gamma, dim)
-    return (d * diag) @ d.conj().T
+    if spec.pulse is None:
+        v = d[:, spec.s]
+        return np.eye(dim, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
+    return (d * conditioned_field_diagonal(spec.pulse, dim)) @ d.conj().T
 
 
 def zeno_run(
@@ -405,7 +393,7 @@ def topological_phase_identity_residual(
         raise ValueError("p must be non-negative")
     d_beta = displacement_op(beta, dim)
     lhs_step = displaced_kick(KickSpec(s=s, gamma=gamma), dim) @ d_beta
-    rhs_step = kick_op(s, dim) @ d_beta
+    rhs_step = displaced_kick(KickSpec(s=s), dim) @ d_beta
     lhs = np.linalg.matrix_power(lhs_step, p)
     core = np.linalg.matrix_power(rhs_step, p)
     d_gamma = displacement_op(gamma, dim)

@@ -368,7 +368,7 @@ def test_criterion_13_property_suites():
         problems.append("hermiticity drift above 1e-8")
     if np.linalg.eigvalsh(rho).min() < -1e-9:
         problems.append("negative eigenvalue beyond 1e-9")
-    if abs(np.trace(lindblad_rhs(rho, None, params))) > 1e-12:
+    if abs(np.trace(lindblad_rhs(rho, params))) > 1e-12:
         problems.append("generator not traceless")
     # wigner normalization, covariance, parity identity
     grid = wigner_grid(coherent(2, 160), (-7, 7, -7, 7), nx=141, ny=141)

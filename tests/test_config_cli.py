@@ -668,3 +668,45 @@ def test_failing_reference_is_not_kept(tmp_path, monkeypatch, zeno_calls):
     rows = run_sweep(_SWEEP, ranges, tmp_path / "b")
     assert [r["error"] for r in rows] == ["", ""]
     assert len(zeno_calls) == 4 + 3 and len(runner._IDEAL_FINALS) == 1
+
+
+def test_realistic_summary_checks_the_top_levels(tmp_path):
+    # leak is the best run's largest top-level population, read off trace.csv
+    raw = preset_raw("realistic")
+    hot = {**raw, "lindblad": {"t_c": 1e-3, "n_th": 10.0}}  # heats toward <n> = 10 at dim 40
+    for cfg, ok in ((raw, True), (hot, False)):
+        out = tmp_path / str(ok)
+        summary = runner.run_config(parse_config(cfg), out)
+        with open(out / "trace.csv", newline="") as fh:
+            leaks = [float(row["leak"]) for row in csv.DictReader(fh)]
+        assert summary["leak"] == max(leaks)
+        assert summary["truncation_ok"] is ok
+        assert (summary["leak"] < 1e-6) is ok
+
+
+@pytest.mark.parametrize("raw, key, cap", [
+    ({"protocol": "zeno_confine", "dim": "@"}, "dim", 256),
+    ({"protocol": "realistic", "dim": "@", "pulse": {}}, "dim", 256),
+    ({"protocol": "zeno_confine", "dim": 40, "wigner": {"nx": "@"}}, "wigner.nx", 1024),
+    ({"protocol": "zeno_confine", "dim": 40, "wigner": {"ny": "@"}}, "wigner.ny", 1024),
+    ({"protocol": "zeno_confine", "dim": 40, "steps": "@"}, "steps", 100_000),
+    ({"protocol": "tweezer_stretch", "dim": 40, "alpha_free": 2, "steps": "@"}, "steps", 100_000),
+    ({"protocol": "crush", "dim": 48, "crush_steps": "@"}, "crush_steps", 100_000),
+    ({"protocol": "four_cat", "dim": 48, "steps_per_crush": "@"}, "steps_per_crush", 100_000),
+    ({"protocol": "tweezer_move", "dim": 40,
+      "trajectories": [{"start": [1, 0], "stop": [1.2, 0], "steps": "@"}]},
+     "trajectories[0].steps", 100_000),
+])
+def test_sizes_beyond_their_cap_exit_2(tmp_path, capsys, raw, key, cap):
+    # the caps keep one run inside a stated memory budget (README, Config schema)
+    def with_size(n):
+        return json.loads(json.dumps(raw).replace('"@"', str(n)))
+
+    parse_config(with_size(cap))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(with_size(cap + 1)))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"  - {key}: must be <= {cap}, got {cap + 1}" in err
+    assert err.count("\n  - ") == 1
+    assert not (tmp_path / "o").exists()

@@ -18,6 +18,7 @@ from zenocavity.fock import (
     mean_energy,
     number_op,
     photon_distribution,
+    required_dim,
     truncation_check,
     vacuum,
 )
@@ -164,6 +165,26 @@ def test_states_normalized_and_immutable():
     assert abs(np.linalg.norm(st.amps) - 1) <= 1e-12
     with pytest.raises(ValueError):
         st.amps[0] = 1.0
+
+
+def test_state_dim_is_the_amplitude_count():
+    assert FieldState(np.ones(5)).dim == 5
+    with pytest.raises(TypeError):
+        FieldState(np.ones(5), dim=5)  # used to be taken and ignored
+    with pytest.raises(TypeError):
+        FieldState(np.ones(5), 3)
+
+
+def test_required_dim_in_floats():
+    assert required_dim(3 + 4j) == 25.0 + 30.0 + 10.0
+    assert required_dim(-5) == required_dim(5j) == 65.0
+    # |z| from hypot: no OverflowError where |z|^2 or a part's square overflows
+    assert required_dim(1e308) == required_dim(complex(1.7e308, 1.7e308)) == math.inf
+    assert required_dim(complex(3e200, 4e200)) == math.inf
+    assert math.isnan(required_dim(math.nan))
+    with pytest.raises(TruncationError, match="needs dim >= 65"):
+        coherent(5, 64)
+    coherent(5, 65)
 
 
 def padded_displacement(gamma, dim, pad=250):

@@ -5,12 +5,19 @@ import math
 import numpy as np
 import pytest
 from helpers import check_density_matrix
-from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from zenocavity.atomkick import PulseParams
-from zenocavity.fock import cat_state, coherent, displacement_op, fock_basis, vacuum
+from zenocavity.fock import (
+    DEFAULT_GUARD_LEVELS,
+    DEFAULT_LEAK_TOL,
+    cat_state,
+    coherent,
+    displacement_op,
+    fock_basis,
+    vacuum,
+)
 from zenocavity.openquantum import (
     LindbladParams,
     _damp,
@@ -24,7 +31,7 @@ from zenocavity.openquantum import (
 )
 from zenocavity.fock import FieldState
 from zenocavity.protocols import build_tweezer_schedule, linear_trajectory
-from zenocavity.zeno import KickSpec, Schedule, Step, drive_hamiltonian, zeno_run
+from zenocavity.zeno import KickSpec, Schedule, Step, zeno_run
 
 T_C = 0.13
 
@@ -33,13 +40,13 @@ def params(t_c=T_C, n_th=0.0):
     return LindbladParams(t_c=t_c, n_th=n_th)
 
 
-def dense_generator(dim, p, hamiltonian=None):
+def dense_generator(dim, p):
     """lindblad_rhs as a dim^2 x dim^2 matrix acting on row-major rho."""
     cols = []
     for k in range(dim * dim):
         unit = np.zeros(dim * dim, dtype=complex)
         unit[k] = 1.0
-        cols.append(lindblad_rhs(unit.reshape(dim, dim), hamiltonian, p).ravel())
+        cols.append(lindblad_rhs(unit.reshape(dim, dim), p).ravel())
     return np.array(cols).T
 
 
@@ -49,12 +56,12 @@ def mean_n(rho):
 
 def test_rhs_vacuum_fixed_point():
     rho = pure_density(vacuum(8))
-    assert np.max(np.abs(lindblad_rhs(rho, None, params()))) == 0
+    assert np.max(np.abs(lindblad_rhs(rho, params()))) == 0
 
 
 def test_rhs_single_photon_decay_rate():
     rho = pure_density(fock_basis(1, 8))
-    rhs = lindblad_rhs(rho, None, params())
+    rhs = lindblad_rhs(rho, params())
     assert abs(mean_n(rhs) + 1.0 / T_C) < 1e-12
 
 
@@ -64,7 +71,7 @@ def test_rhs_traceless_and_hermiticity_preserving():
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
     for n_th in (0.0, 0.4):
-        rhs = lindblad_rhs(rho, None, params(n_th=n_th))
+        rhs = lindblad_rhs(rho, params(n_th=n_th))
         assert abs(np.trace(rhs)) < 1e-12
         assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-13
 
@@ -122,18 +129,6 @@ def test_trace_and_hermiticity_drift():
     check_density_matrix(rho, positivity_tol=1e-6)
 
 
-def test_segment_halving_convergence():
-    # two driven damped half segments compose to the whole one
-    dim = 24
-    p = params(n_th=0.1)
-    e = 30.0
-    rho0 = pure_density(coherent(1.0, dim))
-    target = coherent(1.3, dim)
-    whole = evolve_damped(rho0, 0.01, p, drive=e)
-    halves = evolve_damped(evolve_damped(rho0, 0.005, p, drive=e), 0.005, p, drive=e)
-    assert abs(fidelity_mixed(whole, target) - fidelity_mixed(halves, target)) < 1e-6
-
-
 @pytest.mark.parametrize("n_th", [0.0, 0.3])
 def test_block_propagator_matches_dense_expm(n_th):
     rng = np.random.default_rng(5)
@@ -153,19 +148,6 @@ def test_block_propagator_matches_dense_expm(n_th):
         assert not _damping_propagator(dim, 0.7, n_th)[np.maximum(i, j) >= dim - d].any()
 
 
-def test_driven_segment_matches_dense_expm():
-    dim = 20
-    p = params(n_th=0.05)
-    e = 15.0 + 10.0j
-    h = drive_hamiltonian(e, dim)
-    rho = pure_density(coherent(0.5, dim))
-    t = 0.02
-    ref = (expm(t * dense_generator(dim, p, h)) @ rho.ravel()).reshape(dim, dim)
-    assert np.max(np.abs(evolve_damped(rho, t, p, drive=e) - ref)) < 1e-12
-    d = displacement_op(e * t, dim)  # undamped: D(E t)
-    assert np.max(np.abs(evolve_damped(rho, t, None, drive=e) - d @ rho @ d.conj().T)) < 1e-12
-
-
 def test_long_damping_stays_physical():
     p = params(n_th=0.3)
     rho = pure_density(cat_state(2.0, 1, 30))
@@ -175,23 +157,16 @@ def test_long_damping_stays_physical():
         assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= -1e-12
 
 
-def test_drive_segment_displaces():
-    # a displacement of 0.5 at E = 100 is driven for |beta| / |E| = 5 ms
-    dim = 24
-    sched = Schedule(steps=(Step(displacement=0.5),))
-    rho, trace = evolve_master(
-        pure_density(vacuum(dim)), sched, LindbladParams(t_c=1e9), drive_amp=100.0
-    )
-    assert abs(mean_n(rho) - 0.25) < 1e-6  # coherent(0.5)
-    assert abs(trace.records[-1].t_seconds - 0.005) < 1e-12
-
-
 def test_master_schedule_validation():
     rho = pure_density(vacuum(12))
     with pytest.raises(ValueError, match="pulse parameters"):
         evolve_master(rho, Schedule(steps=(Step(kicks=(KickSpec(s=1),)),)), params())
-    with pytest.raises(ValueError, match="drive_amp"):
+    with pytest.raises(ValueError, match="no drive steps"):
         evolve_master(rho, Schedule(steps=(Step(displacement=0.5),)), params())
+    # undamped is no exception: the drive stays off either way
+    with pytest.raises(ValueError, match="no drive steps"):
+        evolve_master(rho, Schedule(steps=(Step(displacement=0.5),)), None)
+    assert evolve_damped(rho, 0.5, None) is rho
 
 
 def test_fidelity_mixed_examples():
@@ -226,10 +201,10 @@ def test_kick_leak_recorded():
 
 def row_writer_csv(trace):
     """trace.csv written one record at a time, as before the record array."""
-    out = "t_seconds,energy,purity,fidelity_vs_target,trace_err\n"
+    out = "t_seconds,energy,purity,fidelity_vs_target,trace_err,leak\n"
     for r in trace.records:
         out += (f"{r.t_seconds:.17g},{r.energy:.17g},{r.purity:.17g},"
-                f"{r.fidelity_vs_target:.17g},{r.trace_err:.17g}\n")
+                f"{r.fidelity_vs_target:.17g},{r.trace_err:.17g},{r.leak:.17g}\n")
     return out
 
 
@@ -256,3 +231,20 @@ def test_master_csv_matches_row_writer(with_target):
     assert records.trace_err[-1] == 1e-6
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.total_kick_leak = 0.0
+
+
+def test_leak_column_reads_the_top_levels():
+    # a hot bath heats a small cat into the top levels within a few pulses
+    dim = 17
+    pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=2e4, theta=2 * math.pi, s=1)
+    trajs = [linear_trajectory(1.0, 1.5, 4, adiabatic_cap=0.15),
+             linear_trajectory(-1.0, -1.5, 4, adiabatic_cap=0.15)]
+    schedule = build_tweezer_schedule(trajs, pulse=pulse)
+    rho0 = pure_density(cat_state(1.0, 1, dim))
+    for p in (None, params(t_c=1e-3, n_th=2.0)):
+        rho, trace = evolve_master(rho0, schedule, p)
+        leak = trace.records.leak
+        assert leak[0] == np.diag(rho0).real[-DEFAULT_GUARD_LEVELS:].sum()
+        assert leak[-1] == np.diag(rho).real[-DEFAULT_GUARD_LEVELS:].sum()
+    assert leak[0] < DEFAULT_LEAK_TOL < 1e-3 < leak[-1]
+    assert np.all(np.diff(leak) > 0)  # the bath only heats

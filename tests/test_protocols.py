@@ -188,9 +188,9 @@ def test_protocols_forward_truncation_settings():
         multi_cat_factory(2, 24)
     multi_cat_factory(2, 24, leak_tol=1e-2)
     psi = FieldState(coherent(0, 40).amps + coherent(3, 40).amps)
-    stretch_cat(psi, 0, 0.05, 4)
+    stretch_cat(psi, 0, 0.05, 4, alpha=3)
     with pytest.raises(ZenoTruncationError):
-        stretch_cat(psi, 0, 0.05, 4, guard_levels=30)
+        stretch_cat(psi, 0, 0.05, 4, alpha=3, guard_levels=30)
 
 
 def test_energy_matched_cat_amplitude():

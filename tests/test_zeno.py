@@ -7,7 +7,7 @@ import pytest
 from helpers import is_hermitian, is_unitary
 
 from zenocavity import zeno
-from zenocavity.atomkick import PulseParams, pulse_blocks
+from zenocavity.atomkick import PulseParams, conditioned_field_diagonal, pulse_blocks
 from zenocavity.fock import (
     FieldState,
     coherent,
@@ -28,7 +28,6 @@ from zenocavity.zeno import (
     displaced_kick,
     drive_hamiltonian,
     effective_hamiltonian,
-    kick_op,
     topological_phase_identity_residual,
     uniform_schedule,
     zeno_limit_evolve,
@@ -43,7 +42,7 @@ def one_step(state, beta, kicks):
 
 
 def test_kick_op_basics():
-    u = kick_op(1, 8)
+    u = displaced_kick(KickSpec(s=1), 8)
     assert np.allclose(u @ fock_basis(0, 8).amps, fock_basis(0, 8).amps)
     assert np.allclose(u @ fock_basis(1, 8).amps, -fock_basis(1, 8).amps)
     # eigenvalue -1 eigenspace is one-dimensional
@@ -52,11 +51,15 @@ def test_kick_op_basics():
     assert np.max(np.abs(u @ u - np.eye(8))) == 0
     assert np.max(np.abs(u - u.conj().T)) == 0
     with pytest.raises(IndexError):
-        kick_op(8, 8)
+        displaced_kick(KickSpec(s=8), 8)
 
 
 def test_displaced_kick_examples():
-    assert np.allclose(displaced_kick(KickSpec(s=2), 10), kick_op(2, 10))
+    assert np.array_equal(displaced_kick(KickSpec(s=2), 10), np.diag([1, 1, -1] + [1] * 7))
+    # D(0) is the identity: a dressed kick at the origin is its bare diagonal
+    pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=2e4, theta=5.5, s=2)
+    assert np.array_equal(displaced_kick(KickSpec(s=2, pulse=pulse), 10),
+                          np.diag(conditioned_field_diagonal(pulse, 10)))
     dim = 40
     spec = KickSpec(s=1, gamma=0.8 - 0.4j)
     u = displaced_kick(spec, dim)
@@ -98,7 +101,7 @@ def test_zeno_step_examples():
 
 def test_zeno_step_matches_matrix_power_oracle():
     dim = 48
-    step_op = kick_op(6, dim) @ displacement_op(0.1, dim)
+    step_op = displaced_kick(KickSpec(s=6), dim) @ displacement_op(0.1, dim)
     oracle = np.linalg.matrix_power(step_op, 50) @ vacuum(dim).amps
     state = vacuum(dim)
     for _ in range(50):
