@@ -19,10 +19,7 @@ from .fock import (
     displacement_op,
     fidelity_pure,
     fock_basis,
-    mean_amplitude,
     mean_energy,
-    min_quadrature_variance,
-    number_op,
     photon_distribution,
     truncation_check,
     vacuum,
@@ -34,10 +31,7 @@ from .zeno import (
     Step,
     ZenoTruncationError,
     displaced_kick,
-    effective_hamiltonian,
-    topological_phase_identity_residual,
     uniform_schedule,
-    zeno_limit_evolve,
     zeno_run,
 )
 from .atomkick import (
@@ -61,6 +55,6 @@ from .protocols import (
     stretch_cat,
     tweezer_run,
 )
-from .phasespace import WignerGrid, wigner_grid, wigner_point
+from .phasespace import WignerGrid, wigner_grid
 
 __version__ = "0.1.0"

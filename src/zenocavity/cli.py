@@ -87,7 +87,6 @@ def run_sweep(
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]
-    rows.sort(key=lambda r: r["index"])
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("index," + ",".join(keys) + ",fidelity,energy,leak,error\n")

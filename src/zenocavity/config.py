@@ -69,6 +69,8 @@ MAX_DIM = Range(hi=256)
 MAX_RASTER_SIDE = Range(hi=1024)
 #: zeno_run's trace rows (8 dim bytes each) take 200 MB at dim 256, a crush 250 MB
 MAX_STEPS = Range(hi=100_000)
+#: a raster's tables grow with its window; at +-32 they take 58 MB (dim 256, 1024^2)
+_BOUND = Annotated[float, Range(-32, 32)]
 
 
 @dataclass
@@ -97,7 +99,7 @@ class LindbladConfig:
 class WignerConfig:
     nx: Annotated[int, Range(2), MAX_RASTER_SIDE] = 121
     ny: Annotated[int, Range(2), MAX_RASTER_SIDE] = 121
-    bounds: tuple[float, float, float, float] | None = None  # None -> auto
+    bounds: tuple[_BOUND, _BOUND, _BOUND, _BOUND] | None = None  # None -> auto
 
 
 @dataclass(kw_only=True)

@@ -167,13 +167,6 @@ def creation_op(dim: int) -> np.ndarray:
     return annihilation_op(dim).conj().T
 
 
-@lru_cache(maxsize=None)
-def number_op(dim: int) -> np.ndarray:
-    mat = np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
-    mat.flags.writeable = False
-    return mat
-
-
 @lru_cache(maxsize=256)
 def displacement_op(beta: complex, dim: int) -> np.ndarray:
     """D(beta) = exp(beta a^dag - beta^* a) on the truncated basis.
@@ -217,26 +210,6 @@ def photon_distribution(state: FieldState) -> np.ndarray:
 def mean_energy(state: FieldState) -> float:
     """<n> in photons."""
     return float(np.arange(state.dim) @ photon_distribution(state))
-
-
-def mean_amplitude(state: FieldState) -> complex:
-    """<a>, the phase-space centroid."""
-    return complex(np.vdot(state.amps, annihilation_op(state.dim) @ state.amps))
-
-
-def min_quadrature_variance(state: FieldState) -> float:
-    """Smallest variance of X_phi = (a e^{-i phi} + a^dag e^{i phi})/2 over phi.
-
-    Vacuum gives 1/4; smaller values mean squeezing. Closed form from the
-    first and second moments of a.
-    """
-    a = annihilation_op(state.dim)
-    psi = state.amps
-    ea = np.vdot(psi, a @ psi)
-    ea2 = np.vdot(psi, a @ (a @ psi))
-    en = mean_energy(state)
-    var_sym = 1.0 + 2.0 * (en - abs(ea) ** 2)
-    return float((var_sym - 2.0 * abs(ea2 - ea * ea)) / 4.0)
 
 
 def fidelity_pure(a: FieldState, b: FieldState) -> float:

@@ -18,8 +18,8 @@ segment is split symmetrically: damping runs for the full pulse duration
 while the conditioned kick map is applied instantaneously at the pulse
 midpoint; the splitting error is second order in (pulse duration / T_c).
 
-A damped run keeps its diagnostics in one record array, written to CSV
-in one pass as zeno_run's trace is.
+A damped run keeps its diagnostics in one record array, as zeno_run's
+trace does; the runner writes both out.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO
 
 import numpy as np
 
@@ -156,13 +155,6 @@ class MasterTrace:
 
     records: np.recarray
     total_kick_leak: float
-
-    def to_csv(self, fh: IO[str]) -> None:
-        """One header line, then one row per record. 17 significant digits."""
-        names = self.records.dtype.names
-        row = ",".join(["{:.17g}"] * len(names)) + "\n"
-        fh.write(",".join(names) + "\n")
-        fh.writelines(row.format(*r) for r in self.records.tolist())
 
 
 def evolve_master(

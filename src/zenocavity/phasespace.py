@@ -165,13 +165,6 @@ def _state_vectors(state_or_rho) -> list[tuple[float, np.ndarray]]:
     return [(float(w[k]), v[:, k]) for k in range(len(w)) if w[k] > 1e-12]
 
 
-def wigner_point(state_or_rho, xi: complex) -> float:
-    """W at a single phase-space point."""
-    xi = complex(xi)
-    values = _raster(_state_vectors(state_or_rho), xi.real, 0.0, 1, xi.imag, xi.imag, 1)
-    return float(values[0, 0])
-
-
 def wigner_grid(
     state_or_rho,
     bounds: tuple[float, float, float, float],

@@ -240,8 +240,6 @@ def crush_between(
     center_a: complex,
     center_b: complex,
     n_steps: int,
-    end_a: complex | None = None,
-    end_b: complex | None = None,
     record_every: int = 1,
     guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
@@ -250,12 +248,12 @@ def crush_between(
 
     Both centers move simultaneously and push the wavefunction outside
     both circles; the final kick, where the circles coincide, is applied
-    once. Custom endpoints allow a nonzero final separation.
+    once.
     """
     mid = (complex(center_a) + complex(center_b)) / 2.0
     schedule = build_tweezer_schedule((
-        linear_trajectory(center_a, mid if end_a is None else end_a, n_steps),
-        linear_trajectory(center_b, mid if end_b is None else end_b, n_steps),
+        linear_trajectory(center_a, mid, n_steps),
+        linear_trajectory(center_b, mid, n_steps),
     ))
     trace = zeno_run(state, schedule, record_every=record_every,
                      guard_levels=guard_levels, leak_tol=leak_tol)
@@ -344,8 +342,6 @@ def multi_cat_factory(
                 pos + separation * axis,
                 pos - separation * axis,
                 steps_per_crush,
-                end_a=pos,
-                end_b=pos,
                 guard_levels=guard_levels,
                 leak_tol=leak_tol,
             )

@@ -1,9 +1,10 @@
 """Executes a run config: builds the protocol, runs it, writes artifacts.
 
-Every run emits into its output directory:
+A run writes into its output directory:
 
     trace.csv                      per-step diagnostics (engine or master)
-    wigner_stepNNNNNN.{csv,pgm}    snapshots where requested
+    grid.csv                       realistic: one row per pulse angle
+    wigner_stepNNNNNN.{csv,pgm}    snapshots, final states, a tweezer's start
     state_stepNNNNNN.txt           amplitude dumps (index re im) if enabled
     wigner_final.{csv,pgm}         four_cat's final state (state_final.txt)
     summary.json                   machine-readable result
@@ -32,6 +33,8 @@ import os
 import time
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from . import config, fock, phasespace, protocols, zeno
 from .atomkick import PulseParams
@@ -103,21 +106,33 @@ def _write_wigner(
     return grid
 
 
-def _write_state(state: fock.FieldState, outdir: Path, stem: str) -> None:
-    with open(outdir / f"{stem}.txt", "w", encoding="utf-8") as fh:
-        for n, c in enumerate(state.amps):
-            fh.write(f"{n} {c.real:.17g} {c.imag:.17g}\n")
+def _write_picture(
+    state: fock.FieldState, cfg: config.RunConfig, outdir: Path, suffix: str
+) -> phasespace.WignerGrid:
+    """wigner_<suffix>.{csv,pgm}, and state_<suffix>.txt (index re im) with dump_states."""
+    if cfg.dump_states:
+        with open(outdir / f"state_{suffix}.txt", "w", encoding="utf-8") as fh:
+            for n, c in enumerate(state.amps):
+                fh.write(f"{n} {c.real:.17g} {c.imag:.17g}\n")
+    return _write_wigner(state, cfg, outdir, f"wigner_{suffix}")
+
+
+def _write_csv(path: Path, records: np.ndarray) -> None:
+    """One header line of field names, then one row per record: integer
+    fields as they are, the others at 17 significant digits."""
+    names = records.dtype.names
+    row = ",".join("{}" if records.dtype[n].kind in "iu" else "{:.17g}" for n in names)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row.format(*r) + "\n" for r in records.tolist())
 
 
 def _emit_trace_artifacts(
     trace: zeno.EvolutionTrace, cfg: config.RunConfig, outdir: Path
 ) -> None:
-    with open(outdir / "trace.csv", "w", encoding="utf-8") as fh:
-        trace.to_csv(fh)
+    _write_csv(outdir / "trace.csv", trace.records)
     for step, state in trace.states.items():
-        _write_wigner(state, cfg, outdir, f"wigner_step{step:06d}")
-        if cfg.dump_states:
-            _write_state(state, outdir, f"state_step{step:06d}")
+        _write_picture(state, cfg, outdir, f"step{step:06d}")
 
 
 #: ideal-kick final states by _ideal_key, oldest first; per process
@@ -190,9 +205,7 @@ def _stretch_protocol(cfg: config.StretchConfig, outdir: Path) -> dict[str, Any]
         alpha=cfg.alpha_free, overlap_tol=cfg.overlap_tol,
         guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
     )
-    _write_wigner(out, cfg, outdir, f"wigner_step{cfg.steps:06d}")
-    if cfg.dump_states:
-        _write_state(out, outdir, f"state_step{cfg.steps:06d}")
+    _write_picture(out, cfg, outdir, f"step{cfg.steps:06d}")
     rep = fock.truncation_check(out, cfg.guard_levels, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(out),
@@ -221,9 +234,7 @@ def _tweezer_protocol(cfg: config.TweezerConfig, outdir: Path) -> dict[str, Any]
         leak_tol=cfg.leak_tol,
     )
     _write_wigner(state, cfg, outdir, "wigner_step000000")
-    _write_wigner(final, cfg, outdir, f"wigner_step{trace.steps[-1]:06d}")
-    if cfg.dump_states:
-        _write_state(final, outdir, f"state_step{trace.steps[-1]:06d}")
+    _write_picture(final, cfg, outdir, f"step{trace.steps[-1]:06d}")
     _emit_trace_artifacts(trace, cfg, outdir)
     fid = None
     if cfg.target_alpha is not None:
@@ -245,9 +256,7 @@ def _crush_protocol(cfg: config.CrushConfig, outdir: Path) -> dict[str, Any]:
         guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
     )
     _emit_trace_artifacts(trace, cfg, outdir)
-    _write_wigner(final, cfg, outdir, f"wigner_step{trace.steps[-1]:06d}")
-    if cfg.dump_states:
-        _write_state(final, outdir, f"state_step{trace.steps[-1]:06d}")
+    _write_picture(final, cfg, outdir, f"step{trace.steps[-1]:06d}")
     energy, matched_alpha, fid = protocols.crush_fidelity_vs_matched_cat(final)
     return {
         "energy": energy,
@@ -265,9 +274,7 @@ def _four_cat_protocol(cfg: config.FourCatConfig, outdir: Path) -> dict[str, Any
         steps_per_crush=cfg.steps_per_crush,
         guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
     )
-    grid = _write_wigner(final, cfg, outdir, "wigner_final")
-    if cfg.dump_states:
-        _write_state(final, outdir, "state_final")
+    grid = _write_picture(final, cfg, outdir, "final")
     rep = fock.truncation_check(final, cfg.guard_levels, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(final),
@@ -329,16 +336,10 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
         if best is None or fid > best["fidelity"]:
             best = rows[-1]
             best_trace = trace
-    with open(outdir / "trace.csv", "w", encoding="utf-8") as fh:
-        best_trace.to_csv(fh)
+    _write_csv(outdir / "trace.csv", best_trace.records)
     fid_undamped, _, _ = realistic_point(cfg, best["theta"], damping=False)
-    with open(outdir / "grid.csv", "w", encoding="utf-8") as fh:
-        fh.write("theta,fidelity,duration_s,kick_leak\n")
-        for r in rows:
-            fh.write(
-                f"{r['theta']:.17g},{r['fidelity']:.17g},"
-                f"{r['duration_s']:.17g},{r['kick_leak']:.17g}\n"
-            )
+    _write_csv(outdir / "grid.csv",
+               np.rec.fromrecords([tuple(r.values()) for r in rows], names=list(rows[0])))
     leak = float(best_trace.records.leak.max())
     return {
         "fidelity": best["fidelity"],
@@ -346,7 +347,7 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
         "duration_s": best["duration_s"],
         "kick_leak": best["kick_leak"],
         "fidelity_undamped": fid_undamped,
-        "energy": None,
+        "energy": float(best_trace.records.energy[-1]),
         "leak": leak,
         "truncation_ok": leak < fock.DEFAULT_LEAK_TOL,
         "grid": rows,

@@ -18,9 +18,8 @@ the cache has no semantic effect.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,11 +29,8 @@ from .fock import (
     DEFAULT_LEAK_TOL,
     FieldState,
     TruncationError,
-    annihilation_op,
-    creation_op,
     displaced_fock,
     displacement_op,
-    photon_distribution,
 )
 
 logger = logging.getLogger(__name__)
@@ -98,6 +94,10 @@ def uniform_schedule(n_steps: int, beta: complex, kicks: Sequence[KickSpec]) -> 
     return Schedule(steps=(step,) * n_steps)
 
 
+_RECORD = np.dtype([("step", np.int64), ("energy", np.float64)]
+                   + [(f"p{n}", np.float64) for n in range(10)] + [("leak", np.float64)])
+
+
 @dataclass(frozen=True)
 class EvolutionTrace:
     """Diagnostics of a stroboscopic run, one array row per recorded step.
@@ -123,17 +123,14 @@ class EvolutionTrace:
     max_norm_drift: float = 0.0
     final_atom_leak: float = 0.0
 
-    def to_csv(self, fh: IO[str]) -> None:
-        """Columns: step, energy, p0..p9, leak. 17 significant digits."""
-        p10 = np.zeros((len(self.steps), 10))
-        p10[:, : self.probs.shape[1]] = self.probs[:, :10]
-        table = np.column_stack([self.energies, p10, self.leaks])
-        row = "{}," + ",".join(["{:.17g}"] * table.shape[1]) + "\n"
-        header = ",".join(["step", "energy", *(f"p{n}" for n in range(10)), "leak"])
-        fh.write(header + "\n")
-        fh.writelines(
-            row.format(p, *v.tolist()) for p, v in zip(self.steps.tolist(), table)
-        )
+    @property
+    def records(self) -> np.recarray:
+        """One record per row: step, energy, p0..p9 (zeros where dim < 10), leak."""
+        out = np.zeros(len(self.steps), dtype=_RECORD).view(np.recarray)
+        out.step, out.energy, out.leak = self.steps, self.energies, self.leaks
+        for n in range(min(10, self.probs.shape[1])):
+            out[f"p{n}"] = self.probs[:, n]
+        return out
 
 
 class ZenoTruncationError(TruncationError):
@@ -309,100 +306,3 @@ def zeno_run(
         n_steps, renorms, max_drift, atom_leak,
     )
     return trace
-
-
-def drive_hamiltonian(drive_amp: complex, dim: int) -> np.ndarray:
-    """Free drive H = -i(E^* a - E a^dag); D(E t) is its propagator."""
-    e = complex(drive_amp)
-    return -1j * (np.conj(e) * annihilation_op(dim) - e * creation_op(dim))
-
-
-def effective_hamiltonian(drive_amp: complex, s: int, dim: int) -> np.ndarray:
-    """Zeno-limit generator: the drive with every coupling through |s> removed.
-
-    Equals P_below H P_below + P_above H P_above; since the drive only
-    couples neighbouring levels this is H with row and column s zeroed.
-    """
-    if not 0 <= s < dim:
-        raise IndexError(f"s={s} outside basis 0..{dim - 1}")
-    h = drive_hamiltonian(drive_amp, dim)
-    h[s, :] = 0.0
-    h[:, s] = 0.0
-    return h
-
-
-def block_populations(state: FieldState, s: int) -> tuple[float, float, float]:
-    """Populations (below s, at s, above s)."""
-    p = photon_distribution(state)
-    return float(p[:s].sum()), float(p[s]), float(p[s + 1:].sum())
-
-
-def zeno_limit_evolve(state: FieldState, drive_amp: complex, s: int, t: float) -> FieldState:
-    """Evolve under exp(-i H_Z t); support stays in the initial block exactly.
-
-    The state must start inside one block (below or above |s>) within
-    DEFAULT_LEAK_TOL. The tiny off-block remainder is projected out so the
-    output block support is exact.
-    """
-    below, at_s, above = block_populations(state, s)
-    outside_lower = at_s + above
-    outside_upper = at_s + below
-    if min(outside_lower, outside_upper) > DEFAULT_LEAK_TOL:
-        raise ValueError(
-            f"initial support straddles |{s}>: populations below/at/above = "
-            f"{below:.3e}/{at_s:.3e}/{above:.3e}"
-        )
-    in_lower = outside_lower <= DEFAULT_LEAK_TOL
-    hz = effective_hamiltonian(drive_amp, s, state.dim)
-    w, v = np.linalg.eigh(hz)
-    amps = (v * np.exp(-1j * w * t)) @ (v.conj().T @ state.amps)
-    mask = np.zeros(state.dim, dtype=bool)
-    if in_lower:
-        mask[:s] = True
-    else:
-        mask[s + 1:] = True
-    amps = np.where(mask, amps, 0.0)
-    return FieldState(amps)
-
-
-def _well_truncated_block(dim: int, reach: float) -> int:
-    """Largest n whose excursion by `reach` stays clear of the basis top.
-
-    Inverts the truncation rule (sqrt(n) + reach)^2 + 6(sqrt(n) + reach)
-    + 10 <= dim.
-    """
-    y = -3.0 + math.sqrt(dim - 1.0)
-    if y <= reach:
-        return 0
-    return int(math.floor((y - reach) ** 2)) + 1
-
-
-def topological_phase_identity_residual(
-    s: int, gamma: complex, beta: complex, p: int, dim: int
-) -> float:
-    """Max deviation between the displaced-circle evolution and its conjugated form.
-
-    Compares [U_s(gamma) D(beta)]^p against
-    D(gamma) [U_s D(beta)]^p D(-gamma) exp(2ip Im(beta gamma^*)) on the
-    sub-block of the basis whose excursions stay well inside the
-    truncation; outside it the displacement group law itself breaks down.
-    """
-    gamma = complex(gamma)
-    beta = complex(beta)
-    if p < 0:
-        raise ValueError("p must be non-negative")
-    d_beta = displacement_op(beta, dim)
-    lhs_step = displaced_kick(KickSpec(s=s, gamma=gamma), dim) @ d_beta
-    rhs_step = displaced_kick(KickSpec(s=s), dim) @ d_beta
-    lhs = np.linalg.matrix_power(lhs_step, p)
-    core = np.linalg.matrix_power(rhs_step, p)
-    d_gamma = displacement_op(gamma, dim)
-    phase = np.exp(2j * p * (beta * np.conj(gamma)).imag)
-    rhs = d_gamma @ core @ d_gamma.conj().T * phase
-    reach = abs(gamma) + p * abs(beta) + abs(beta)
-    k = _well_truncated_block(dim, reach)
-    if k < 1:
-        raise ValueError(
-            f"no well-truncated sub-block at dim={dim} for reach {reach:.2f}"
-        )
-    return float(np.max(np.abs(lhs[:k, :k] - rhs[:k, :k])))

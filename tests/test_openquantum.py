@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -31,6 +30,7 @@ from zenocavity.openquantum import (
 )
 from zenocavity.fock import FieldState
 from zenocavity.protocols import build_tweezer_schedule, linear_trajectory
+from zenocavity.runner import _write_csv
 from zenocavity.zeno import KickSpec, Schedule, Step, zeno_run
 
 T_C = 0.13
@@ -209,7 +209,7 @@ def row_writer_csv(trace):
 
 
 @pytest.mark.parametrize("with_target", [True, False])
-def test_master_csv_matches_row_writer(with_target):
+def test_master_csv_matches_row_writer(with_target, tmp_path):
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=2e4,
                         theta=2 * math.pi, s=1)
     trajs = [linear_trajectory(1.0, 1.5, 4, adiabatic_cap=0.15),
@@ -218,9 +218,8 @@ def test_master_csv_matches_row_writer(with_target):
     target = cat_state(1.5, 1, 24) if with_target else None
     _, trace = evolve_master(pure_density(cat_state(1.0, 1, 24)), schedule,
                              params(n_th=0.1), target=target)
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    assert buf.getvalue() == row_writer_csv(trace)
+    _write_csv(tmp_path / "trace.csv", trace.records)
+    assert (tmp_path / "trace.csv").read_text() == row_writer_csv(trace)
     records = trace.records
     assert len(records) == len(schedule.steps) + 1
     fid = records.fidelity_vs_target

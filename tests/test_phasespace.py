@@ -6,6 +6,7 @@ from functools import cache
 import numpy as np
 import pytest
 from helpers import full_range_raster
+from reference import wigner_point
 from scipy.linalg import expm
 
 from zenocavity.fock import (
@@ -29,7 +30,6 @@ from zenocavity.phasespace import (
     export_pgm,
     import_csv,
     wigner_grid,
-    wigner_point,
 )
 
 TWO_OVER_PI = 2.0 / math.pi

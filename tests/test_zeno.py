@@ -5,6 +5,13 @@ import math
 import numpy as np
 import pytest
 from helpers import is_hermitian, is_unitary
+from reference import (
+    block_populations,
+    drive_hamiltonian,
+    effective_hamiltonian,
+    topological_phase_identity_residual,
+    zeno_limit_evolve,
+)
 
 from zenocavity import zeno
 from zenocavity.atomkick import PulseParams, conditioned_field_diagonal, pulse_blocks
@@ -19,18 +26,14 @@ from zenocavity.fock import (
     photon_distribution,
     vacuum,
 )
+from zenocavity.runner import _write_csv
 from zenocavity.zeno import (
     KickSpec,
     Schedule,
     Step,
     ZenoTruncationError,
-    block_populations,
     displaced_kick,
-    drive_hamiltonian,
-    effective_hamiltonian,
-    topological_phase_identity_residual,
     uniform_schedule,
-    zeno_limit_evolve,
     zeno_run,
 )
 
@@ -203,7 +206,7 @@ def test_truncation_checked_on_every_step():
     assert partial.kicks == 40  # the leaking step's kick, none after it
 
 
-def test_trace_csv_matches_per_row_writer():
+def test_trace_csv_matches_per_row_writer(tmp_path):
     gap = 2 * math.pi * 50e3 * (math.sqrt(7) - math.sqrt(6))
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=0.1 * gap, theta=5.5, s=6)
     trace = zeno_run(
@@ -220,15 +223,13 @@ def test_trace_csv_matches_per_row_writer():
     for step, energy, probs, leak in rows:
         writer.writerow([str(step), f"{energy:.17g}"]
                         + [f"{p:.17g}" for p in probs[:10]] + [f"{leak:.17g}"])
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    assert buf.getvalue() == ref.getvalue()
+    _write_csv(tmp_path / "trace.csv", trace.records)
+    assert (tmp_path / "trace.csv").read_text() == ref.getvalue()
     # a basis below ten levels pads p0..p9 with zeros
     small = zeno_run(vacuum(4), uniform_schedule(3, 0.01, [KickSpec(s=0)]),
                      guard_levels=1)
-    buf = io.StringIO()
-    small.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    _write_csv(tmp_path / "small.csv", small.records)
+    lines = (tmp_path / "small.csv").read_text().splitlines()
     assert lines[1] == "0,0,1,0,0,0,0,0,0,0,0,0,0"
     assert all(len(line.split(",")) == 13 for line in lines)
 
@@ -403,11 +404,10 @@ def test_chunked_run_matches_per_step_reference(mode):
     check(err.value.trace, ref)
 
 
-def test_trace_csv_format():
+def test_trace_csv_format(tmp_path):
     trace = zeno_run(vacuum(24), uniform_schedule(5, 0.1, [KickSpec(s=3)]))
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    _write_csv(tmp_path / "trace.csv", trace.records)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "step,energy," + ",".join(f"p{n}" for n in range(10)) + ",leak"
     assert len(lines) == 1 + len(trace.steps)
     first = lines[1].split(",")
