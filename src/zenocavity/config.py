@@ -65,7 +65,7 @@ ANGLE = Range(0, 4 * math.pi)
 # largest allocation a key drives (peak RSS growth, README) stays inside it.
 #: a full displacement cache, 256 matrices of 16 dim^2 bytes, is 268 MB
 MAX_DIM = Range(hi=256)
-#: one 1024 x 1024 raster with its CSV text peaks near 400 MB
+#: one 1024 x 1024 raster of a dim-256 state, with its CSV export, peaks near 125 MB
 MAX_RASTER_SIDE = Range(hi=1024)
 #: zeno_run's trace rows (8 dim bytes each) take 200 MB at dim 256, a crush 250 MB
 MAX_STEPS = Range(hi=100_000)
@@ -221,7 +221,8 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
     for k, traj in enumerate(cfg.trajectories if isinstance(cfg, TweezerConfig) else ()):
         if traj.s >= cfg.dim - cfg.guard_levels:
             problems.append(f"trajectories[{k}].s: {traj.s} reaches the guard band")
-        jump = abs(traj.stop - traj.start) / traj.steps
+        move = traj.stop - traj.start
+        jump = math.hypot(move.real, move.imag) / traj.steps  # abs() raises on overflow
         if jump > traj.adiabatic_cap * (1 + 1e-12):
             problems.append(
                 f"trajectories[{k}]: waypoint jump {jump:.4g} exceeds "

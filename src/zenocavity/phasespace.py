@@ -185,12 +185,16 @@ def wigner_grid(
 
 
 def export_csv(grid: WignerGrid, fh: IO[str]) -> None:
-    """Rows `x,y,w`, row-major over the raster, 17 significant digits."""
+    """Rows `x,y,w`, row-major over the raster, 17 significant digits.
+
+    Written one raster row (one y) at a time, so the text held in memory
+    is one row's, not the raster's."""
     xs = [f"{x:.17g}," for x in grid.xs.tolist()]
-    ys = [f"{y:.17g}," for y in grid.ys.tolist()]
-    keys = [x + y for y in ys for x in xs]
-    ws = map("{:.17g}\n".format, grid.values.ravel().tolist())
-    fh.write("x,y,w\n" + "".join(map(operator.add, keys, ws)))
+    fh.write("x,y,w\n")
+    for y, row in zip(grid.ys.tolist(), grid.values):
+        y = f"{y:.17g},"
+        ws = map("{:.17g}\n".format, row.tolist())
+        fh.write("".join(map(operator.add, [x + y for x in xs], ws)))
 
 
 def import_csv(fh: IO[str]) -> WignerGrid:

@@ -2,18 +2,20 @@
 
 A run writes into its output directory:
 
-    trace.csv                      per-step diagnostics (engine or master)
+    trace.npy                      per-step diagnostics (engine or master), the
+                                   trace's records array as one structured array
     grid.csv                       realistic: one row per pulse angle
     wigner_stepNNNNNN.{csv,pgm}    snapshots, final states, a tweezer's start
     state_stepNNNNNN.txt           amplitude dumps (index re im) if enabled
     wigner_final.{csv,pgm}         four_cat's final state (state_final.txt)
     summary.json                   machine-readable result
 
-Identical configs give bit-identical CSV output on the same machine, with
-the same BLAS build and the same BLAS thread count; there is no randomness
-anywhere in the artifact. Wigner rasters can differ in the last digits
-between thread counts, since a threaded BLAS splits their matrix product;
-summary.json records the thread settings the process saw (blas_threads).
+Identical configs give bit-identical artifacts (.npy, CSV, PGM and text)
+on the same machine, with the same numpy and BLAS builds and the same BLAS
+thread count; there is no randomness anywhere in the artifact. Wigner
+rasters can differ in the last digits between thread counts, since a
+threaded BLAS splits their matrix product; summary.json records the thread
+settings the process saw (blas_threads).
 
 A dressed-kick Zeno run (kick_theta set) reports its fidelity against the
 same schedule run with ideal kicks. That reference's final state is kept
@@ -118,8 +120,8 @@ def _write_picture(
 
 
 def _write_csv(path: Path, records: np.ndarray) -> None:
-    """One header line of field names, then one row per record: integer
-    fields as they are, the others at 17 significant digits."""
+    """grid.csv: one header line of field names, then one row per record:
+    integer fields as they are, the others at 17 significant digits."""
     names = records.dtype.names
     row = ",".join("{}" if records.dtype[n].kind in "iu" else "{:.17g}" for n in names)
     with open(path, "w", encoding="utf-8") as fh:
@@ -130,7 +132,7 @@ def _write_csv(path: Path, records: np.ndarray) -> None:
 def _emit_trace_artifacts(
     trace: zeno.EvolutionTrace, cfg: config.RunConfig, outdir: Path
 ) -> None:
-    _write_csv(outdir / "trace.csv", trace.records)
+    np.save(outdir / "trace.npy", trace.records)
     for step, state in trace.states.items():
         _write_picture(state, cfg, outdir, f"step{step:06d}")
 
@@ -336,7 +338,7 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
         if best is None or fid > best["fidelity"]:
             best = rows[-1]
             best_trace = trace
-    _write_csv(outdir / "trace.csv", best_trace.records)
+    np.save(outdir / "trace.npy", best_trace.records)
     fid_undamped, _, _ = realistic_point(cfg, best["theta"], damping=False)
     _write_csv(outdir / "grid.csv",
                np.rec.fromrecords([tuple(r.values()) for r in rows], names=list(rows[0])))

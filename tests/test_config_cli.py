@@ -159,7 +159,7 @@ def test_preset_fig2a_emits_ten_snapshots(tmp_path):
     assert steps == list(range(0, 50, 5))
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["truncation_ok"] is True
-    assert (tmp_path / "trace.csv").exists()
+    assert (tmp_path / "trace.npy").exists() and not (tmp_path / "trace.csv").exists()
 
 
 def test_preset_fig4ab_summary_fidelity(tmp_path):
@@ -178,7 +178,7 @@ def test_run_matches_preset_and_is_deterministic(tmp_path):
     out_b = tmp_path / "b"
     assert main(["run", str(cfg_path), "--out", str(out_a), "--quiet"]) == 0
     assert main(["run", str(cfg_path), "--out", str(out_b), "--quiet"]) == 0
-    assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
+    assert (out_a / "trace.npy").read_bytes() == (out_b / "trace.npy").read_bytes()
 
 
 def test_dim_override(tmp_path, capsys):
@@ -671,20 +671,24 @@ def test_failing_reference_is_not_kept(tmp_path, monkeypatch, zeno_calls):
 
 
 def test_realistic_summary_checks_the_top_levels(tmp_path):
-    # leak is the best run's largest top-level population, read off trace.csv,
+    # leak is the best run's largest top-level population, read off trace.npy,
     # and energy its last row's
     raw = preset_raw("realistic")
     hot = {**raw, "lindblad": {"t_c": 1e-3, "n_th": 10.0}}  # heats toward <n> = 10 at dim 40
     for cfg, ok in ((raw, True), (hot, False)):
         out = tmp_path / str(ok)
         summary = runner.run_config(parse_config(cfg), out)
-        with open(out / "trace.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        leaks = [float(row["leak"]) for row in rows]
-        assert summary["leak"] == max(leaks)
+        assert not (out / "trace.csv").exists()
+        rows = np.load(out / "trace.npy", allow_pickle=False)
+        assert rows.dtype.names == ("t_seconds", "energy", "purity",
+                                    "fidelity_vs_target", "trace_err", "leak")
+        assert summary["leak"] == float(rows["leak"].max())
         assert summary["truncation_ok"] is ok
         assert (summary["leak"] < 1e-6) is ok
-        assert summary["energy"] == float(rows[-1]["energy"])
+        assert summary["energy"] == float(rows["energy"][-1])
+        *_, best = runner.realistic_point(parse_config(cfg), summary["best_theta"],
+                                          keep_trace=True)
+        assert rows.tobytes() == best.records.tobytes()  # the best run's records
         if ok:  # the preset's stretch ends near the +-3 target cat, about 9 photons
             assert 9.0 < summary["energy"] < 10.5
 

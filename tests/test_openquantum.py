@@ -30,7 +30,6 @@ from zenocavity.openquantum import (
 )
 from zenocavity.fock import FieldState
 from zenocavity.protocols import build_tweezer_schedule, linear_trajectory
-from zenocavity.runner import _write_csv
 from zenocavity.zeno import KickSpec, Schedule, Step, zeno_run
 
 T_C = 0.13
@@ -199,17 +198,11 @@ def test_kick_leak_recorded():
     assert trace.total_kick_leak > 0.5
 
 
-def row_writer_csv(trace):
-    """trace.csv written one record at a time, as before the record array."""
-    out = "t_seconds,energy,purity,fidelity_vs_target,trace_err,leak\n"
-    for r in trace.records:
-        out += (f"{r.t_seconds:.17g},{r.energy:.17g},{r.purity:.17g},"
-                f"{r.fidelity_vs_target:.17g},{r.trace_err:.17g},{r.leak:.17g}\n")
-    return out
+MASTER_FIELDS = ("t_seconds", "energy", "purity", "fidelity_vs_target", "trace_err", "leak")
 
 
 @pytest.mark.parametrize("with_target", [True, False])
-def test_master_csv_matches_row_writer(with_target, tmp_path):
+def test_master_npy_matches_records(with_target, tmp_path):
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=2e4,
                         theta=2 * math.pi, s=1)
     trajs = [linear_trajectory(1.0, 1.5, 4, adiabatic_cap=0.15),
@@ -218,8 +211,12 @@ def test_master_csv_matches_row_writer(with_target, tmp_path):
     target = cat_state(1.5, 1, 24) if with_target else None
     _, trace = evolve_master(pure_density(cat_state(1.0, 1, 24)), schedule,
                              params(n_th=0.1), target=target)
-    _write_csv(tmp_path / "trace.csv", trace.records)
-    assert (tmp_path / "trace.csv").read_text() == row_writer_csv(trace)
+    np.save(tmp_path / "trace.npy", trace.records)  # as the realistic run writes it
+    loaded = np.load(tmp_path / "trace.npy", allow_pickle=False)
+    assert loaded.dtype.names == MASTER_FIELDS
+    assert all(loaded.dtype[n] == np.float64 for n in MASTER_FIELDS)
+    assert len(loaded) == len(trace.records)
+    assert loaded.tobytes() == trace.records.tobytes()  # nan fidelities too
     records = trace.records
     assert len(records) == len(schedule.steps) + 1
     fid = records.fidelity_vs_target

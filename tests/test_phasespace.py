@@ -1,5 +1,6 @@
 import io
 import math
+import operator
 import warnings
 from functools import cache
 
@@ -277,6 +278,27 @@ def test_csv_matches_per_line_writer():
     export_csv(grid, buf)
     assert buf.getvalue() == _reference_csv(grid)
     assert ",-0\n" in buf.getvalue()
+
+
+def _one_string_csv(grid: WignerGrid) -> str:
+    """export_csv as it was when it joined the whole raster into one string."""
+    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
+    ys = [f"{y:.17g}," for y in grid.ys.tolist()]
+    keys = [x + y for y in ys for x in xs]
+    ws = map("{:.17g}\n".format, grid.values.ravel().tolist())
+    return "x,y,w\n" + "".join(map(operator.add, keys, ws))
+
+
+def test_csv_written_by_rows_matches_one_string_form(tmp_path):
+    # a non-square raster: a row is one y, nx values long
+    grid = wigner_grid(cat_state(1.5, 1.0, 30), (-4, 3, -2, 2.5), nx=9, ny=4)
+    with open(tmp_path / "w.csv", "w", encoding="utf-8") as fh:
+        export_csv(grid, fh)
+    text = (tmp_path / "w.csv").read_text(encoding="utf-8")
+    assert text == _one_string_csv(grid)
+    assert text.splitlines()[1:3] == [f"{grid.xs[0]:.17g},-2,{grid.values[0, 0]:.17g}",
+                                      f"{grid.xs[1]:.17g},-2,{grid.values[0, 1]:.17g}"]
+    assert len(text.splitlines()) == 1 + 9 * 4
 
 
 def test_pgm_format_and_midpoint():

@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 
 import numpy as np
@@ -13,8 +11,9 @@ from reference import (
     zeno_limit_evolve,
 )
 
-from zenocavity import zeno
+from zenocavity import runner, zeno
 from zenocavity.atomkick import PulseParams, conditioned_field_diagonal, pulse_blocks
+from zenocavity.config import parse_config
 from zenocavity.fock import (
     FieldState,
     coherent,
@@ -26,7 +25,6 @@ from zenocavity.fock import (
     photon_distribution,
     vacuum,
 )
-from zenocavity.runner import _write_csv
 from zenocavity.zeno import (
     KickSpec,
     Schedule,
@@ -206,7 +204,19 @@ def test_truncation_checked_on_every_step():
     assert partial.kicks == 40  # the leaking step's kick, none after it
 
 
-def test_trace_csv_matches_per_row_writer(tmp_path):
+FIELDS = ("step", "energy", *(f"p{n}" for n in range(10)), "leak")
+
+
+def write_and_load(trace, tmp_path):
+    """trace.npy as a run writes it, read back without pickle."""
+    cfg = parse_config({"protocol": "zeno_confine", "dim": 48})  # draws the snapshots
+    tmp_path.mkdir(exist_ok=True)
+    runner._emit_trace_artifacts(trace, cfg, tmp_path)
+    assert not (tmp_path / "trace.csv").exists()
+    return np.load(tmp_path / "trace.npy", allow_pickle=False)
+
+
+def test_trace_npy_matches_per_row_values(tmp_path):
     gap = 2 * math.pi * 50e3 * (math.sqrt(7) - math.sqrt(6))
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=0.1 * gap, theta=5.5, s=6)
     trace = zeno_run(
@@ -216,22 +226,21 @@ def test_trace_csv_matches_per_row_writer(tmp_path):
     )
     assert trace.final_atom_leak > 0  # the joint dressed path
     assert trace.steps.tolist() == [0, 7, 14, 17, 21, 28, 35, 42, 49, 56, 60]
-    ref = io.StringIO()
-    writer = csv.writer(ref, lineterminator="\n")
-    writer.writerow(["step", "energy"] + [f"p{n}" for n in range(10)] + ["leak"])
-    rows = zip(trace.steps, trace.energies, trace.probs, trace.leaks)
-    for step, energy, probs, leak in rows:
-        writer.writerow([str(step), f"{energy:.17g}"]
-                        + [f"{p:.17g}" for p in probs[:10]] + [f"{leak:.17g}"])
-    _write_csv(tmp_path / "trace.csv", trace.records)
-    assert (tmp_path / "trace.csv").read_text() == ref.getvalue()
+    loaded = write_and_load(trace, tmp_path)
+    assert loaded.dtype.names == FIELDS
+    assert loaded.dtype["step"] == np.int64
+    assert all(loaded.dtype[n] == np.float64 for n in FIELDS[1:])
+    assert len(loaded) == len(trace.steps)
+    assert loaded.tobytes() == trace.records.tobytes()
+    rows = zip(loaded, trace.steps, trace.energies, trace.probs, trace.leaks)
+    for row, step, energy, probs, leak in rows:
+        assert row.tolist() == (step, energy, *probs[:10], leak)
     # a basis below ten levels pads p0..p9 with zeros
     small = zeno_run(vacuum(4), uniform_schedule(3, 0.01, [KickSpec(s=0)]),
                      guard_levels=1)
-    _write_csv(tmp_path / "small.csv", small.records)
-    lines = (tmp_path / "small.csv").read_text().splitlines()
-    assert lines[1] == "0,0,1,0,0,0,0,0,0,0,0,0,0"
-    assert all(len(line.split(",")) == 13 for line in lines)
+    loaded = write_and_load(small, tmp_path / "small")
+    assert loaded.dtype.names == FIELDS
+    assert loaded[0].tolist() == (0, 0.0, 1.0, *[0.0] * 10)
 
 
 def test_joint_dressed_run_matches_dense_step_matrix():
@@ -404,14 +413,14 @@ def test_chunked_run_matches_per_step_reference(mode):
     check(err.value.trace, ref)
 
 
-def test_trace_csv_format(tmp_path):
+def test_trace_npy_format(tmp_path):
     trace = zeno_run(vacuum(24), uniform_schedule(5, 0.1, [KickSpec(s=3)]))
-    _write_csv(tmp_path / "trace.csv", trace.records)
-    lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert lines[0] == "step,energy," + ",".join(f"p{n}" for n in range(10)) + ",leak"
-    assert len(lines) == 1 + len(trace.steps)
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[2]) == 1.0  # vacuum p0
+    loaded = write_and_load(trace, tmp_path)
+    assert (tmp_path / "trace.npy").read_bytes()[:8] == b"\x93NUMPY\x01\x00"
+    assert loaded.dtype.names == FIELDS
+    assert len(loaded) == len(trace.steps)
+    assert loaded["step"][0] == 0 and loaded["p0"][0] == 1.0  # vacuum p0
+    assert loaded.tobytes() == trace.records.tobytes()
 
 
 def test_record_thinning():
