@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import IO
 
@@ -187,14 +186,15 @@ def wigner_grid(
 def export_csv(grid: WignerGrid, fh: IO[str]) -> None:
     """Rows `x,y,w`, row-major over the raster, 17 significant digits.
 
-    Written one raster row (one y) at a time, so the text held in memory
-    is one row's, not the raster's."""
-    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
+    The x texts are formatted once per raster. Each raster row (one y)
+    joins them into one printf template, `x_0,y,%.17g\nx_1,y,%.17g\n...`,
+    and fills in its w values with one `%`. Written a row at a time, so
+    the text held in memory is one row's, not the raster's."""
+    xs = [f"{x:.17g}" for x in grid.xs.tolist()]
     fh.write("x,y,w\n")
     for y, row in zip(grid.ys.tolist(), grid.values):
-        y = f"{y:.17g},"
-        ws = map("{:.17g}\n".format, row.tolist())
-        fh.write("".join(map(operator.add, [x + y for x in xs], ws)))
+        sep = f",{y:.17g},%.17g\n"
+        fh.write((sep.join(xs) + sep) % tuple(row.tolist()))
 
 
 def import_csv(fh: IO[str]) -> WignerGrid:

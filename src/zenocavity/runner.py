@@ -113,20 +113,20 @@ def _write_picture(
 ) -> phasespace.WignerGrid:
     """wigner_<suffix>.{csv,pgm}, and state_<suffix>.txt (index re im) with dump_states."""
     if cfg.dump_states:
+        template = "".join(f"{n} %.17g %.17g\n" for n in range(state.dim))
         with open(outdir / f"state_{suffix}.txt", "w", encoding="utf-8") as fh:
-            for n, c in enumerate(state.amps):
-                fh.write(f"{n} {c.real:.17g} {c.imag:.17g}\n")
+            fh.write(template % tuple(state.amps.view(np.float64).tolist()))
     return _write_wigner(state, cfg, outdir, f"wigner_{suffix}")
 
 
 def _write_csv(path: Path, records: np.ndarray) -> None:
-    """grid.csv: one header line of field names, then one row per record:
-    integer fields as they are, the others at 17 significant digits."""
+    """grid.csv: one header line of field names, then one row per record, every
+    field at 17 significant digits (integers up to 2**53 read as they are)."""
     names = records.dtype.names
-    row = ",".join("{}" if records.dtype[n].kind in "iu" else "{:.17g}" for n in names)
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(row.format(*r) + "\n" for r in records.tolist())
+        fh.writelines(row % r for r in records.tolist())
 
 
 def _emit_trace_artifacts(

@@ -20,7 +20,7 @@ from zenocavity.config import (
     parse_config,
     preset_raw,
 )
-from zenocavity.fock import vacuum
+from zenocavity.fock import FieldState, vacuum
 from zenocavity.phasespace import import_csv
 
 
@@ -430,6 +430,22 @@ def test_state_dump_format(tmp_path):
     assert len(dump) == 20
     idx, re_part, im_part = dump[0].split()
     assert idx == "0" and float(re_part) == 1.0 and float(im_part) == 0.0
+
+
+def test_state_dump_matches_per_amplitude_writer(tmp_path):
+    # small finite doubles from random bit patterns, signed zeros and subnormals
+    bits = np.random.default_rng(29).integers(0, 2**64, size=400, dtype=np.uint64)
+    small = bits.view(np.float64)[np.abs(bits.view(np.float64)) < 1e-3][:78]
+    amps = np.concatenate([[0], small.view(np.complex128),
+                           [complex(-0.0, 5e-324), complex(-2.2250738585072014e-308, -0.0)]])
+    amps[0] = math.sqrt(1.0 - np.vdot(amps, amps).real)
+    state = FieldState(amps)
+    cfg = parse_config({**preset_raw("qze"), "dump_states": True, "wigner": {"nx": 3, "ny": 3}})
+    runner._write_picture(state, cfg, tmp_path, "t")
+    ref = "".join(f"{n} {c.real:.17g} {c.imag:.17g}\n" for n, c in enumerate(state.amps))
+    assert (tmp_path / "state_t.txt").read_text(encoding="utf-8") == ref
+    assert ref.splitlines()[-2:] == ["40 -0 4.9406564584124654e-324",
+                                     "41 -2.2250738585072014e-308 -0"]
 
 
 def test_stretch_window_holds_the_moving_component(tmp_path):

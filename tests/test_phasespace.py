@@ -280,6 +280,26 @@ def test_csv_matches_per_line_writer():
     assert ",-0\n" in buf.getvalue()
 
 
+def test_csv_matches_per_value_writer_on_random_bit_patterns():
+    # finite doubles from random bit patterns, signed zeros, subnormals and
+    # both sides of the switch to exponent form at 1e17
+    bits = np.random.default_rng(23).integers(0, 2**64, size=200, dtype=np.uint64)
+    finite = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1.2345678901234568e17]
+    values = np.concatenate([special, finite[:11 * 13 - len(special)]]).reshape(13, 11)
+    grid = WignerGrid(x_min=-1e16, x_max=3.3e17, y_min=-5e-324, y_max=0.1, nx=11, ny=13,
+                      values=values)
+    buf = io.StringIO()
+    export_csv(grid, buf)
+    assert buf.getvalue() == _reference_csv(grid)
+    lines = buf.getvalue().splitlines()
+    assert lines[1].startswith("-10000000000000000,-4.9406564584124654e-324,")
+    assert [line.rsplit(",", 1)[1] for line in lines[1:7]] == [
+        "0", "-0", "4.9406564584124654e-324", "-2.2250738585072014e-308",
+        "10000000000000000", "1.2345678901234568e+17",
+    ]
+
+
 def _one_string_csv(grid: WignerGrid) -> str:
     """export_csv as it was when it joined the whole raster into one string."""
     xs = [f"{x:.17g}," for x in grid.xs.tolist()]
