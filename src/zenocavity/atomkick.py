@@ -46,15 +46,14 @@ class PulseParams:
     rabi_drive: drive Rabi frequency on the bare h->g line (rad/s).
     theta: target Rabi angle on the resonant dressed transition (rad).
     s: addressed photon number.
-    include_minus_branch: couple both dressed branches (the physical case)
-        or only |+,n> (useful for analytic checks).
+
+    The pulse always couples h to both dressed branches of every n >= 1.
     """
 
     omega: float
     rabi_drive: float
     theta: float
     s: int
-    include_minus_branch: bool = True
 
     def __post_init__(self):
         if self.omega <= 0 or self.rabi_drive <= 0:
@@ -64,12 +63,6 @@ class PulseParams:
             raise ValueError("theta must lie in [0, 4*pi]")
         if self.s < 0:
             raise ValueError("s must be non-negative")
-
-    @property
-    def selectivity_ratio(self) -> float:
-        """rabi_drive over the spacing to the nearest unaddressed line."""
-        gap = self.omega * abs(math.sqrt(self.s + 1) - math.sqrt(self.s))
-        return self.rabi_drive / gap
 
     @property
     def duration(self) -> float:
@@ -98,11 +91,11 @@ def _pulse_unitaries(params: PulseParams, n: np.ndarray) -> np.ndarray:
     """exp(-i H_n tau) for each n in (h, +, -) slots, by one batched eigh; (len(n), 3, 3).
 
     H_n couples h to |+,n> and |-,n> at Omega_R / (2 sqrt 2); at n = 0 it
-    couples h to the bare |g,0> (slot +) at Omega_R / 2. A slot outside
-    the block (|-,0>, or |-,n> without the minus branch) is the identity.
+    couples h to the bare |g,0> (slot +) at Omega_R / 2. The slot outside
+    the block, |-,0>, is the identity.
     """
     d_plus, d_minus = dressed_detunings(n, params)
-    minus = (n > 0) & params.include_minus_branch
+    minus = n > 0
     coupling = params.rabi_drive / np.where(n == 0, 2.0, 2.0 * math.sqrt(2.0))
     h = np.zeros((len(n), 3, 3), dtype=np.complex128)
     h[:, 0, 1] = h[:, 1, 0] = coupling
@@ -118,12 +111,11 @@ def _pulse_unitaries(params: PulseParams, n: np.ndarray) -> np.ndarray:
 def pulse_block_unitary(n: int, params: PulseParams) -> np.ndarray:
     """Propagator of the pulse on the n-photon block.
 
-    Basis {|h,n>, |+,n>, |-,n>} for n >= 1 (2x2 {h, +} when the minus
-    branch is excluded), {|h,0>, |g,0>} at n = 0. Returns
+    Basis {|h,n>, |+,n>, |-,n>} for n >= 1, {|h,0>, |g,0>} at n = 0. Returns
     exp(-i H_n tau) with tau = params.duration: one pulse lasts the same
     time on every block.
     """
-    k = 3 if n and params.include_minus_branch else 2
+    k = 3 if n else 2
     return _pulse_unitaries(params, np.array([n]))[0, :k, :k]
 
 
@@ -131,8 +123,8 @@ def pulse_block_unitary(n: int, params: PulseParams) -> np.ndarray:
 def pulse_blocks(params: PulseParams, dim: int) -> np.ndarray:
     """Per-n pulse propagators embedded in (h, +, -) slots; shape (dim, 3, 3).
 
-    At n = 0 (and with the minus branch excluded) the spare slot is the
-    identity, so an amplitude parked there is untouched.
+    At n = 0 the spare slot is the identity, so an amplitude parked there
+    is untouched.
     """
     blocks = _pulse_unitaries(params, np.arange(dim))
     blocks.flags.writeable = False

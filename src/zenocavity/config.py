@@ -85,8 +85,7 @@ class TrajectoryConfig:
 @dataclass
 class PulseConfig:
     omega: Annotated[float, POSITIVE] = 2 * math.pi * 50e3  # rad/s
-    rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0  # rad/s; 0 -> from total_duration
-    total_duration: Annotated[float, NON_NEGATIVE] = 3.4e-3  # s, whole protocol
+    total_duration: Annotated[float, POSITIVE] = 3.4e-3  # s, whole protocol
 
 
 @dataclass
@@ -233,8 +232,6 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         if n < 2 or (n & (n - 1)) != 0:
             problems.append(f"n_components: must be a power of two >= 2, got {n}")
     if isinstance(cfg, RealisticConfig):
-        if not (cfg.pulse.total_duration or cfg.pulse.rabi_drive):
-            problems.append("pulse: needs total_duration or rabi_drive")
         # the amplitude rule with |z|^2 = n_th, the bath's mean occupancy; n_th = 0 adds none
         n_th = cfg.lindblad.n_th
         if n_th and not (need := required_dim(math.sqrt(n_th))) <= cfg.dim:
@@ -253,6 +250,7 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
 _RETIRED_KEYS = {
     "lindblad.dt": "damping is now exact and has no integrator step",
     "pulse.theta": "realistic runs take their angles from theta_grid",
+    "pulse.rabi_drive": "each angle's drive follows from total_duration",
 }
 
 
@@ -400,10 +398,6 @@ def read_config(path: str) -> dict[str, Any]:
 def list_presets() -> list[str]:
     files = resources.files("zenocavity").joinpath("presets")
     return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
-
-
-def load_preset(name: str) -> RunConfig:
-    return parse_config(preset_raw(name))
 
 
 def preset_raw(name: str) -> dict[str, Any]:

@@ -64,7 +64,6 @@ class TruncationReport:
     """Population found in the top guard levels of a state."""
 
     top_population: float
-    guard_levels: int
     ok: bool
 
 
@@ -128,17 +127,16 @@ def _fock_column(n: int, gammas: np.ndarray | list[complex], dim: int) -> np.nda
     return out
 
 
-def coherent(alpha: complex, dim: int, enforce_truncation: bool = True) -> FieldState:
+def coherent(alpha: complex, dim: int) -> FieldState:
     """Coherent state |alpha>, renormalized over the truncated basis.
 
-    With enforce_truncation the rule |alpha|^2 + 6|alpha| + 10 <= dim is
-    required, which keeps the discarded Poisson tail below ~1e-12 in
-    population. Pass False only to build deliberately clipped states (e.g.
-    to exercise truncation_check).
+    The truncation rule |alpha|^2 + 6|alpha| + 10 <= dim is required (else
+    TruncationError), which keeps the discarded Poisson tail below ~1e-12
+    in population.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if enforce_truncation and not required_dim(alpha) <= dim:
+    if not required_dim(alpha) <= dim:
         raise TruncationError(
             f"coherent amplitude {alpha} needs dim >= {required_dim(alpha):.6g}, got {dim}"
         )
@@ -227,4 +225,4 @@ def truncation_check(
     if not 0 < guard_levels < state.dim:
         raise ValueError("guard_levels must lie in 1..dim-1")
     top = float(photon_distribution(state)[state.dim - guard_levels:].sum())
-    return TruncationReport(top_population=top, guard_levels=guard_levels, ok=top < leak_tol)
+    return TruncationReport(top_population=top, ok=top < leak_tol)

@@ -148,10 +148,6 @@ class WignerGrid:
     def ys(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.ny)
 
-    def integral(self) -> float:
-        """Trapezoid-rule integral of W over the grid."""
-        return float(np.trapezoid(np.trapezoid(self.values, self.xs, axis=1), self.ys))
-
 
 def _state_vectors(state_or_rho) -> list[tuple[float, np.ndarray]]:
     """Decompose the argument into weighted pure-state vectors."""
@@ -248,15 +244,19 @@ def count_lobes(
     Interference fringes between cat components peak as high as the lobes
     themselves, so W is first blurred with a Gaussian of smooth_sigma
     phase-space units: fringes alternate sign on a sub-unit scale and
-    average away while the unit-wide lobes survive. A cell then counts as
-    a lobe when it dominates its 8 neighbours and exceeds rel_threshold
-    times the smoothed maximum.
+    average away while the unit-wide lobes survive. The kernel reaches
+    scipy's default 4 sigma, but no further than the raster's own size, so
+    a small window (sigma of many cells) costs no more than a wide one. A
+    cell then counts as a lobe when it dominates its 8 neighbours and
+    exceeds rel_threshold times the smoothed maximum.
     """
     from scipy.ndimage import gaussian_filter
 
     dx = (grid.x_max - grid.x_min) / (grid.nx - 1)
     dy = (grid.y_max - grid.y_min) / (grid.ny - 1)
-    a = gaussian_filter(grid.values, sigma=(smooth_sigma / dy, smooth_sigma / dx))
+    sigma = (smooth_sigma / dy, smooth_sigma / dx)
+    radius = tuple(min(int(4 * sd + 0.5), n) for sd, n in zip(sigma, grid.values.shape))
+    a = gaussian_filter(grid.values, sigma=sigma, radius=radius)
     cut = rel_threshold * float(np.max(a))
     ny, nx = a.shape
     # the 3x3 patch of every interior cell, as nine shifted views

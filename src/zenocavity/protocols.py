@@ -248,16 +248,13 @@ def crush_between(
 
     Both centers move simultaneously and push the wavefunction outside
     both circles; the final kick, where the circles coincide, is applied
-    once.
+    once. A tweezer run without the pairwise overlap check, since the
+    circles converge on purpose.
     """
     mid = (complex(center_a) + complex(center_b)) / 2.0
-    schedule = build_tweezer_schedule((
-        linear_trajectory(center_a, mid, n_steps),
-        linear_trajectory(center_b, mid, n_steps),
-    ))
-    trace = zeno_run(state, schedule, record_every=record_every,
-                     guard_levels=guard_levels, leak_tol=leak_tol)
-    return trace.final_state, trace
+    trajs = (linear_trajectory(center_a, mid, n_steps), linear_trajectory(center_b, mid, n_steps))
+    return tweezer_run(state, trajs, record_every=record_every,
+                       guard_levels=guard_levels, leak_tol=leak_tol)
 
 
 def energy_matched_cat_amplitude(target_energy: float) -> float:

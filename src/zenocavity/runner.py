@@ -119,16 +119,6 @@ def _write_picture(
     return _write_wigner(state, cfg, outdir, f"wigner_{suffix}")
 
 
-def _write_csv(path: Path, records: np.ndarray) -> None:
-    """grid.csv: one header line of field names, then one row per record, every
-    field at 17 significant digits (integers up to 2**53 read as they are)."""
-    names = records.dtype.names
-    row = ",".join(["%.17g"] * len(names)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(row % r for r in records.tolist())
-
-
 def _emit_trace_artifacts(
     trace: zeno.EvolutionTrace, cfg: config.RunConfig, outdir: Path
 ) -> None:
@@ -293,18 +283,14 @@ def realistic_point(
     """One damped tweezer run at the given Rabi angle.
 
     Returns (fidelity vs target cat, total duration in s, kick leak), plus
-    the master trace when keep_trace is set. The drive Rabi frequency
-    follows from spreading the configured total duration over the pulses
-    unless rabi_drive is set explicitly.
+    the master trace when keep_trace is set. The configured total duration
+    is spread evenly over the 2 * waypoints_per_component pulses, and the
+    drive Rabi frequency is the one that gives each pulse the angle theta.
     """
     n_wp = cfg.waypoints_per_component
-    n_pulses = 2 * n_wp
-    if cfg.pulse.rabi_drive > 0:
-        rabi = cfg.pulse.rabi_drive
-    else:
-        tau = cfg.pulse.total_duration / n_pulses
-        rabi = theta * math.sqrt(2.0) / tau
-    pulse = PulseParams(omega=cfg.pulse.omega, rabi_drive=rabi, theta=theta, s=1)
+    tau = cfg.pulse.total_duration / (2 * n_wp)
+    pulse = PulseParams(omega=cfg.pulse.omega, rabi_drive=theta * math.sqrt(2.0) / tau,
+                        theta=theta, s=1)
     start, stop = cfg.cat_init, cfg.target_alpha
     # the config sets the move size: no adiabatic cap applies
     trajs = [
@@ -340,8 +326,8 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
             best_trace = trace
     np.save(outdir / "trace.npy", best_trace.records)
     fid_undamped, _, _ = realistic_point(cfg, best["theta"], damping=False)
-    _write_csv(outdir / "grid.csv",
-               np.rec.fromrecords([tuple(r.values()) for r in rows], names=list(rows[0])))
+    np.savetxt(outdir / "grid.csv", [tuple(r.values()) for r in rows], fmt="%.17g",
+               delimiter=",", header=",".join(rows[0]), comments="")
     leak = float(best_trace.records.leak.max())
     return {
         "fidelity": best["fidelity"],

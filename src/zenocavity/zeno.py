@@ -82,9 +82,6 @@ class Schedule:
             raise ValueError("schedule must contain at least one step")
         object.__setattr__(self, "steps", steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def uniform_schedule(n_steps: int, beta: complex, kicks: Sequence[KickSpec]) -> Schedule:
     """n_steps identical steps: D(beta) then the given kicks."""

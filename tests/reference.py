@@ -1,7 +1,7 @@
 """Reference models the tests check the package against.
 
 The Zeno-limit evolution, the displaced-circle topological-phase identity,
-moments of the field and single Wigner values. No run of the package
+moments of the field, single Wigner values and a raster's integral. No run of the package
 calls them; they are the oracles of criteria 2-4 and 8 and of the unit
 tests.
 """
@@ -20,7 +20,7 @@ from zenocavity.fock import (
     mean_energy,
     photon_distribution,
 )
-from zenocavity.phasespace import _raster, _state_vectors
+from zenocavity.phasespace import WignerGrid, _raster, _state_vectors
 from zenocavity.zeno import KickSpec, displaced_kick
 
 
@@ -56,6 +56,11 @@ def wigner_point(state_or_rho, xi: complex) -> float:
     xi = complex(xi)
     values = _raster(_state_vectors(state_or_rho), xi.real, 0.0, 1, xi.imag, xi.imag, 1)
     return float(values[0, 0])
+
+
+def wigner_integral(grid: WignerGrid) -> float:
+    """Trapezoid-rule integral of W over the raster; 1 for a state inside it."""
+    return float(np.trapezoid(np.trapezoid(grid.values, grid.xs, axis=1), grid.ys))
 
 
 def drive_hamiltonian(drive_amp: complex, dim: int) -> np.ndarray:

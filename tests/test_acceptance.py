@@ -43,12 +43,13 @@ from reference import (
     mean_amplitude,
     min_quadrature_variance,
     topological_phase_identity_residual,
+    wigner_integral,
     wigner_point,
     zeno_limit_evolve,
 )
 
 from zenocavity.atomkick import PulseParams
-from zenocavity.config import load_preset
+from zenocavity.config import parse_config, preset_raw
 from zenocavity.fock import (
     FieldState,
     cat_state,
@@ -325,7 +326,7 @@ def test_criterion_11_theta_robustness():
 
 def test_criterion_12_realistic_decoherence_run():
     t0 = time.perf_counter()
-    cfg = load_preset("realistic")
+    cfg = parse_config(preset_raw("realistic"))
     best = None
     for theta in cfg.theta_grid:
         fid, duration, leak = realistic_point(cfg, theta, damping=True)
@@ -375,7 +376,7 @@ def test_criterion_13_property_suites():
         problems.append("generator not traceless")
     # wigner normalization, covariance, parity identity
     grid = wigner_grid(coherent(2, 160), (-7, 7, -7, 7), nx=141, ny=141)
-    if abs(grid.integral() - 1) > 1e-3:
+    if abs(wigner_integral(grid) - 1) > 1e-3:
         problems.append("wigner normalization off by more than 1e-3")
     psi = cat_state(1.2, 1, 30)
     moved = FieldState(displacement_op(0.4 - 0.3j, 30) @ psi.amps)

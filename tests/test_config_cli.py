@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,12 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenocavity import cli, runner, zeno
+from zenocavity import cli, phasespace, protocols, runner, zeno
 from zenocavity.cli import main, run_sweep
 from zenocavity.config import (
     ConfigError,
     list_presets,
-    load_preset,
     parse_config,
     preset_raw,
 )
@@ -146,7 +146,7 @@ def test_all_presets_load():
     assert {"fig2a", "fig2b", "fig2c", "fig3", "fig4ab", "fig4c", "fig4d",
             "realistic"} <= set(names)
     for name in names:
-        cfg = load_preset(name)
+        cfg = parse_config(preset_raw(name))
         assert cfg.dim >= 2
 
 
@@ -284,6 +284,12 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     ({"protocol": "realistic", "dim": 40, "pulse": {}, "lindblad": {"t_c": 10**400}},
      "lindblad.t_c: expected a finite number, got 1000"),
     ({"protocol": "zeno_confine", "dim": math.nan}, "dim: expected an integer, got nan"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {"total_duration": 0}},
+     "pulse.total_duration: must be positive, got 0"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {"rabi_drive": 3e4}},
+     "pulse.rabi_drive: unknown key (each angle's drive follows from total_duration)"),
+    ({"protocol": "realistic", "dim": 40, "pulse": {}, "lindblad": {"dt": 1e-7}},
+     "lindblad.dt: unknown key (damping is now exact and has no integrator step)"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"
@@ -308,7 +314,7 @@ def _float_leaves(node, path=()):
 def test_non_finite_numbers_exit_2(tmp_path, capsys, name):
     # the preset with every key written out; Python's JSON reader takes NaN
     # and Infinity and reads 1e400 as inf, and each is rejected at its key
-    cfg = load_preset(name)
+    cfg = parse_config(preset_raw(name))
     full = json.loads(json.dumps(dataclasses.asdict(cfg), default=lambda z: [z.real, z.imag]))
     assert parse_config(full) == cfg
     bad, out = tmp_path / "bad.json", tmp_path / "o"
@@ -386,7 +392,7 @@ def test_thermal_occupancy_beyond_the_basis_exits_2(tmp_path, capsys):
         assert err.count("\n  - ") == 1
         assert not (tmp_path / "o").exists()
     for name in list_presets():
-        load_preset(name)
+        parse_config(preset_raw(name))
 
 
 def test_summary_records_blas_threads(tmp_path):
@@ -752,16 +758,50 @@ def test_wigner_bounds_lie_within_32(tmp_path, capsys):
 
 
 def test_csv_writer_matches_per_row_writer(tmp_path):
-    # integer fields as they are, the others at 17 significant digits
-    floats = [math.nan, -0.0, math.inf, 1e-300, 0.1]
-    records = np.rec.fromarrays(
-        [np.arange(len(floats)) - 1, np.array(floats), np.array(floats[::-1])],
-        names="step,x,y",
+    # grid.csv: a header of field names, then one row per angle, every
+    # field at 17 significant digits
+    raw = {"protocol": "realistic", "dim": 22, "cat_init": [1, 0], "target_alpha": [1.5, 0],
+           "waypoints_per_component": 2, "theta_grid": [2 * math.pi, 1.0],
+           "pulse": {"total_duration": 1e-3}}
+    summary = runner.run_config(parse_config(raw), tmp_path)
+    names = ["theta", "fidelity", "duration_s", "kick_leak"]
+    ref = ",".join(names) + "\n"
+    for row in summary["grid"]:
+        assert list(row) == names
+        ref += ",".join(f"{v:.17g}" for v in row.values()) + "\n"
+    assert (tmp_path / "grid.csv").read_text() == ref
+    assert len(ref.splitlines()) == 3
+
+def test_crush_preset_matches_direct_protocol_calls(tmp_path):
+    # fig4c through run_config against crush_between and the matched-cat
+    # fidelity called directly on the same settings
+    cfg = parse_config(preset_raw("fig4c"))
+    summary = runner.run_config(cfg, tmp_path)
+    final, trace = protocols.crush_between(
+        vacuum(cfg.dim), *cfg.crush_centers, cfg.crush_steps, record_every=cfg.record_every,
+        guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
     )
-    runner._write_csv(tmp_path / "t.csv", records)
-    ref = "step,x,y\n"
-    for r in records:
-        ref += f"{int(r.step)},{float(r.x):.17g},{float(r.y):.17g}\n"
-    text = (tmp_path / "t.csv").read_text()
-    assert text == ref
-    assert text.splitlines()[1:3] == ["-1,nan,0.10000000000000001", "0,-0,1e-300"]
+    written = np.load(tmp_path / "trace.npy", allow_pickle=False)
+    assert written.dtype.names == trace.records.dtype.names
+    assert written.tobytes() == trace.records.tobytes()
+    grid = phasespace.wigner_grid(final, runner._wigner_bounds(cfg),
+                                  nx=cfg.wigner.nx, ny=cfg.wigner.ny)
+    text = io.StringIO()
+    phasespace.export_csv(grid, text)
+    assert (tmp_path / f"wigner_step{trace.steps[-1]:06d}.csv").read_text() == text.getvalue()
+    energy, matched, fid = protocols.crush_fidelity_vs_matched_cat(final)
+    assert (summary["energy"], summary["matched_cat_amplitude"], summary["fidelity"]) == (
+        energy, matched, fid)
+
+
+def test_list_presets_prints_every_preset(capsys):
+    assert main(["list-presets"]) == 0
+    assert capsys.readouterr().out.splitlines() == list_presets()
+
+
+def test_run_reports_a_truncation_leak_with_exit_1(tmp_path, capsys):
+    cfg_path = tmp_path / "leaky.json"
+    cfg_path.write_text(json.dumps({**preset_raw("qze"), "leak_tol": 1e-300}))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: truncation leak ")
+

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from zenocavity.config import ConfigError, list_presets, load_preset, parse_config, preset_raw
+from zenocavity.config import ConfigError, list_presets, parse_config, preset_raw
 
 #: wrong types, non-finite numbers, negatives and huge values, as JSON decodes them
 REPLACEMENTS = (
@@ -29,7 +29,7 @@ REPLACEMENTS = (
 
 
 def _full(name):
-    cfg = load_preset(name)
+    cfg = parse_config(preset_raw(name))
     return json.loads(json.dumps(dataclasses.asdict(cfg), default=lambda z: [z.real, z.imag]))
 
 

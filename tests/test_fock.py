@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from zenocavity.fock import (
     FieldState,
     TruncationError,
+    _fock_column,
     annihilation_op,
     cat_state,
     coherent,
@@ -56,7 +57,6 @@ def test_coherent_poisson_distribution():
 def test_coherent_truncation_guard():
     with pytest.raises(TruncationError):
         coherent(5, 26)
-    coherent(5, 26, enforce_truncation=False)  # explicit opt-out builds
 
 
 def test_displacement_unitary_and_identity():
@@ -149,7 +149,7 @@ def test_fidelity_symmetric_and_phase_invariant():
 def test_truncation_check():
     rep = truncation_check(vacuum(10), 3, 1e-6)
     assert rep.ok and rep.top_population == 0
-    clipped = coherent(5, 26, enforce_truncation=False)
+    clipped = FieldState(_fock_column(0, [5], 26)[0])  # |5> clipped to 26 levels
     rep = truncation_check(clipped, 3, 1e-6)
     assert not rep.ok
     # oracle: renormalized Poisson tail of the clipped basis is macroscopic
@@ -249,5 +249,8 @@ def test_coherent_matches_log_space_reference_bit_for_bit():
     for _ in range(200):
         dim = int(rng.integers(10, 161))
         alpha = complex(*rng.uniform(-1, 1, 2)) * max(math.sqrt(dim - 1.0) - 3.0, 0.5)
-        built = coherent(alpha, dim, enforce_truncation=False).amps
+        if required_dim(alpha) <= dim:
+            built = coherent(alpha, dim).amps
+        else:  # beyond the truncation rule coherent refuses; the column is the same
+            built = FieldState(_fock_column(0, [alpha], dim)[0]).amps
         assert np.array_equal(built, reference(alpha, dim))

@@ -1,13 +1,14 @@
 import io
 import math
 import operator
+import time
 import warnings
 from functools import cache
 
 import numpy as np
 import pytest
 from helpers import full_range_raster
-from reference import wigner_point
+from reference import wigner_integral, wigner_point
 from scipy.linalg import expm
 
 from zenocavity.fock import (
@@ -94,7 +95,7 @@ def test_normalization_integral():
     # position-space evaluation needs no padding, so the state's own dim
     # is enough even though the corners lie |xi - alpha| ~ 11 away
     grid = wigner_grid(coherent(2, 48), (-7, 7, -7, 7), nx=141, ny=141)
-    assert abs(grid.integral() - 1.0) < 1e-3
+    assert abs(wigner_integral(grid) - 1.0) < 1e-3
 
 
 def test_far_points_give_the_exact_gaussian():
@@ -396,3 +397,19 @@ def test_count_lobes_matches_loop_on_plateaus():
                 if c > cut and c >= patch.max() and np.count_nonzero(patch == c) == 1:
                     expected += 1
         assert count_lobes(grid, rel, smooth_sigma=1e-3) == expected
+
+
+def test_count_lobes_on_a_tiny_window_stays_fast():
+    # the blur is 0.5 / dx cells wide, thousands over +-0.01; a 4-sigma
+    # kernel would then cost n^3, one capped at the raster size n^2
+    n = 301
+    xs = np.linspace(-0.01, 0.01, n)
+    values = np.exp(-(xs[None, :] ** 2 + xs[:, None] ** 2) / 1e-4)  # one bump
+    grid = WignerGrid(x_min=-0.01, x_max=0.01, y_min=-0.01, y_max=0.01, nx=n, ny=n,
+                      values=values)
+    count_lobes(WignerGrid(x_min=0, x_max=1, y_min=0, y_max=1, nx=3, ny=3,
+                           values=np.zeros((3, 3))))  # scipy imported before timing
+    t0 = time.perf_counter()
+    lobes = count_lobes(grid)
+    assert time.perf_counter() - t0 < 1.0
+    assert lobes == 1

@@ -497,7 +497,7 @@ def test_topological_phase_identity():
 
 def test_uniform_schedule_and_validation():
     sched = uniform_schedule(3, 0.1, [KickSpec(s=2)])
-    assert len(sched) == 3
+    assert len(sched.steps) == 3
     assert sum(step.displacement for step in sched.steps) == pytest.approx(0.3)
     with pytest.raises(ValueError):
         Schedule(steps=())
