@@ -25,7 +25,8 @@ from importlib import resources
 from types import UnionType
 from typing import Annotated, Any, Literal, get_args, get_origin, get_type_hints
 
-from .fock import required_dim
+from .fock import GUARD_LEVELS, required_dim
+from .protocols import DEFAULT_ADIABATIC_CAP, OVERLAP_TOL, gaussian_overlap
 
 
 class ConfigError(ValueError):
@@ -107,7 +108,6 @@ class _PureRun:
 
     dim: Annotated[int, Range(2), MAX_DIM]
     leak_tol: Annotated[float, POSITIVE] = 1e-6
-    guard_levels: Annotated[int, Range(1)] = 3
     dump_states: bool = False
     wigner: WignerConfig = field(default_factory=WignerConfig)
 
@@ -122,7 +122,6 @@ class ZenoConfig(_PureRun):
     steps: Annotated[int, Range(1), MAX_STEPS] = 45
     record_every: Annotated[int, Range(1)] = 1
     snapshot_every: Annotated[int, NON_NEGATIVE] = 0  # 0 -> no wigner snapshots
-    snapshot_steps: tuple[Annotated[int, NON_NEGATIVE], ...] = ()
     kick_theta: Annotated[float, ANGLE] = 0.0  # 0 -> ideal kicks; else dressed kicks
     kick_rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0
     kick_omega: Annotated[float, POSITIVE] = 2 * math.pi * 50e3
@@ -135,7 +134,6 @@ class StretchConfig(_PureRun):
     alpha_free: complex  # the moving component
     beta: complex = 0.1
     steps: Annotated[int, Range(1), MAX_STEPS] = 45
-    overlap_tol: Annotated[float, POSITIVE] = 1e-3
 
 
 @dataclass(kw_only=True)
@@ -146,8 +144,7 @@ class TweezerConfig(_PureRun):
     record_every: Annotated[int, Range(1)] = 1
     trajectories: Annotated[tuple[TrajectoryConfig, ...], Range(1)]
     interleave: Literal["roundrobin", "sequential"] = "roundrobin"
-    component_positions: tuple[complex, ...] = ()
-    overlap_tol: Annotated[float, POSITIVE] = 1e-3
+    component_positions: tuple[complex, ...] = ()  # () -> trajectory starts, initial lobes
     target_alpha: complex | None = None  # even cat the fidelity compares against
 
 
@@ -206,20 +203,18 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
                 f"{key}: |{key}| = {a:.6g} needs dim >= |z|^2 + 6|z| + 10 = {need:.6g}, "
                 f"got dim={cfg.dim}"
             )
+    band = f"the guard band, the top {GUARD_LEVELS} levels of dim={cfg.dim}"
     if isinstance(cfg, ZenoConfig):
-        if cfg.s >= cfg.dim - cfg.guard_levels:
-            problems.append(
-                f"s: {cfg.s} reaches the guard band of dim={cfg.dim} "
-                f"with guard_levels={cfg.guard_levels}"
-            )
-        late = [n for n in cfg.snapshot_steps if n > cfg.steps]
-        if late:
-            problems.append(f"snapshot_steps: {late} lie beyond steps={cfg.steps}")
+        if cfg.s >= cfg.dim - GUARD_LEVELS:
+            problems.append(f"s: {cfg.s} reaches {band}")
         if cfg.kick_theta and not cfg.kick_rabi_drive:
             problems.append("kick_rabi_drive: required when kick_theta is set")
+    elif isinstance(cfg, (StretchConfig, CrushConfig, FourCatConfig)):
+        if 1 >= cfg.dim - GUARD_LEVELS:  # their tweezers kick at s = 1
+            problems.append(f"dim: the tweezer kicks at s=1 reach {band}")
     for k, traj in enumerate(cfg.trajectories if isinstance(cfg, TweezerConfig) else ()):
-        if traj.s >= cfg.dim - cfg.guard_levels:
-            problems.append(f"trajectories[{k}].s: {traj.s} reaches the guard band")
+        if traj.s >= cfg.dim - GUARD_LEVELS:
+            problems.append(f"trajectories[{k}].s: {traj.s} reaches {band}")
         move = traj.stop - traj.start
         jump = math.hypot(move.real, move.imag) / traj.steps  # abs() raises on overflow
         if jump > traj.adiabatic_cap * (1 + 1e-12):
@@ -227,10 +222,26 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
                 f"trajectories[{k}]: waypoint jump {jump:.4g} exceeds "
                 f"adiabatic_cap {traj.adiabatic_cap:.4g}"
             )
+    if isinstance(cfg, (CrushConfig, FourCatConfig)):
+        # both circles of a crush move to their midpoint in equal moves;
+        # four_cat's start at +-separation about each component
+        if isinstance(cfg, CrushConfig):
+            a, b = cfg.crush_centers
+            key, jump = "crush_steps", math.hypot((b - a).real, (b - a).imag) / 2 / cfg.crush_steps
+        else:
+            key, jump = "steps_per_crush", cfg.separation / cfg.steps_per_crush
+        if jump > DEFAULT_ADIABATIC_CAP * (1 + 1e-12):
+            problems.append(f"{key}: waypoint jump {jump:.4g} exceeds adiabatic cap "
+                            f"{DEFAULT_ADIABATIC_CAP:g}")
     if isinstance(cfg, FourCatConfig):
         n = cfg.n_components
         if n < 2 or (n & (n - 1)) != 0:
             problems.append(f"n_components: must be a power of two >= 2, got {n}")
+    if isinstance(cfg, StretchConfig):
+        overlap = gaussian_overlap(cfg.gamma, cfg.alpha_free)
+        if overlap > OVERLAP_TOL:
+            problems.append(f"alpha_free: components at {cfg.gamma} and {cfg.alpha_free} "
+                            f"overlap ({overlap:.2e} > {OVERLAP_TOL:.1e})")
     if isinstance(cfg, RealisticConfig):
         # the amplitude rule with |z|^2 = n_th, the bath's mean occupancy; n_th = 0 adds none
         n_th = cfg.lindblad.n_th
@@ -251,6 +262,9 @@ _RETIRED_KEYS = {
     "lindblad.dt": "damping is now exact and has no integrator step",
     "pulse.theta": "realistic runs take their angles from theta_grid",
     "pulse.rabi_drive": "each angle's drive follows from total_duration",
+    "guard_levels": f"the guard band is always the top {GUARD_LEVELS} levels",
+    "overlap_tol": f"components overlap above the fixed tolerance {OVERLAP_TOL:g}",
+    "snapshot_steps": "snapshots are taken every snapshot_every steps",
 }
 
 

@@ -22,7 +22,8 @@ import numpy as np
 #: population allowed in the top guard levels before a state is considered
 #: clipped by the truncation
 DEFAULT_LEAK_TOL = 1e-6
-DEFAULT_GUARD_LEVELS = 3
+#: the guard band: the top levels of the basis whose population is the leak
+GUARD_LEVELS = 3
 
 _NORM_TOL = 1e-12
 
@@ -216,13 +217,9 @@ def fidelity_pure(a: FieldState, b: FieldState) -> float:
     return float(min(abs(ov) ** 2, 1.0))
 
 
-def truncation_check(
-    state: FieldState,
-    guard_levels: int = DEFAULT_GUARD_LEVELS,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-) -> TruncationReport:
-    """Population in the top guard_levels levels; ok iff below leak_tol."""
-    if not 0 < guard_levels < state.dim:
-        raise ValueError("guard_levels must lie in 1..dim-1")
-    top = float(photon_distribution(state)[state.dim - guard_levels:].sum())
+def truncation_check(state: FieldState, leak_tol: float = DEFAULT_LEAK_TOL) -> TruncationReport:
+    """Population in the top GUARD_LEVELS levels; ok iff below leak_tol."""
+    if state.dim <= GUARD_LEVELS:
+        raise ValueError(f"dim must exceed the {GUARD_LEVELS} guard levels")
+    top = float(photon_distribution(state)[-GUARD_LEVELS:].sum())
     return TruncationReport(top_population=top, ok=top < leak_tol)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DEFAULT_GUARD_LEVELS, FieldState
+from .fock import GUARD_LEVELS, FieldState
 from .zeno import Schedule, displaced_kick
 
 logger = logging.getLogger(__name__)
@@ -151,7 +151,7 @@ class MasterTrace:
     """Diagnostics of a damped run. records has one row at step 0 and one
     after every step, with the float64 fields of _RECORD (fidelity_vs_target
     is nan without a target; leak is the population of the top
-    DEFAULT_GUARD_LEVELS levels); total_kick_leak sums the kicks' leaks 1 - p."""
+    GUARD_LEVELS levels); total_kick_leak sums the kicks' leaks 1 - p."""
 
     records: np.recarray
     total_kick_leak: float
@@ -191,7 +191,7 @@ def evolve_master(
         fid = math.nan if target is None else np.vdot(target.amps, rho @ target.amps).real
         pop = np.diag(rho).real
         records[k] = (t, np.sum(np.arange(dim) * pop), np.vdot(rho, rho).real,
-                      fid, abs(np.trace(rho).real - 1.0), pop[-DEFAULT_GUARD_LEVELS:].sum())
+                      fid, abs(np.trace(rho).real - 1.0), pop[-GUARD_LEVELS:].sum())
 
     record(0)
     for k, step in enumerate(schedule.steps, start=1):

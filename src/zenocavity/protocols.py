@@ -22,21 +22,21 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .fock import (
-    DEFAULT_GUARD_LEVELS,
     DEFAULT_LEAK_TOL,
     FieldState,
     cat_state,
     coherent,
     fidelity_pure,
     mean_energy,
+    vacuum,
 )
 from .zeno import EvolutionTrace, KickSpec, Schedule, Step, uniform_schedule, zeno_run
 from .atomkick import PulseParams
 
 DEFAULT_ADIABATIC_CAP = 0.1
-#: Gaussian overlap exp(-|d|^2 / 2) above this counts as overlapping;
-#: coherent-state width is the only scale (|d| of about 3.7)
-DEFAULT_OVERLAP_TOL = 1e-3
+#: gaussian_overlap above this counts as overlapping: coherent-state width
+#: is the only scale, and exp(-|d|^2) = 1e-3 at a distance |d| of about 2.6
+OVERLAP_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,10 @@ def linear_trajectory(
 
 
 def gaussian_overlap(a: complex, b: complex) -> float:
-    """|<a|b>|^2 for coherent states, exp(-|a-b|^2)."""
-    return math.exp(-abs(complex(a) - complex(b)) ** 2)
+    """|<a|b>|^2 for coherent states, exp(-|a-b|^2); 0 where |a-b|^2 overflows."""
+    d = complex(a) - complex(b)
+    h = math.hypot(d.real, d.imag)  # abs(d) ** 2 raises where it overflows
+    return math.exp(-h * h)
 
 
 def _frames(
@@ -113,7 +115,6 @@ def _frames(
 def _check_overlaps(
     trajectories: Sequence[TweezerTrajectory],
     component_positions: Sequence[complex],
-    overlap_tol: float,
     interleave: Literal["roundrobin", "sequential"],
 ) -> None:
     # a trajectory carries the component sitting at its first waypoint;
@@ -124,12 +125,12 @@ def _check_overlaps(
     frames = np.concatenate([frames, np.broadcast_to(still, (len(frames), len(still)))], axis=1)
     for k in range(len(trajectories)):
         overlap = np.exp(-np.abs(frames[:, k + 1:] - frames[:, k:k + 1]) ** 2)
-        if overlap.size and overlap.max() > overlap_tol:
+        if overlap.size and overlap.max() > OVERLAP_TOL:
             row, col = np.unravel_index(np.argmax(overlap), overlap.shape)
             raise ValueError(
                 f"components at {frames[row, k]:.4g} (trajectory {k}) and "
                 f"{frames[row, k + 1 + col]:.4g} come within overlap "
-                f"{overlap[row, col]:.2e} > {overlap_tol:.1e}"
+                f"{overlap[row, col]:.2e} > {OVERLAP_TOL:.1e}"
             )
 
 
@@ -163,28 +164,24 @@ def tweezer_run(
     trajectories: Sequence[TweezerTrajectory],
     interleave: Literal["roundrobin", "sequential"] = "roundrobin",
     component_positions: Sequence[complex] | None = None,
-    overlap_tol: float = DEFAULT_OVERLAP_TOL,
     record_every: int = 1,
-    guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> tuple[FieldState, EvolutionTrace]:
     """Drag coherent components along their trajectories.
 
     component_positions lists where the state's coherent components sit,
-    so trajectories can be checked against the ones they must not touch;
-    pass the known centers from the protocol setup. Trajectories that
+    so trajectories can be checked against the ones they must not touch
+    (gaussian_overlap above OVERLAP_TOL raises ValueError); pass the known
+    centers from the protocol setup. Trajectories that
     intentionally converge (crushes) run through crush_between instead,
     which skips the pairwise check.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
     if component_positions is not None:
-        _check_overlaps(trajectories, component_positions, overlap_tol, interleave)
+        _check_overlaps(trajectories, component_positions, interleave)
     schedule = build_tweezer_schedule(trajectories, interleave=interleave)
-    trace = zeno_run(
-        state, schedule, record_every=record_every,
-        guard_levels=guard_levels, leak_tol=leak_tol,
-    )
+    trace = zeno_run(state, schedule, record_every=record_every, leak_tol=leak_tol)
     return trace.final_state, trace
 
 
@@ -194,16 +191,15 @@ def stretch_cat(
     beta: complex,
     n_steps: int,
     alpha: complex,
-    overlap_tol: float = DEFAULT_OVERLAP_TOL,
-    guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> tuple[FieldState, float]:
     """Hold the component at gamma with an s=1 tweezer while the drive runs.
 
     After n_steps the free component alpha moves to alpha + n_steps*beta
     and picks up the phase exp(i * n_steps * Im(beta * conj(alpha))).
-    The components must not overlap; returns the final state and its
-    fidelity against that analytic target.
+    The components must not overlap (gaussian_overlap above OVERLAP_TOL
+    raises ValueError); returns the final state and its fidelity against
+    that analytic target.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -212,13 +208,13 @@ def stretch_cat(
     alpha = complex(alpha)
     if n_steps == 0:
         return state, 1.0
-    if gaussian_overlap(gamma, alpha) > overlap_tol:
+    if gaussian_overlap(gamma, alpha) > OVERLAP_TOL:
         raise ValueError(
             f"components at {gamma} and {alpha} overlap "
-            f"({gaussian_overlap(gamma, alpha):.2e} > {overlap_tol:.1e})"
+            f"({gaussian_overlap(gamma, alpha):.2e} > {OVERLAP_TOL:.1e})"
         )
     trace = zeno_run(state, uniform_schedule(n_steps, beta, [KickSpec(s=1, gamma=gamma)]),
-                     guard_levels=guard_levels, leak_tol=leak_tol)
+                     leak_tol=leak_tol)
     out = trace.final_state
     # free component picks up Im(beta alpha*) per step; the held one
     # picks up the topological phase 2 Im(beta gamma*) per step (zero
@@ -241,7 +237,6 @@ def crush_between(
     center_b: complex,
     n_steps: int,
     record_every: int = 1,
-    guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> tuple[FieldState, EvolutionTrace]:
     """Converge two s=1 circles from center_a/center_b onto the midpoint.
@@ -253,8 +248,7 @@ def crush_between(
     """
     mid = (complex(center_a) + complex(center_b)) / 2.0
     trajs = (linear_trajectory(center_a, mid, n_steps), linear_trajectory(center_b, mid, n_steps))
-    return tweezer_run(state, trajs, record_every=record_every,
-                       guard_levels=guard_levels, leak_tol=leak_tol)
+    return tweezer_run(state, trajs, record_every=record_every, leak_tol=leak_tol)
 
 
 def energy_matched_cat_amplitude(target_energy: float) -> float:
@@ -312,7 +306,6 @@ def multi_cat_factory(
     dim: int,
     separation: float = 2.5,
     steps_per_crush: int = 200,
-    guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> FieldState:
     """Build a 2^k-component superposition by successive crushes.
@@ -327,21 +320,15 @@ def multi_cat_factory(
     """
     if n_components < 1 or (n_components & (n_components - 1)) != 0:
         raise ValueError("n_components must be a power of two")
-    state = coherent(0, dim)
+    state = vacuum(dim)
     components: list[complex] = [0j]
     axis = 1 + 0j
     while len(components) < n_components:
         next_components: list[complex] = []
         for pos in components:
             e_before = mean_energy(state)
-            state, _ = crush_between(
-                state,
-                pos + separation * axis,
-                pos - separation * axis,
-                steps_per_crush,
-                guard_levels=guard_levels,
-                leak_tol=leak_tol,
-            )
+            state, _ = crush_between(state, pos + separation * axis, pos - separation * axis,
+                                     steps_per_crush, leak_tol=leak_tol)
             # the crushed component carries ~1/len(components) of the population
             gained = max(mean_energy(state) - e_before, 0.0)
             radius = math.sqrt(gained * len(components))

@@ -70,13 +70,6 @@ def _kick_spec(cfg: config.ZenoConfig) -> zeno.KickSpec:
     return zeno.KickSpec(s=cfg.s)
 
 
-def _snapshot_steps(cfg: config.ZenoConfig) -> tuple[int, ...]:
-    steps = set(cfg.snapshot_steps)
-    if cfg.snapshot_every > 0:
-        steps.update(range(0, cfg.steps + 1, cfg.snapshot_every))
-    return tuple(sorted(steps))
-
-
 def _wigner_bounds(cfg: config.RunConfig) -> tuple[float, float, float, float]:
     """The configured window, else a square that holds the kick circle
     (s = 6 where the protocol has no s) and every configured amplitude."""
@@ -136,8 +129,8 @@ def _ideal_key(cfg: config.ZenoConfig) -> tuple:
     """Every value the final state of cfg's run with ideal kicks depends on;
     the pulse, record_every and the snapshots do not enter it."""
     cat = None if cfg.cat_init is None else complex(cfg.cat_init)
-    return (cfg.dim, cfg.s, complex(cfg.beta), cfg.steps, cfg.guard_levels,
-            cfg.leak_tol, complex(cfg.alpha_init), cat)
+    return (cfg.dim, cfg.s, complex(cfg.beta), cfg.steps, cfg.leak_tol,
+            complex(cfg.alpha_init), cat)
 
 
 def _remember_ideal(key: tuple, state: fock.FieldState) -> None:
@@ -150,14 +143,9 @@ def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
     spec = _kick_spec(cfg)
     schedule = zeno.uniform_schedule(cfg.steps, cfg.beta, [spec])
-    snaps = _snapshot_steps(cfg)
-    trace = zeno.zeno_run(
-        state, schedule,
-        record_every=cfg.record_every,
-        snapshot_steps=snaps,
-        guard_levels=cfg.guard_levels,
-        leak_tol=cfg.leak_tol,
-    )
+    snaps = range(0, cfg.steps + 1, cfg.snapshot_every) if cfg.snapshot_every else ()
+    trace = zeno.zeno_run(state, schedule, record_every=cfg.record_every, snapshot_steps=snaps,
+                          leak_tol=cfg.leak_tol)
     if not cfg.kick_theta:
         _remember_ideal(_ideal_key(cfg), trace.final_state)
     _emit_trace_artifacts(trace, cfg, outdir)
@@ -179,7 +167,6 @@ def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
                 state,
                 zeno.uniform_schedule(cfg.steps, cfg.beta, [zeno.KickSpec(s=cfg.s)]),
                 record_every=max(cfg.steps, 1),
-                guard_levels=cfg.guard_levels,
                 leak_tol=cfg.leak_tol,
             ).final_state
             _remember_ideal(key, ideal)
@@ -193,12 +180,10 @@ def _stretch_protocol(cfg: config.StretchConfig, outdir: Path) -> dict[str, Any]
         fock.coherent(cfg.gamma, dim).amps + fock.coherent(cfg.alpha_free, dim).amps
     )
     out, fid = protocols.stretch_cat(
-        state, cfg.gamma, cfg.beta, cfg.steps,
-        alpha=cfg.alpha_free, overlap_tol=cfg.overlap_tol,
-        guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
+        state, cfg.gamma, cfg.beta, cfg.steps, alpha=cfg.alpha_free, leak_tol=cfg.leak_tol
     )
     _write_picture(out, cfg, outdir, f"step{cfg.steps:06d}")
-    rep = fock.truncation_check(out, cfg.guard_levels, cfg.leak_tol)
+    rep = fock.truncation_check(out, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(out),
         "leak": rep.top_population,
@@ -215,15 +200,12 @@ def _tweezer_protocol(cfg: config.TweezerConfig, outdir: Path) -> dict[str, Any]
         )
         for t in cfg.trajectories
     ]
-    positions = cfg.component_positions or tuple(t.start for t in cfg.trajectories)
+    # by default every lobe of the initial state that no trajectory carries stays put
+    lobes = (cfg.alpha_init,) if cfg.cat_init is None else (cfg.cat_init, -cfg.cat_init)
+    positions = cfg.component_positions or (*(t.start for t in cfg.trajectories), *lobes)
     final, trace = protocols.tweezer_run(
-        state, trajs,
-        interleave=cfg.interleave,
-        component_positions=positions,
-        overlap_tol=cfg.overlap_tol,
-        record_every=cfg.record_every,
-        guard_levels=cfg.guard_levels,
-        leak_tol=cfg.leak_tol,
+        state, trajs, interleave=cfg.interleave, component_positions=positions,
+        record_every=cfg.record_every, leak_tol=cfg.leak_tol,
     )
     _write_wigner(state, cfg, outdir, "wigner_step000000")
     _write_picture(final, cfg, outdir, f"step{trace.steps[-1]:06d}")
@@ -244,8 +226,7 @@ def _crush_protocol(cfg: config.CrushConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
     a, b = cfg.crush_centers
     final, trace = protocols.crush_between(
-        state, a, b, cfg.crush_steps, record_every=cfg.record_every,
-        guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
+        state, a, b, cfg.crush_steps, record_every=cfg.record_every, leak_tol=cfg.leak_tol
     )
     _emit_trace_artifacts(trace, cfg, outdir)
     _write_picture(final, cfg, outdir, f"step{trace.steps[-1]:06d}")
@@ -260,14 +241,10 @@ def _crush_protocol(cfg: config.CrushConfig, outdir: Path) -> dict[str, Any]:
 
 
 def _four_cat_protocol(cfg: config.FourCatConfig, outdir: Path) -> dict[str, Any]:
-    final = protocols.multi_cat_factory(
-        cfg.n_components, cfg.dim,
-        separation=cfg.separation,
-        steps_per_crush=cfg.steps_per_crush,
-        guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
-    )
+    final = protocols.multi_cat_factory(cfg.n_components, cfg.dim, separation=cfg.separation,
+                                        steps_per_crush=cfg.steps_per_crush, leak_tol=cfg.leak_tol)
     grid = _write_picture(final, cfg, outdir, "final")
-    rep = fock.truncation_check(final, cfg.guard_levels, cfg.leak_tol)
+    rep = fock.truncation_check(final, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(final),
         "lobes": phasespace.count_lobes(grid),

@@ -25,8 +25,8 @@ import numpy as np
 
 from .atomkick import PulseParams, conditioned_field_diagonal, pulse_blocks
 from .fock import (
-    DEFAULT_GUARD_LEVELS,
     DEFAULT_LEAK_TOL,
+    GUARD_LEVELS,
     FieldState,
     TruncationError,
     displaced_fock,
@@ -160,16 +160,16 @@ def zeno_run(
     schedule: Schedule,
     record_every: int = 1,
     snapshot_steps: Sequence[int] | None = None,
-    guard_levels: int = DEFAULT_GUARD_LEVELS,
     leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> EvolutionTrace:
     """Run a schedule and collect the evolution trace.
 
     Rows are kept at step 0, every record_every-th step, every requested
     snapshot step (those also keep the full state) and the final step.
-    The guard-band leak is checked after every step: the first step whose
-    leak reaches leak_tol is appended as the last row and the run aborts
-    with ZenoTruncationError, which carries the partial trace.
+    The guard-band leak, the population of the top GUARD_LEVELS levels, is
+    checked after every step: the first step whose leak reaches leak_tol
+    is appended as the last row and the run aborts with
+    ZenoTruncationError, which carries the partial trace.
 
     The run evolves one array psi of shape (rows, dim). Row 0 is the field
     while the atom sits in h; rows 1-2 hold what a dressed pulse drives into
@@ -196,11 +196,11 @@ def zeno_run(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     dim = state.dim
-    if not 0 < guard_levels < dim:
-        raise ValueError("guard_levels must lie in 1..dim-1")
+    if dim <= GUARD_LEVELS:
+        raise ValueError(f"dim must exceed the {GUARD_LEVELS} guard levels")
     distinct = {id(step): step for step in schedule.steps}.values()
     for spec in (k for step in distinct for k in step.kicks):
-        if spec.s >= dim - guard_levels:
+        if spec.s >= dim - GUARD_LEVELS:
             raise ValueError(
                 f"kick at s={spec.s} reaches into the guard band of a dim={dim} basis"
             )
@@ -260,7 +260,7 @@ def zeno_run(
         p = np.arange(first + lo, first + len(todo) + 1)
         pop = np.abs(buf[lo:len(todo) + 1, 0]) ** 2
         pop /= pop.sum(axis=1, keepdims=True)  # the atom branch holds the rest
-        leak = pop[:, dim - guard_levels:].sum(axis=1)
+        leak = pop[:, -GUARD_LEVELS:].sum(axis=1)
         bad = np.flatnonzero((p > 0) & ~(leak < leak_tol))
         if bad.size:
             failed = int(p[bad[0]])

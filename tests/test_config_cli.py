@@ -52,7 +52,7 @@ def test_validation_aggregates_problems():
     problems = err.value.problems
     assert len(problems) >= 4
     joined = " ".join(problems)
-    for frag in ("dim", "steps", "guard_levels: ", "wigner.nx: "):
+    for frag in ("dim", "steps", "guard_levels: unknown key (the guard band", "wigner.nx: "):
         assert frag in joined
     with pytest.raises(ConfigError) as err:
         parse_config({
@@ -95,7 +95,7 @@ def test_protocol_required_keys_reported_missing():
 
 
 def test_small_dim_parses_where_the_protocol_has_no_s():
-    # s and its guard-band rule belong to the Zeno protocols only
+    # crush and four_cat kick at s = 1, whose guard-band rule holds from dim 5
     for raw in ({"protocol": "four_cat", "dim": 8}, {"protocol": "crush", "dim": 8}):
         assert parse_config(raw).dim == 8
     # realistic has no s either: at dim 8 only its default cats do not fit
@@ -228,8 +228,10 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     ({"protocol": "tweezer_move", "dim": 40,
       "trajectories": [{"start": [2, 0], "stop": [2.5, 0], "steps": 0}]},
      "trajectories[0].steps: must be >= 1"),
-    ({"protocol": "zeno_confine", "dim": 40, "guard_levels": 0}, "guard_levels: must be >= 1"),
-    ({"protocol": "zeno_confine", "dim": 40, "guard_levels": -5}, "guard_levels: must be >= 1"),
+    ({"protocol": "zeno_confine", "dim": 40, "guard_levels": 0},
+     "guard_levels: unknown key (the guard band"),
+    ({"protocol": "crush", "dim": 48, "guard_levels": 3},
+     "guard_levels: unknown key (the guard band"),
     ({"protocol": "crush", "dim": 48, "crush_steps": 0}, "crush_steps: must be >= 1"),
     ({"protocol": "four_cat", "dim": 48, "steps_per_crush": 0},
      "steps_per_crush: must be >= 1"),
@@ -246,7 +248,7 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     ({"protocol": "zeno_confine", "dim": 40, "wigner": {"bounds": [6, -6, -6, 6]}},
      "wigner.bounds: need x_min < x_max"),
     ({"protocol": "zeno_confine", "dim": 40, "snapshot_steps": [-2]},
-     "snapshot_steps[0]: must be non-negative"),
+     "snapshot_steps: unknown key (snapshots"),
     ({"protocol": "zeno_confine", "dim": 40, "snapshot_every": -1},
      "snapshot_every: must be non-negative"),
     ({"protocol": "tweezer_move", "dim": 10,
@@ -268,7 +270,7 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     ({"protocol": "realistic", "dim": 40, "pulse": {"theta": 99.0}},
      "pulse.theta: unknown key (realistic runs take their angles from theta_grid)"),
     ({"protocol": "zeno_confine", "dim": 40, "steps": 10, "snapshot_steps": [500]},
-     "snapshot_steps: [500] lie beyond steps=10"),
+     "snapshot_steps: unknown key (snapshots"),
     ({"protocol": [1], "dim": 40}, "protocol: [1] is not one of zeno_confine"),
     ({"protocol": "zeno_confine", "dim": 40, "beta": math.nan},
      "beta: expected a finite number, got nan"),
@@ -290,6 +292,17 @@ def test_invalid_config_exit_code(tmp_path, capsys):
      "pulse.rabi_drive: unknown key (each angle's drive follows from total_duration)"),
     ({"protocol": "realistic", "dim": 40, "pulse": {}, "lindblad": {"dt": 1e-7}},
      "lindblad.dt: unknown key (damping is now exact and has no integrator step)"),
+    ({"protocol": "tweezer_move", "dim": 40, "overlap_tol": 0.5,
+      "trajectories": [{"start": [2, 0], "stop": [2.5, 0], "steps": 5}]},
+     "overlap_tol: unknown key (components overlap above the fixed tolerance 0.001)"),
+    ({"protocol": "crush", "dim": 48, "crush_steps": 20},
+     "crush_steps: waypoint jump 0.125 exceeds adiabatic cap 0.1"),
+    ({"protocol": "four_cat", "dim": 64, "steps_per_crush": 10},
+     "steps_per_crush: waypoint jump 0.25 exceeds adiabatic cap 0.1"),
+    ({"protocol": "crush", "dim": 4},
+     "dim: the tweezer kicks at s=1 reach the guard band, the top 3 levels of dim=4"),
+    ({"protocol": "tweezer_stretch", "dim": 40, "alpha_free": [2, 0]},
+     "alpha_free: components at 0j and (2+0j) overlap (1.83e-02 > 1.0e-03)"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"
@@ -343,7 +356,7 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, name):
     ({"protocol": "crush", "cat_init": "@"}, "cat_init"),
     ({"protocol": "tweezer_move", "target_alpha": "@",
       "trajectories": [{"start": [1, 0], "stop": [1.1, 0], "steps": 1}]}, "target_alpha"),
-    ({"protocol": "tweezer_stretch", "gamma": "@", "alpha_free": 1}, "gamma"),
+    ({"protocol": "tweezer_stretch", "gamma": "@", "alpha_free": 0}, "gamma"),
     ({"protocol": "tweezer_stretch", "alpha_free": "@"}, "alpha_free"),
     ({"protocol": "zeno_confine", "beta": "@"}, "beta"),
     ({"protocol": "realistic", "pulse": {}, "cat_init": 1, "target_alpha": "@"},
@@ -428,7 +441,7 @@ def test_lindblad_unknown_keys_rejected():
 
 def test_state_dump_format(tmp_path):
     raw = preset_raw("qze")
-    raw.update({"dump_states": True, "snapshot_steps": [0], "steps": 3})
+    raw.update({"dump_states": True, "snapshot_every": 3, "steps": 3})
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
@@ -464,6 +477,19 @@ def test_stretch_window_holds_the_moving_component(tmp_path):
     with open(tmp_path / "o" / "wigner_step000020.csv", encoding="utf-8") as fh:
         grid = import_csv(fh)
     assert np.max(np.abs(grid.values[:, -1])) < 1e-3
+
+
+def test_tweezer_move_keeps_clear_of_the_other_cat_lobe(tmp_path, capsys):
+    # one tweezer drags the +2 lobe onto the -2 one: refused by default as
+    # when both lobes are listed
+    raw = {"protocol": "tweezer_move", "dim": 40, "cat_init": [2, 0],
+           "trajectories": [{"start": [2, 0], "stop": [-1.5, 0], "steps": 35}]}
+    for extra in ({}, {"component_positions": [[2, 0], [-2, 0]]}):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**raw, **extra}))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "(trajectory 0) and -2" in err and "come within overlap" in err
 
 
 def test_four_cat_dumps_its_final_state(tmp_path):
@@ -721,7 +747,7 @@ def test_realistic_summary_checks_the_top_levels(tmp_path):
     ({"protocol": "zeno_confine", "dim": 40, "wigner": {"nx": "@"}}, "wigner.nx", 1024),
     ({"protocol": "zeno_confine", "dim": 40, "wigner": {"ny": "@"}}, "wigner.ny", 1024),
     ({"protocol": "zeno_confine", "dim": 40, "steps": "@"}, "steps", 100_000),
-    ({"protocol": "tweezer_stretch", "dim": 40, "alpha_free": 2, "steps": "@"}, "steps", 100_000),
+    ({"protocol": "tweezer_stretch", "dim": 40, "alpha_free": 3, "steps": "@"}, "steps", 100_000),
     ({"protocol": "crush", "dim": 48, "crush_steps": "@"}, "crush_steps", 100_000),
     ({"protocol": "four_cat", "dim": 48, "steps_per_crush": "@"}, "steps_per_crush", 100_000),
     ({"protocol": "tweezer_move", "dim": 40,
@@ -779,7 +805,7 @@ def test_crush_preset_matches_direct_protocol_calls(tmp_path):
     summary = runner.run_config(cfg, tmp_path)
     final, trace = protocols.crush_between(
         vacuum(cfg.dim), *cfg.crush_centers, cfg.crush_steps, record_every=cfg.record_every,
-        guard_levels=cfg.guard_levels, leak_tol=cfg.leak_tol,
+        leak_tol=cfg.leak_tol,
     )
     written = np.load(tmp_path / "trace.npy", allow_pickle=False)
     assert written.dtype.names == trace.records.dtype.names

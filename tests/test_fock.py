@@ -147,17 +147,19 @@ def test_fidelity_symmetric_and_phase_invariant():
 
 
 def test_truncation_check():
-    rep = truncation_check(vacuum(10), 3, 1e-6)
+    rep = truncation_check(vacuum(10), 1e-6)
     assert rep.ok and rep.top_population == 0
     clipped = FieldState(_fock_column(0, [5], 26)[0])  # |5> clipped to 26 levels
-    rep = truncation_check(clipped, 3, 1e-6)
+    rep = truncation_check(clipped, 1e-6)
     assert not rep.ok
     # oracle: renormalized Poisson tail of the clipped basis is macroscopic
     lam = 25.0
     weights = [poisson_pmf(k, lam) for k in range(26)]
     tail = sum(weights[23:]) / sum(weights)
     assert abs(rep.top_population - tail) < 1e-6
-    assert truncation_check(coherent(5, 80), 3, 1e-6).ok
+    assert truncation_check(coherent(5, 80), 1e-6).ok
+    with pytest.raises(ValueError, match="guard levels"):
+        truncation_check(vacuum(3))  # the band would be the whole basis
 
 
 def test_states_normalized_and_immutable():

@@ -9,8 +9,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from zenocavity.atomkick import PulseParams
 from zenocavity.fock import (
-    DEFAULT_GUARD_LEVELS,
     DEFAULT_LEAK_TOL,
+    GUARD_LEVELS,
     cat_state,
     coherent,
     displacement_op,
@@ -240,7 +240,7 @@ def test_leak_column_reads_the_top_levels():
     for p in (None, params(t_c=1e-3, n_th=2.0)):
         rho, trace = evolve_master(rho0, schedule, p)
         leak = trace.records.leak
-        assert leak[0] == np.diag(rho0).real[-DEFAULT_GUARD_LEVELS:].sum()
-        assert leak[-1] == np.diag(rho).real[-DEFAULT_GUARD_LEVELS:].sum()
+        assert leak[0] == np.diag(rho0).real[-GUARD_LEVELS:].sum()
+        assert leak[-1] == np.diag(rho).real[-GUARD_LEVELS:].sum()
     assert leak[0] < DEFAULT_LEAK_TOL < 1e-3 < leak[-1]
     assert np.all(np.diff(leak) > 0)  # the bath only heats

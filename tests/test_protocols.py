@@ -190,7 +190,7 @@ def test_protocols_forward_truncation_settings():
     psi = FieldState(coherent(0, 40).amps + coherent(3, 40).amps)
     stretch_cat(psi, 0, 0.05, 4, alpha=3)
     with pytest.raises(ZenoTruncationError):
-        stretch_cat(psi, 0, 0.05, 4, alpha=3, guard_levels=30)
+        stretch_cat(psi, 0, 0.05, 4, alpha=3, leak_tol=1e-300)
 
 
 def test_energy_matched_cat_amplitude():
@@ -208,6 +208,8 @@ def test_multi_cat_factory_counts():
     from zenocavity.phasespace import count_lobes, wigner_grid
 
     assert fidelity_pure(multi_cat_factory(1, 24), vacuum(24)) == 1.0
+    # the vacuum needs no truncation margin, where coherent(0, dim) needs dim >= 10
+    assert multi_cat_factory(1, 4).amps.tolist() == vacuum(4).amps.tolist()
     two = multi_cat_factory(2, 48)
     grid = wigner_grid(two, (-5, 5, -5, 5), nx=101, ny=101)
     assert count_lobes(grid) == 2

@@ -15,6 +15,7 @@ from zenocavity import runner, zeno
 from zenocavity.atomkick import PulseParams, conditioned_field_diagonal, pulse_blocks
 from zenocavity.config import parse_config
 from zenocavity.fock import (
+    GUARD_LEVELS,
     FieldState,
     coherent,
     displaced_fock,
@@ -236,8 +237,7 @@ def test_trace_npy_matches_per_row_values(tmp_path):
     for row, step, energy, probs, leak in rows:
         assert row.tolist() == (step, energy, *probs[:10], leak)
     # a basis below ten levels pads p0..p9 with zeros
-    small = zeno_run(vacuum(4), uniform_schedule(3, 0.01, [KickSpec(s=0)]),
-                     guard_levels=1)
+    small = zeno_run(vacuum(5), uniform_schedule(3, 0.01, [KickSpec(s=0)]))
     loaded = write_and_load(small, tmp_path / "small")
     assert loaded.dtype.names == FIELDS
     assert loaded[0].tolist() == (0, 0.0, 1.0, *[0.0] * 10)
@@ -287,7 +287,7 @@ def test_joint_dressed_run_matches_dense_step_matrix():
 CHUNK = 32  # zeno.CHUNK; the schedule lengths below straddle it
 
 
-def _reference_run(state, schedule, record_every, snapshots, leak_tol, guard_levels=3):
+def _reference_run(state, schedule, record_every, snapshots, leak_tol):
     """Plain per-step loop over dense step matrices of (field in h, atom branch).
 
     Returns the trace's arrays, the normalised snapshot and final fields, the
@@ -332,7 +332,7 @@ def _reference_run(state, schedule, record_every, snapshots, leak_tol, guard_lev
     for p in range(n_steps + 1):
         field = v[:dim] / np.linalg.norm(v[:dim])
         pop = np.abs(field) ** 2
-        leak = pop[dim - guard_levels:].sum()
+        leak = pop[dim - GUARD_LEVELS:].sum()
         if p > 0 and not leak < leak_tol:
             failed = p
         if failed or p % record_every == 0 or p == n_steps or p in snapshots:
@@ -505,3 +505,5 @@ def test_uniform_schedule_and_validation():
         KickSpec(s=-1)
     with pytest.raises(ValueError):
         one_step(vacuum(10), 0.0, [KickSpec(s=9)])  # inside guard band
+    with pytest.raises(ValueError, match="guard levels"):
+        zeno_run(vacuum(3), uniform_schedule(1, 0.1, [KickSpec(s=0)]))

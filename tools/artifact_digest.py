@@ -46,12 +46,9 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    checkout, outdir = Path(argv[0]).resolve(), Path(argv[1])
-    sys.path.insert(0, str(checkout / "src"))
+def write_artifacts(outdir: Path) -> None:
+    """Run every preset and both sweeps into outdir, with the zenocavity
+    that sys.path finds."""
     from zenocavity import cli, config, runner
 
     for name in config.list_presets():
@@ -62,6 +59,15 @@ def main(argv: list[str]) -> int:
     for name, ranges in SWEEPS.items():
         raw = {**config.preset_raw(name), "kick_rabi_drive": 2 * math.pi * 5e3}
         cli.run_sweep(raw, ranges, outdir / "sweep" / name, workers=1)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout, outdir = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path.insert(0, str(checkout / "src"))
+    write_artifacts(outdir)
     for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
         print(digest(path), path.relative_to(outdir).as_posix())
     return 0
