@@ -56,8 +56,8 @@ class PulseParams:
     s: int
 
     def __post_init__(self):
-        if self.omega <= 0 or self.rabi_drive <= 0:
-            raise ValueError("omega and rabi_drive must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.omega, self.rabi_drive)):
+            raise ValueError("omega and rabi_drive must be finite and positive")
         # theta = 0 is allowed as the degenerate zero-length pulse (identity)
         if not 0 <= self.theta <= 4 * math.pi:
             raise ValueError("theta must lie in [0, 4*pi]")

@@ -45,10 +45,10 @@ class LindbladParams:
     n_th: float = 0.0
 
     def __post_init__(self):
-        if self.t_c <= 0:
-            raise ValueError("t_c must be positive")
-        if self.n_th < 0:
-            raise ValueError("n_th must be non-negative")
+        if not (math.isfinite(self.t_c) and self.t_c > 0):
+            raise ValueError("t_c must be finite and positive")
+        if not (math.isfinite(self.n_th) and self.n_th >= 0):
+            raise ValueError("n_th must be finite and non-negative")
 
 
 def pure_density(state: FieldState) -> np.ndarray:
@@ -134,8 +134,8 @@ def evolve_damped(
 ) -> np.ndarray:
     """Exact master-equation evolution for `duration` seconds; params None
     means no damping, and rho comes back unchanged."""
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError("duration must be finite and non-negative")
     return rho if params is None else _damp(rho, duration / params.t_c, params.n_th)
 
 
@@ -171,10 +171,12 @@ def evolve_master(
     retunings and take no cavity time. Kicks act as the
     conditioned completely positive branch (atom back in h):
     rho -> K rho K+ / p with the leak 1 - p accumulated in the trace;
-    damping runs for the pulse duration around the midpoint split. Aborts
-    on a negative eigenvalue beyond POSITIVITY_TOL, which can only be
-    accumulated rounding. Row k of the preallocated records is filled
-    after step k; the trace is built once, at the end.
+    damping runs for the pulse duration around the midpoint split. After
+    every step a Cholesky factorisation of rho + POSITIVITY_TOL * I checks
+    positivity: where it fails, an eigenvalue lies below -POSITIVITY_TOL,
+    more than accumulated rounding, and the run aborts naming the smallest
+    eigenvalue. rho itself is left as it is. Row k of the preallocated
+    records is filled after step k; the trace is built once, at the end.
     """
     for step in schedule.steps:
         if step.displacement != 0:
@@ -184,6 +186,7 @@ def evolve_master(
             raise ValueError("damped runs need kicks with pulse parameters")
     rho = np.array(rho, dtype=np.complex128)
     dim = rho.shape[0]
+    shift = POSITIVITY_TOL * np.eye(dim)
     records = np.recarray(len(schedule.steps) + 1, dtype=_RECORD)
     kick_leak = t = 0.0
 
@@ -201,16 +204,19 @@ def evolve_master(
             k_op = displaced_kick(kick, dim)
             rho = k_op @ rho @ k_op.conj().T
             p = float(np.trace(rho).real)
-            if p <= 0:
+            if not p > 0:  # a NaN too
                 raise RuntimeError("conditioned kick annihilated the state")
             kick_leak += 1.0 - p
             rho /= p
             rho = evolve_damped(rho, 0.5 * tau, params)
             t += tau
         rho = 0.5 * (rho + rho.conj().T)  # shed accumulated asymmetry
-        if (w := np.linalg.eigvalsh(rho).min()) < -POSITIVITY_TOL:
+        try:
+            np.linalg.cholesky(rho + shift)
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(rho).min()
             raise RuntimeError(f"positivity violated ({w:.2e}) beyond rounding; "
-                               "check dim and the kick leak")
+                               "check dim and the kick leak") from None
         record(k)
     logger.debug("evolve_master: t=%.4g s, kick leak %.3g", t, kick_leak)
     return rho, MasterTrace(records, kick_leak)

@@ -33,6 +33,20 @@ def atom_leak(p, dim):
     return 1.0 - np.abs(conditioned_field_diagonal(p, dim)) ** 2
 
 
+def test_pulse_params_validation():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega and rabi_drive must be finite"):
+            PulseParams(omega=bad, rabi_drive=1e4, theta=math.pi, s=1)
+        with pytest.raises(ValueError, match="omega and rabi_drive must be finite"):
+            PulseParams(omega=OMEGA, rabi_drive=bad, theta=math.pi, s=1)
+    for bad in (-0.1, 4 * math.pi + 0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta must lie"):
+            PulseParams(omega=OMEGA, rabi_drive=1e4, theta=bad, s=1)
+    with pytest.raises(ValueError, match="s must be non-negative"):
+        PulseParams(omega=OMEGA, rabi_drive=1e4, theta=math.pi, s=-1)
+    assert PulseParams(omega=OMEGA, rabi_drive=1e4, theta=math.pi, s=0).duration == math.pi / 1e4
+
+
 def test_dressed_detunings():
     p = make_params(s=3)
     assert dressed_detunings(3, p)[0] == 0.0  # resonant by construction

@@ -187,6 +187,13 @@ def test_lindblad_params_validation():
         LindbladParams(t_c=1.0, n_th=-0.1)
     with pytest.raises(TypeError):
         LindbladParams(t_c=1.0, dt=0.5)  # damping is exact: no integrator step
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_c must be finite"):
+            LindbladParams(t_c=bad)
+        with pytest.raises(ValueError, match="n_th must be finite"):
+            LindbladParams(t_c=1.0, n_th=bad)
+        with pytest.raises(ValueError, match="duration must be finite"):
+            evolve_damped(np.eye(4) / 4, bad, params())
 
 
 def test_kick_leak_recorded():
@@ -244,3 +251,38 @@ def test_leak_column_reads_the_top_levels():
         assert leak[-1] == np.diag(rho).real[-GUARD_LEVELS:].sum()
     assert leak[0] < DEFAULT_LEAK_TOL < 1e-3 < leak[-1]
     assert np.all(np.diff(leak) > 0)  # the bath only heats
+
+
+def identity_kick_schedule():
+    """One kick of a zero-angle pulse at the origin: the identity up to rounding."""
+    pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=2e4, theta=0.0, s=1)
+    return Schedule(steps=(Step(kicks=(KickSpec(s=1, gamma=0.0, pulse=pulse),)),))
+
+
+def rho_with_smallest_eigenvalue(w, dim=8):
+    """A unit-trace Hermitian matrix with eigenvalues (1 - w, w, 0, ...), in a random basis."""
+    rng = np.random.default_rng(26)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    vals = np.zeros(dim)
+    vals[:2] = 1.0 - w, w
+    return (u * vals) @ u.conj().T
+
+
+@pytest.mark.parametrize("w", [-1e-5, -1.1e-6])
+def test_positivity_guard_aborts_beyond_the_tolerance(w):
+    with pytest.raises(RuntimeError, match=rf"positivity violated \({w:.2e}\)"):
+        evolve_master(rho_with_smallest_eigenvalue(w), identity_kick_schedule(), None)
+
+
+@pytest.mark.parametrize("w", [-0.9e-6, -1e-8])
+def test_positivity_guard_passes_rounding(w):
+    rho0 = rho_with_smallest_eigenvalue(w)
+    rho, _ = evolve_master(rho0, identity_kick_schedule(), None)
+    assert np.max(np.abs(rho - rho0)) < 1e-12
+
+
+def test_nan_kick_probability_aborts():
+    rho = pure_density(vacuum(8))
+    rho[1, 1] = math.nan
+    with pytest.raises(RuntimeError, match="annihilated"):
+        evolve_master(rho, identity_kick_schedule(), None)
