@@ -172,9 +172,9 @@ def displacement_op(beta: complex, dim: int) -> np.ndarray:
 
     Built by diagonalizing the Hermitian generator i(beta a^dag - beta^* a),
     so the result is unitary to machine precision (a Pade expm is not),
-    which dressed kicks rely on. Cached for the drives and dressed-kick
-    centres that runs reuse (100 kB each at dim 80); zeno_run looks up a
-    dressed centre once per chunk, and ideal kicks take displaced_fock rows.
+    which dressed kicks rely on. Cached for the drives and the damped runs'
+    dressed-kick centres that runs reuse (100 kB each at dim 80); zeno_run
+    looks up a drive once per chunk, and ideal kicks take displaced_fock rows.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")

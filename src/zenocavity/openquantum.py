@@ -175,7 +175,8 @@ def evolve_master(
     every step a Cholesky factorisation of rho + POSITIVITY_TOL * I checks
     positivity: where it fails, an eigenvalue lies below -POSITIVITY_TOL,
     more than accumulated rounding, and the run aborts naming the smallest
-    eigenvalue. rho itself is left as it is. Row k of the preallocated
+    eigenvalue; a factor whose last pivot is not finite (a NaN in rho)
+    aborts it too. rho itself is left as it is. Row k of the preallocated
     records is filled after step k; the trace is built once, at the end.
     """
     for step in schedule.steps:
@@ -212,11 +213,13 @@ def evolve_master(
             t += tau
         rho = 0.5 * (rho + rho.conj().T)  # shed accumulated asymmetry
         try:
-            np.linalg.cholesky(rho + shift)
+            # a NaN anywhere in rho gives a NaN last pivot, not an error
+            w = None if np.isfinite(np.linalg.cholesky(rho + shift)[-1, -1]) else math.nan
         except np.linalg.LinAlgError:
             w = np.linalg.eigvalsh(rho).min()
+        if w is not None:
             raise RuntimeError(f"positivity violated ({w:.2e}) beyond rounding; "
-                               "check dim and the kick leak") from None
+                               "check dim and the kick leak")
         record(k)
     logger.debug("evolve_master: t=%.4g s, kick leak %.3g", t, kick_leak)
     return rho, MasterTrace(records, kick_leak)

@@ -11,9 +11,8 @@ p = sqrt(2) Im xi:
 
     W(xi) = (2/pi) Int conj(psi(q + u)) psi(q - u) exp(2ipu) du
 
-(Hillery, O'Connell, Scully & Wigner, Phys. Rep. 106, 121 (1984)), summed
-over the eigenvectors of a density matrix. psi(q) = sum_n c_n phi_n(q) is
-built from the normalised Hermite functions phi_n, so the value is exact
+(Hillery, O'Connell, Scully & Wigner, Phys. Rep. 106, 121 (1984)) for a
+pure state. psi(q) = sum_n c_n phi_n(q) is built from the normalised Hermite functions phi_n, so the value is exact
 for the truncated state wherever it is evaluated: nothing is displaced and
 no basis is padded. The integrand is band-limited by the basis size and
 the window, so the trapezoid rule on a fine enough u grid converges to
@@ -92,11 +91,12 @@ def _geometry(
 
 
 def _raster(
-    parts: list[tuple[float, np.ndarray]],
+    amps: np.ndarray,
     x_min: float, x_step: float, nx: int, y_min: float, y_max: float, ny: int,
 ) -> np.ndarray:
-    """values[j, i] = W(x_min + i x_step + 1j y_j), y = linspace(y_min, y_max, ny)."""
-    dim = len(parts[0][1])
+    """values[j, i] = W(x_min + i x_step + 1j y_j), y = linspace(y_min, y_max, ny),
+    of the pure state with amplitudes amps."""
+    dim = len(amps)
     h_max = _h_max(dim, y_min, y_max)
     if nx > 1 and _SQRT2 * x_step < h_max:
         # columns closer than h: evaluate interleaved sub-rasters whose
@@ -105,15 +105,13 @@ def _raster(
         values = np.empty((ny, nx))
         for r in range(min(stride, nx)):
             values[:, r::stride] = _raster(
-                parts, x_min + r * x_step, stride * x_step, len(range(r, nx, stride)),
+                amps, x_min + r * x_step, stride * x_step, len(range(r, nx, stride)),
                 y_min, y_max, ny,
             )
         return values
     table, plus, minus, kernel = _geometry(dim, x_min, x_step, nx, y_min, y_max, ny)
-    integrand = np.zeros(plus.shape, dtype=np.complex128)
-    for weight, vec in parts:
-        psi = vec @ table
-        integrand += weight * psi[plus].conj() * psi[minus]
+    psi = amps @ table
+    integrand = psi[plus].conj() * psi[minus]
     return W_MAX * (kernel @ np.vstack([integrand.real.T, integrand.imag.T]))
 
 
@@ -149,24 +147,13 @@ class WignerGrid:
         return np.linspace(self.y_min, self.y_max, self.ny)
 
 
-def _state_vectors(state_or_rho) -> list[tuple[float, np.ndarray]]:
-    """Decompose the argument into weighted pure-state vectors."""
-    if isinstance(state_or_rho, FieldState):
-        return [(1.0, state_or_rho.amps)]
-    rho = np.asarray(state_or_rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("expected a FieldState or a square density matrix")
-    w, v = np.linalg.eigh(rho)
-    return [(float(w[k]), v[:, k]) for k in range(len(w)) if w[k] > 1e-12]
-
-
 def wigner_grid(
-    state_or_rho,
+    state: FieldState,
     bounds: tuple[float, float, float, float],
     nx: int = 121,
     ny: int = 121,
 ) -> WignerGrid:
-    """Raster W over bounds = (x_min, x_max, y_min, y_max)."""
+    """Raster W of a pure state over bounds = (x_min, x_max, y_min, y_max)."""
     x_min, x_max, y_min, y_max = (float(b) for b in bounds)
     # the grid checks its bounds and sizes before anything is evaluated
     grid = WignerGrid(
@@ -174,7 +161,7 @@ def wigner_grid(
         values=np.empty((ny, nx)),
     )
     grid.values[:] = _raster(
-        _state_vectors(state_or_rho), x_min, (x_max - x_min) / (nx - 1), nx, y_min, y_max, ny
+        state.amps, x_min, (x_max - x_min) / (nx - 1), nx, y_min, y_max, ny
     )
     return grid
 

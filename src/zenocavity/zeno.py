@@ -45,7 +45,8 @@ class KickSpec:
 
     pulse = None gives the ideal instantaneous kick; a PulseParams models
     the finite interrogation pulse, which can park field amplitude in the
-    atom branch (zeno_run says how that branch is carried).
+    atom branch. zeno_run takes a dressed kick only at gamma = 0; damped
+    runs (openquantum.evolve_master) move it.
     """
 
     s: int
@@ -102,8 +103,8 @@ class EvolutionTrace:
     steps, energies and leaks (population of the guard band) have one
     entry per row; probs is the (rows, dim) photon distribution of the
     normalised field. states maps each snapshot step to its FieldState.
-    final_atom_leak is the atom-branch population a joint dressed run ends
-    with; it is 0 when dressed kicks are conditioned per kick (zeno_run).
+    final_atom_leak is the atom-branch population a dressed run ends with
+    (0 without dressed kicks).
     renormalizations counts the chunks of CHUNK steps whose last state
     zeno_run renormalised, and max_norm_drift is the largest drift over one
     chunk; neither counts single steps.
@@ -139,19 +140,15 @@ class ZenoTruncationError(TruncationError):
 
 
 def displaced_kick(spec: KickSpec, dim: int) -> np.ndarray:
-    """Kick operator centered at spec.gamma as a dense matrix.
-
-    Ideal: D(gamma) (1 - 2|s><s|) D(-gamma), a rank-1 reflection, involutive,
-    unitary and Hermitian. Dressed: the conjugated conditioned diagonal (a
-    contraction, not unitary). D(0) is the exact identity, so a kick at the
-    origin is the bare diagonal.
+    """Dressed kick centered at spec.gamma as a dense matrix: the conjugated
+    conditioned diagonal D(gamma) K D(-gamma), a contraction, not unitary.
+    D(0) is the exact identity, so a kick at the origin is the bare diagonal.
     """
+    if spec.pulse is None:
+        raise ValueError("displaced_kick needs a kick with pulse parameters")
     if spec.s >= dim:
         raise IndexError(f"kick index {spec.s} outside basis 0..{dim - 1}")
     d = displacement_op(spec.gamma, dim)
-    if spec.pulse is None:
-        v = d[:, spec.s]
-        return np.eye(dim, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
     return (d * conditioned_field_diagonal(spec.pulse, dim)) @ d.conj().T
 
 
@@ -175,19 +172,18 @@ def zeno_run(
     while the atom sits in h; rows 1-2 hold what a dressed pulse drives into
     the atom's (+, -) branch, and there is only row 0 when no kick is
     dressed. The drive and ideal kicks act on row 0; a dressed kick applies
-    pulse_blocks to all rows in the frame of its centre. When every dressed
-    kick shares one (centre, pulse), the branch stays coherent between
-    kicks (it can return at the next pulse, which is what keeps Rabi angles
-    far from 2*pi usable) and final_atom_leak is its population. Otherwise
-    rows 1-2 are zeroed after every dressed kick: the field is conditioned
-    on h at every kick and final_atom_leak is 0. The trace reports the
-    field of row 0, normalised.
+    pulse_blocks to all rows. A run takes one dressed pulse, centred at the
+    origin (ValueError otherwise, before the first step; damped runs move
+    dressed kicks), so the branch stays coherent between kicks: it can
+    return at the next pulse, which is what keeps Rabi angles far from
+    2*pi usable, and final_atom_leak is its population. The trace reports
+    the field of row 0, normalised.
 
     Steps advance in chunks of CHUNK into a (CHUNK + 1, rows, dim) buffer,
     each step doing only its kick arithmetic. Before its steps, a chunk
     resolves the operands of its distinct steps and kicks once: each drive
     displacement, the ideal off-centre columns in one displaced_fock call
-    per s, and each dressed kick's pulse blocks and frame displacement.
+    per s, and the dressed kicks' pulse blocks.
     Once per chunk the probability rows (each normalised by its own sum),
     leaks, energies and snapshots are taken in bulk and the chunk's last
     state is renormalised. Steps after the first leaking one are discarded
@@ -206,6 +202,11 @@ def zeno_run(
             )
     dressed = {(k.gamma, k.pulse) for step in distinct for k in step.kicks
                if k.pulse is not None}
+    if any(gamma != 0 for gamma, _ in dressed):
+        raise ValueError("zeno_run takes dressed kicks at the origin only; "
+                         "damped runs (evolve_master) move them")
+    if len(dressed) > 1:
+        raise ValueError("zeno_run takes one dressed pulse per run")
     snapshots = np.array(sorted(set(snapshot_steps or ())), dtype=int)
     renorms = kicks = 0
     max_drift = 0.0
@@ -222,7 +223,7 @@ def zeno_run(
         todo = schedule.steps[first:first + CHUNK]
         # operands of the chunk's distinct steps and kicks, by id: the drives,
         # the ideal off-centre columns in one displaced_fock call per s,
-        # dressed blocks and frames
+        # dressed blocks
         chunk_steps = {id(st): st for st in todo}
         specs = {id(k): k for st in chunk_steps.values() for k in st.kicks}
         centres: dict[int, dict[complex, None]] = {}
@@ -231,8 +232,7 @@ def zeno_run(
                 centres.setdefault(k.s, {})[k.gamma] = None
         columns = {(s, g): v for s, gs in centres.items()
                    for g, v in zip(gs, displaced_fock(s, list(gs), dim))}
-        ops = {key: columns[k.s, k.gamma] if k.pulse is None else
-               (pulse_blocks(k.pulse, dim), displacement_op(k.gamma, dim) if k.gamma else None)
+        ops = {key: columns[k.s, k.gamma] if k.pulse is None else pulse_blocks(k.pulse, dim)
                for key, k in specs.items() if k.pulse is not None or k.gamma != 0}
         ops.update((key, displacement_op(st.displacement, dim))
                    for key, st in chunk_steps.items() if st.displacement != 0)
@@ -247,14 +247,7 @@ def zeno_run(
                     v = ops[id(spec)]
                     psi[0] -= 2.0 * np.vdot(v, psi[0]) * v
                 else:
-                    blocks, d = ops[id(spec)]
-                    if d is not None:
-                        psi[0] = d.conj().T @ psi[0]
-                    psi[...] = np.einsum("nij,jn->in", blocks, psi)
-                    if d is not None:
-                        psi[0] = d @ psi[0]
-                    if len(dressed) > 1:
-                        psi[1:] = 0.0
+                    psi[...] = np.einsum("nij,jn->in", ops[id(spec)], psi)
         # step `first` closed the previous chunk; step 0 opens the first one
         lo = 1 if first else 0
         p = np.arange(first + lo, first + len(todo) + 1)

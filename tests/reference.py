@@ -1,16 +1,19 @@
 """Reference models the tests check the package against.
 
-The Zeno-limit evolution, the displaced-circle topological-phase identity,
-moments of the field, single Wigner values and a raster's integral. No run of the package
-calls them; they are the oracles of criteria 2-4 and 8 and of the unit
-tests.
+The Zeno-limit evolution, the dense ideal kick, a pure-state run of
+conditioned dressed kicks, the displaced-circle topological-phase
+identity, moments of the field, the Wigner function of a density matrix,
+single Wigner values and a raster's integral. No run of the package calls
+them; they are the oracles of criteria 2-4, 8 and 9 and of the unit tests.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import expm
 
+from zenocavity.atomkick import pulse_blocks
 from zenocavity.fock import (
     DEFAULT_LEAK_TOL,
     FieldState,
@@ -20,8 +23,8 @@ from zenocavity.fock import (
     mean_energy,
     photon_distribution,
 )
-from zenocavity.phasespace import WignerGrid, _raster, _state_vectors
-from zenocavity.zeno import KickSpec, displaced_kick
+from zenocavity.phasespace import WignerGrid, _raster, wigner_grid
+from zenocavity.zeno import Schedule
 
 
 @lru_cache(maxsize=None)
@@ -51,11 +54,27 @@ def min_quadrature_variance(state: FieldState) -> float:
     return float((var_sym - 2.0 * abs(ea2 - ea * ea)) / 4.0)
 
 
+def pure_parts(state_or_rho) -> list[tuple[float, np.ndarray]]:
+    """A FieldState as its amplitudes of weight 1; a density matrix as its
+    eigenvectors of weight (eigenvalue) above 1e-12."""
+    if isinstance(state_or_rho, FieldState):
+        return [(1.0, state_or_rho.amps)]
+    w, v = np.linalg.eigh(np.asarray(state_or_rho, dtype=np.complex128))
+    return [(float(w[k]), v[:, k]) for k in range(len(w)) if w[k] > 1e-12]
+
+
 def wigner_point(state_or_rho, xi: complex) -> float:
-    """W at a single phase-space point."""
+    """W at a single phase-space point, summed over pure_parts."""
     xi = complex(xi)
-    values = _raster(_state_vectors(state_or_rho), xi.real, 0.0, 1, xi.imag, xi.imag, 1)
-    return float(values[0, 0])
+    return float(sum(weight * _raster(vec, xi.real, 0.0, 1, xi.imag, xi.imag, 1)[0, 0]
+                     for weight, vec in pure_parts(state_or_rho)))
+
+
+def wigner_values(state_or_rho, bounds, nx: int, ny: int) -> np.ndarray:
+    """wigner_grid's values, for a density matrix too: the weighted sum over
+    pure_parts."""
+    return sum(weight * wigner_grid(FieldState(vec), bounds, nx, ny).values
+               for weight, vec in pure_parts(state_or_rho))
 
 
 def wigner_integral(grid: WignerGrid) -> float:
@@ -81,6 +100,37 @@ def effective_hamiltonian(drive_amp: complex, s: int, dim: int) -> np.ndarray:
     h[s, :] = 0.0
     h[:, s] = 0.0
     return h
+
+
+def displacement(beta: complex, dim: int) -> np.ndarray:
+    """exp(beta a+ - beta* a) on the truncated basis, by scipy.linalg.expm
+    from a built here: no package kernel."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(np.complex128)
+    return expm(complex(beta) * a.conj().T - np.conj(complex(beta)) * a)
+
+
+def ideal_kick(s: int, gamma: complex, dim: int) -> np.ndarray:
+    """D(gamma) (1 - 2|s><s|) D(-gamma) as a dense matrix, D by expm: the
+    ideal kick zeno_run applies, a rank-1 reflection. expm(0) is the exact
+    identity, so a kick at the origin is the bare diagonal."""
+    v = displacement(gamma, dim)[:, s]
+    return np.eye(dim, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
+
+
+def conditioned_run(state: FieldState, schedule: Schedule) -> FieldState:
+    """A schedule of dressed kicks on a pure state, conditioned on the atom
+    back in h after every kick: the drive, then per kick
+    psi -> D(gamma) U_hh D(-gamma) psi, renormalised, with U_hh the h -> h
+    entry of each pulse block."""
+    dim = state.dim
+    amps = state.amps
+    for step in schedule.steps:
+        amps = displacement(step.displacement, dim) @ amps
+        for k in step.kicks:
+            d = displacement(k.gamma, dim)
+            amps = d @ (pulse_blocks(k.pulse, dim)[:, 0, 0] * (d.conj().T @ amps))
+            amps = amps / np.linalg.norm(amps)
+    return FieldState(amps)
 
 
 def block_populations(state: FieldState, s: int) -> tuple[float, float, float]:
@@ -144,8 +194,8 @@ def topological_phase_identity_residual(
     if p < 0:
         raise ValueError("p must be non-negative")
     d_beta = displacement_op(beta, dim)
-    lhs_step = displaced_kick(KickSpec(s=s, gamma=gamma), dim) @ d_beta
-    rhs_step = displaced_kick(KickSpec(s=s), dim) @ d_beta
+    lhs_step = ideal_kick(s, gamma, dim) @ d_beta
+    rhs_step = ideal_kick(s, 0, dim) @ d_beta
     lhs = np.linalg.matrix_power(lhs_step, p)
     core = np.linalg.matrix_power(rhs_step, p)
     d_gamma = displacement_op(gamma, dim)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from helpers import check_density_matrix
+from reference import conditioned_run
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
@@ -30,7 +31,7 @@ from zenocavity.openquantum import (
 )
 from zenocavity.fock import FieldState
 from zenocavity.protocols import build_tweezer_schedule, linear_trajectory
-from zenocavity.zeno import KickSpec, Schedule, Step, zeno_run
+from zenocavity.zeno import KickSpec, Schedule, Step
 
 T_C = 0.13
 
@@ -101,17 +102,16 @@ def test_purity_never_increases_under_decay():
         last = purity
 
 
-def test_unitary_limit_matches_conditioned_zeno_run():
+def test_unitary_limit_matches_conditioned_pure_state_run():
     dim = 30
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=5e3,
                         theta=2 * math.pi, s=1)
     trajs = [linear_trajectory(1.0, 1.5, 4, adiabatic_cap=0.15)]
     schedule = build_tweezer_schedule(trajs, pulse=pulse)
     psi0 = coherent(1.0, dim)
-    # the kick centre moves, so zeno_run conditions on h at every kick
-    trace = zeno_run(psi0, schedule, leak_tol=1e-2)
+    # the kick centre moves: the pure state is conditioned on h at every kick
     rho, _ = evolve_master(pure_density(psi0), schedule, LindbladParams(t_c=1e9))
-    target = pure_density(trace.final_state)
+    target = pure_density(conditioned_run(psi0, schedule))
     assert np.max(np.abs(rho - target)) < 1e-8
 
 
@@ -286,3 +286,11 @@ def test_nan_kick_probability_aborts():
     rho[1, 1] = math.nan
     with pytest.raises(RuntimeError, match="annihilated"):
         evolve_master(rho, identity_kick_schedule(), None)
+
+
+def test_nan_without_kicks_aborts():
+    # no kick probability to catch it: the Cholesky factor's last pivot does
+    rho = pure_density(vacuum(8))
+    rho[1, 1] = math.nan
+    with pytest.raises(RuntimeError, match=r"positivity violated \(nan\)"):
+        evolve_master(rho, Schedule(steps=(Step(),)), None)

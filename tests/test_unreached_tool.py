@@ -1,8 +1,11 @@
 """tools/unreached.py: which statements count as unreached for a set of
-traced lines. The module is loaded by path; importing it runs nothing."""
+traced lines, and that every statement of the engine is reached. The
+module is loaded by path; importing it runs nothing."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +34,12 @@ def test_statements_without_a_line_event_are_listed():
     assert tool.unreached(tree, {1, 3, 5}) == [6, 7, 9]
     assert tool.unreached(tree, {1, 3, 4, 7}) == [9]
     assert tool.unreached(tree, set()) == [1, 3, 4, 6, 7, 9]
+
+
+def test_every_engine_statement_is_reached():
+    # a mode that no preset, sweep or workload reaches must not grow back
+    # into the engine; the tool runs all of them once (a few seconds)
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "unreached.py")],
+                         capture_output=True, text=True, timeout=300, check=True).stdout
+    assert out.rstrip().endswith("unreached statements")
+    assert [line for line in out.splitlines() if line.startswith("src/zenocavity/zeno.py:")] == []

@@ -5,8 +5,10 @@ import pytest
 from helpers import is_hermitian, is_unitary
 from reference import (
     block_populations,
+    displacement,
     drive_hamiltonian,
     effective_hamiltonian,
+    ideal_kick,
     topological_phase_identity_residual,
     zeno_limit_evolve,
 )
@@ -43,8 +45,14 @@ def one_step(state, beta, kicks):
     return zeno_run(state, schedule).final_state
 
 
+def reflection(s, gamma, dim):
+    """1 - 2 v v^+ about v = D(gamma)|s>, the vector an ideal kick of zeno_run reflects."""
+    v = displaced_fock(s, gamma, dim)
+    return np.eye(dim) - 2.0 * np.outer(v, v.conj())
+
+
 def test_kick_op_basics():
-    u = displaced_kick(KickSpec(s=1), 8)
+    u = reflection(1, 0, 8)
     assert np.allclose(u @ fock_basis(0, 8).amps, fock_basis(0, 8).amps)
     assert np.allclose(u @ fock_basis(1, 8).amps, -fock_basis(1, 8).amps)
     # eigenvalue -1 eigenspace is one-dimensional
@@ -53,30 +61,32 @@ def test_kick_op_basics():
     assert np.max(np.abs(u @ u - np.eye(8))) == 0
     assert np.max(np.abs(u - u.conj().T)) == 0
     with pytest.raises(IndexError):
-        displaced_kick(KickSpec(s=8), 8)
+        displaced_fock(8, 0, 8)
+    # the dense kick operator is the damped runs' dressed kick only
+    with pytest.raises(ValueError, match="pulse parameters"):
+        displaced_kick(KickSpec(s=1), 8)
 
 
 def test_displaced_kick_examples():
-    assert np.array_equal(displaced_kick(KickSpec(s=2), 10), np.diag([1, 1, -1] + [1] * 7))
+    assert np.array_equal(reflection(2, 0, 10), np.diag([1, 1, -1] + [1] * 7))
     # D(0) is the identity: a dressed kick at the origin is its bare diagonal
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=2e4, theta=5.5, s=2)
     assert np.array_equal(displaced_kick(KickSpec(s=2, pulse=pulse), 10),
                           np.diag(conditioned_field_diagonal(pulse, 10)))
     dim = 40
-    spec = KickSpec(s=1, gamma=0.8 - 0.4j)
-    u = displaced_kick(spec, dim)
+    gamma = 0.8 - 0.4j
+    u = ideal_kick(1, gamma, dim)
     assert is_unitary(u, 1e-10)
     assert is_hermitian(u, 1e-10)
     assert np.max(np.abs(u @ u - np.eye(dim))) < 1e-10
-    v = displaced_fock(1, spec.gamma, dim)
+    v = displaced_fock(1, gamma, dim)
     assert np.max(np.abs(u @ v + v)) < 1e-10  # conjugated eigenvector, eigenvalue -1
 
 
 def test_displaced_kick_leaves_remote_coherent_state():
     dim = 60
     psi = coherent(-2.5, dim)
-    u = displaced_kick(KickSpec(s=1, gamma=2.5), dim)
-    out = FieldState(u @ psi.amps)
+    out = one_step(psi, 0, [KickSpec(s=1, gamma=2.5)])
     assert fidelity_pure(out, psi) > 1 - 1e-3
 
 
@@ -84,11 +94,8 @@ def test_kick_involution_property():
     rng = np.random.default_rng(7)
     dim = 48
     for _ in range(5):
-        spec = KickSpec(
-            s=int(rng.integers(0, 6)),
-            gamma=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-        )
-        u = displaced_kick(spec, dim)
+        u = reflection(int(rng.integers(0, 6)),
+                       complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), dim)
         assert np.max(np.abs(u @ u - np.eye(dim))) < 1e-10
 
 
@@ -103,7 +110,7 @@ def test_zeno_step_examples():
 
 def test_zeno_step_matches_matrix_power_oracle():
     dim = 48
-    step_op = displaced_kick(KickSpec(s=6), dim) @ displacement_op(0.1, dim)
+    step_op = ideal_kick(6, 0, dim) @ displacement_op(0.1, dim)
     oracle = np.linalg.matrix_power(step_op, 50) @ vacuum(dim).amps
     state = vacuum(dim)
     for _ in range(50):
@@ -147,9 +154,9 @@ def test_zeno_run_oracle_equivalence_random_schedules():
                 for _ in range(int(rng.integers(1, 3)))
             )
             steps.append(Step(displacement=beta, kicks=kicks))
-            m = displacement_op(beta, dim)
+            m = displacement(beta, dim)
             for k in kicks:
-                m = displaced_kick(k, dim) @ m
+                m = ideal_kick(k.s, k.gamma, dim) @ m
             op = m @ op
         trace = zeno_run(psi0, Schedule(steps=tuple(steps)), leak_tol=1e-2)
         oracle = op @ psi0.amps
@@ -162,7 +169,7 @@ def test_oracle_equivalence_long_run_envelope():
     # p = 100 at dim = 80
     dim = 80
     spec = KickSpec(s=6, gamma=0.5 + 0.3j)
-    step_op = displaced_kick(spec, dim) @ displacement_op(0.08, dim)
+    step_op = ideal_kick(spec.s, spec.gamma, dim) @ displacement_op(0.08, dim)
     oracle = np.linalg.matrix_power(step_op, 100) @ vacuum(dim).amps
     oracle /= np.linalg.norm(oracle)
     trace = zeno_run(vacuum(dim), uniform_schedule(100, 0.08, [spec]),
@@ -222,10 +229,10 @@ def test_trace_npy_matches_per_row_values(tmp_path):
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=0.1 * gap, theta=5.5, s=6)
     trace = zeno_run(
         coherent(0.3, 48),
-        uniform_schedule(60, 0.1, [KickSpec(s=6, gamma=0.3 + 0.2j, pulse=pulse)]),
+        uniform_schedule(60, 0.1, [KickSpec(s=6, pulse=pulse)]),
         record_every=7, snapshot_steps=[17], leak_tol=1e-3,
     )
-    assert trace.final_atom_leak > 0  # the joint dressed path
+    assert trace.final_atom_leak > 0  # the dressed path
     assert trace.steps.tolist() == [0, 7, 14, 17, 21, 28, 35, 42, 49, 56, 60]
     loaded = write_and_load(trace, tmp_path)
     assert loaded.dtype.names == FIELDS
@@ -244,15 +251,15 @@ def test_trace_npy_matches_per_row_values(tmp_path):
 
 
 def test_joint_dressed_run_matches_dense_step_matrix():
-    # one (centre, pulse) runs jointly: the field in h and the two parked
-    # atom-branch amplitudes evolve under one 3*dim step matrix
-    dim, s, beta, gamma, n_steps = 30, 6, 0.1, 0.3 + 0.2j, 40
+    # the field in h and the two parked atom-branch amplitudes evolve
+    # under one 3*dim step matrix
+    dim, s, beta, n_steps = 30, 6, 0.1, 40
     omega = 2 * math.pi * 50e3
     gap = omega * (math.sqrt(s + 1) - math.sqrt(s))
     pulse = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=5.5, s=s)
     trace = zeno_run(
         coherent(0.3, dim),
-        uniform_schedule(n_steps, beta, [KickSpec(s=s, gamma=gamma, pulse=pulse)]),
+        uniform_schedule(n_steps, beta, [KickSpec(s=s, pulse=pulse)]),
         leak_tol=1e-3,
     )
     blocks = pulse_blocks(pulse, dim)
@@ -266,9 +273,7 @@ def test_joint_dressed_run_matches_dense_step_matrix():
         out[:dim, :dim] = op
         return out
 
-    d_gamma = displacement_op(gamma, dim)
-    step = (on_field(d_gamma) @ mix @ on_field(d_gamma.conj().T)
-            @ on_field(displacement_op(beta, dim)))
+    step = mix @ on_field(displacement_op(beta, dim))
     v = np.zeros(3 * dim, dtype=complex)
     v[:dim] = coherent(0.3, dim).amps
     energies = []
@@ -294,8 +299,7 @@ def _reference_run(state, schedule, record_every, snapshots, leak_tol):
     atom-branch population, the kicks applied and the failing step (or None).
     """
     dim = state.dim
-    dressed = {(k.gamma, k.pulse) for st in schedule.steps for k in st.kicks
-               if k.pulse is not None}
+    dressed = any(k.pulse is not None for st in schedule.steps for k in st.kicks)
     size = (3 if dressed else 1) * dim
 
     def on_field(op):
@@ -311,15 +315,11 @@ def _reference_run(state, schedule, record_every, snapshots, leak_tol):
                 kick = on_field(np.eye(dim) - 2.0 * np.outer(v, v.conj()))
             else:
                 blocks = pulse_blocks(k.pulse, dim)
-                mix = np.zeros((size, size), dtype=complex)
+                kick = np.zeros((size, size), dtype=complex)
                 for i in range(3):
                     for j in range(3):
-                        mix[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = np.diag(
+                        kick[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = np.diag(
                             blocks[:, i, j])
-                d = on_field(displacement_op(k.gamma, dim))
-                kick = d @ mix @ d.conj().T
-                if len(dressed) > 1:
-                    kick[dim:] = 0.0  # conditioned on h at every kick
             m = kick @ m
         return m
 
@@ -364,18 +364,14 @@ def _chunk_test_schedule(mode, n_steps):
         return Schedule(steps=tuple(steps))
     if mode == "ideal":
         kicks = (KickSpec(s=6), KickSpec(s=0, gamma=3j))
-    elif mode == "joint":
-        kicks = (KickSpec(s=6, gamma=0.3 + 0.2j, pulse=pulse),)
-    else:  # two dressed centres: conditioned per kick
-        other = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=6.0, s=6)
-        kicks = (KickSpec(s=6, gamma=0.3 + 0.2j, pulse=pulse),
-                 KickSpec(s=6, gamma=-0.2j, pulse=other))
+    else:  # joint: one dressed pulse at the origin
+        kicks = (KickSpec(s=6, pulse=pulse),)
     driven, undriven = Step(displacement=0.1, kicks=kicks), Step(kicks=kicks)
     # every fifth step has no drive
     return Schedule(steps=tuple(undriven if p % 5 == 4 else driven for p in range(n_steps)))
 
 
-@pytest.mark.parametrize("mode", ["ideal", "joint", "conditioned", "moving"])
+@pytest.mark.parametrize("mode", ["ideal", "joint", "moving"])
 def test_chunked_run_matches_per_step_reference(mode):
     snapshots = [CHUNK - 1, CHUNK, CHUNK + 1]
 
@@ -411,6 +407,20 @@ def test_chunked_run_matches_per_step_reference(mode):
     assert f"at step {failed}" in str(err.value)
     assert err.value.trace.steps[-1] == failed
     check(err.value.trace, ref)
+
+
+def test_zeno_run_refuses_moving_or_mixed_dressed_kicks():
+    omega = 2 * math.pi * 50e3
+    gap = omega * (math.sqrt(7) - math.sqrt(6))
+    pulse = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=5.5, s=6)
+    other = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=6.0, s=6)
+    off_centre = [KickSpec(s=6, pulse=pulse), KickSpec(s=6, gamma=0.3 + 0.2j, pulse=pulse)]
+    two_pulses = [KickSpec(s=6, pulse=pulse), KickSpec(s=6, pulse=other)]
+    for kicks, match in ((off_centre, "at the origin"), (two_pulses, "one dressed pulse")):
+        # the offending kick sits in the last step, past the first chunk
+        steps = (Step(displacement=0.1, kicks=(kicks[0],)),) * 40 + (Step(kicks=(kicks[1],)),)
+        with pytest.raises(ValueError, match=match):
+            zeno_run(vacuum(60), Schedule(steps=steps))
 
 
 def test_trace_npy_format(tmp_path):
