@@ -8,7 +8,9 @@ confines any state initially below (or above) |s> to that block: |s> acts
 as a hard wall in phase space of radius sqrt(s) around gamma.
 
 A run keeps its diagnostics as arrays, one row per recorded step, and
-checks the guard-band leak on every step, recorded or not.
+checks the guard-band leak on every step, recorded or not. Each chunk of
+CHUNK steps plans its distinct steps once (drive and kick operands), so that
+a step only applies its kernels, writing in place.
 
 The engine is sequential per run and keeps no shared mutable state, so
 independent runs can execute concurrently. Operators are cached by value;
@@ -179,15 +181,16 @@ def zeno_run(
     2*pi usable, and final_atom_leak is its population. The trace reports
     the field of row 0, normalised.
 
-    Steps advance in chunks of CHUNK into a (CHUNK + 1, rows, dim) buffer,
-    each step doing only its kick arithmetic. Before its steps, a chunk
-    resolves the operands of its distinct steps and kicks once: each drive
-    displacement, the ideal off-centre columns in one displaced_fock call
-    per s, and the dressed kicks' pulse blocks.
-    Once per chunk the probability rows (each normalised by its own sum),
-    leaks, energies and snapshots are taken in bulk and the chunk's last
-    state is renormalised. Steps after the first leaking one are discarded
-    and not counted in kicks.
+    Steps advance in chunks of CHUNK into a (CHUNK + 1, rows, dim) buffer.
+    A chunk first plans each distinct step object once: its drive
+    displacement and one action per kick, negating amplitude s of row 0,
+    reflecting row 0 about a displaced_fock column (one call per s for the
+    chunk's centres) or applying the run's pulse_blocks to all rows. Each
+    step then only writes its kernels' output into its buffer row. The kept
+    rows come from one mask per run; once per chunk the probability rows
+    (each normalised by its own sum), leaks and snapshots are taken in bulk
+    and the chunk's last state is renormalised. Steps after the first
+    leaking one are discarded and not counted in kicks.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -207,66 +210,76 @@ def zeno_run(
                          "damped runs (evolve_master) move them")
     if len(dressed) > 1:
         raise ValueError("zeno_run takes one dressed pulse per run")
+    blocks = pulse_blocks(next(iter(dressed))[1], dim) if dressed else None
+    n_steps = len(schedule.steps)
     snapshots = np.array(sorted(set(snapshot_steps or ())), dtype=int)
-    renorms = kicks = 0
+    snapshots = snapshots[(0 <= snapshots) & (snapshots <= n_steps)].tolist()
+    # the kept rows: step 0, every record_every-th step, the snapshots, the last step
+    keep = np.zeros(n_steps + 1, dtype=bool)
+    keep[::record_every] = keep[snapshots] = keep[-1] = True
+    renorms = 0
     max_drift = 0.0
     states: dict[int, FieldState] = {}
-    n_steps = len(schedule.steps)
-    # rows: step 0, every record_every-th step, the snapshots, the last step
-    size = n_steps // record_every + len(snapshots) + 2
-    steps, leaks, probs = np.empty(size, dtype=int), np.empty(size), np.empty((size, dim))
+    size = np.count_nonzero(keep) + 1  # and the failing step
+    leaks, probs = np.empty(size), np.empty((size, dim))
     n_rows = 0
     buf = np.zeros((CHUNK + 1, 3 if dressed else 1, dim), dtype=np.complex128)
     buf[0, 0] = state.amps
+    stage = np.empty_like(buf[0])
+    views = [(psi, psi[0], psi[1:]) for psi in buf]
     first = failed = 0  # buf[0] holds the state after step `first`
     while not failed and first < n_steps:
         todo = schedule.steps[first:first + CHUNK]
-        # operands of the chunk's distinct steps and kicks, by id: the drives,
-        # the ideal off-centre columns in one displaced_fock call per s,
-        # dressed blocks
-        chunk_steps = {id(st): st for st in todo}
-        specs = {id(k): k for st in chunk_steps.values() for k in st.kicks}
+        # one plan entry per distinct step: its drive (None without one) and an
+        # (s, operand) action per kick: None for a centred ideal kick, the run's
+        # blocks for a dressed one, else the column an ideal kick reflects about
+        chunk = {id(st): st for st in todo}
         centres: dict[int, dict[complex, None]] = {}
-        for k in specs.values():
+        for k in (k for st in chunk.values() for k in st.kicks):
             if k.pulse is None and k.gamma != 0:
                 centres.setdefault(k.s, {})[k.gamma] = None
         columns = {(s, g): v for s, gs in centres.items()
                    for g, v in zip(gs, displaced_fock(s, list(gs), dim))}
-        ops = {key: columns[k.s, k.gamma] if k.pulse is None else pulse_blocks(k.pulse, dim)
-               for key, k in specs.items() if k.pulse is not None or k.gamma != 0}
-        ops.update((key, displacement_op(st.displacement, dim))
-                   for key, st in chunk_steps.items() if st.displacement != 0)
-        for psi, prev, step in zip(buf[1:], buf, todo):
-            psi[...] = prev
-            if step.displacement != 0:
-                psi[0] = ops[id(step)] @ psi[0]
-            for spec in step.kicks:
-                if spec.pulse is None and spec.gamma == 0:
-                    psi[0, spec.s] = -psi[0, spec.s]
-                elif spec.pulse is None:
-                    v = ops[id(spec)]
-                    psi[0] -= 2.0 * np.vdot(v, psi[0]) * v
+        plan = {key: (displacement_op(st.displacement, dim) if st.displacement != 0 else None,
+                      [(k.s, blocks if k.pulse is not None else columns.get((k.s, k.gamma)))
+                       for k in st.kicks])
+                for key, st in chunk.items()}
+        for (psi, row, tail), (prev, prev_row, prev_tail), (drive, actions) in zip(
+                views[1:], views, [plan[id(st)] for st in todo]):
+            if drive is None:
+                psi[...] = prev
+            else:
+                np.matmul(drive, prev_row, out=row)
+                if dressed:
+                    tail[...] = prev_tail
+            for s, op in actions:
+                if op is None:
+                    row[s] = -row[s]
+                elif op is blocks:
+                    np.einsum("nij,jn->in", op, psi, out=stage)
+                    psi[...] = stage
                 else:
-                    psi[...] = np.einsum("nij,jn->in", ops[id(spec)], psi)
+                    row -= 2.0 * np.vdot(op, row) * op
         # step `first` closed the previous chunk; step 0 opens the first one
         lo = 1 if first else 0
-        p = np.arange(first + lo, first + len(todo) + 1)
-        pop = np.abs(buf[lo:len(todo) + 1, 0]) ** 2
+        end = len(todo)
+        pop = np.abs(buf[lo:end + 1, 0]) ** 2
         pop /= pop.sum(axis=1, keepdims=True)  # the atom branch holds the rest
         leak = pop[:, -GUARD_LEVELS:].sum(axis=1)
-        bad = np.flatnonzero((p > 0) & ~(leak < leak_tol))
+        bad = np.flatnonzero(~(leak[1 - lo:] < leak_tol))
         if bad.size:
-            failed = int(p[bad[0]])
-            p, pop, leak = p[:bad[0] + 1], pop[:bad[0] + 1], leak[:bad[0] + 1]
-        snaps = snapshots[(p[0] <= snapshots) & (snapshots <= p[-1])]
-        keep = (p % record_every == 0) | (p == n_steps) | (p == failed)
-        keep[snaps - p[0]] = True
-        new = slice(n_rows, n_rows + np.count_nonzero(keep))
-        steps[new], leaks[new], probs[new] = p[keep], leak[keep], pop[keep]
+            end = int(bad[0]) + 1
+            failed = first + end
+            keep[failed] = True
+            pop, leak = pop[:end + 1 - lo], leak[:end + 1 - lo]
+        kept = keep[first + lo:first + end + 1]
+        new = slice(n_rows, n_rows + np.count_nonzero(kept))
+        leaks[new], probs[new] = leak[kept], pop[kept]
         n_rows = new.stop
-        for q in snaps.tolist():
+        while snapshots and snapshots[0] <= first + end:
+            q = snapshots.pop(0)
             states[q] = FieldState(buf[q - first, 0])
-        last = buf[p[-1] - first]
+        last = buf[end]
         nrm = float(np.linalg.norm(last))
         drift = abs(1.0 - nrm)
         if drift > 0.0:
@@ -274,15 +287,14 @@ def zeno_run(
             renorms += 1
             max_drift = max(max_drift, drift)
         buf[0] = last
-        kicks += sum(len(st.kicks) for st in todo[:p[-1] - first])
-        first = int(p[-1])
+        first += end
     atom_leak = float(np.linalg.norm(buf[0, 1:]) ** 2)
     probs = probs[:n_rows]
     trace = EvolutionTrace(
-        steps[:n_rows], probs @ np.arange(dim), probs, leaks[:n_rows],
+        np.flatnonzero(keep[:first + 1]), probs @ np.arange(dim), probs, leaks[:n_rows],
         states=states,
         final_state=FieldState(buf[0, 0]),
-        kicks=kicks,
+        kicks=sum(len(st.kicks) for st in schedule.steps[:first]),
         renormalizations=renorms,
         max_norm_drift=max_drift,
         final_atom_leak=atom_leak,

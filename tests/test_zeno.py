@@ -349,7 +349,7 @@ def _reference_run(state, schedule, record_every, snapshots, leak_tol):
     return steps, energies, probs, leaks, states, field, atom_leak, kicks, failed
 
 
-def _chunk_test_schedule(mode, n_steps):
+def _chunk_test_schedule(mode, n_steps, beta=0.1):
     omega = 2 * math.pi * 50e3
     gap = omega * (math.sqrt(7) - math.sqrt(6))
     pulse = PulseParams(omega=omega, rabi_drive=0.1 * gap, theta=5.5, s=6)
@@ -360,13 +360,13 @@ def _chunk_test_schedule(mode, n_steps):
             centre = 0.07 * (p - 1 if p % 9 == 8 else p) * way  # repeats inside a chunk
             kicks = (KickSpec(s=1, gamma=centre),
                      KickSpec(s=2, gamma=0 if p % 6 == 5 else -0.5 * centre))
-            steps.append(Step(displacement=0 if p % 5 == 4 else 0.1 * way, kicks=kicks))
+            steps.append(Step(displacement=0 if p % 5 == 4 else beta * way, kicks=kicks))
         return Schedule(steps=tuple(steps))
     if mode == "ideal":
         kicks = (KickSpec(s=6), KickSpec(s=0, gamma=3j))
     else:  # joint: one dressed pulse at the origin
         kicks = (KickSpec(s=6, pulse=pulse),)
-    driven, undriven = Step(displacement=0.1, kicks=kicks), Step(kicks=kicks)
+    driven, undriven = Step(displacement=beta, kicks=kicks), Step(kicks=kicks)
     # every fifth step has no drive
     return Schedule(steps=tuple(undriven if p % 5 == 4 else driven for p in range(n_steps)))
 
@@ -397,16 +397,50 @@ def test_chunked_run_matches_per_step_reference(mode):
         check(trace, ref)
         if mode == "joint":
             assert trace.final_atom_leak > 1e-5
-    # in a smaller basis the leak first reaches 1e-6 inside a chunk
-    schedule = _chunk_test_schedule(mode, 2 * CHUNK + 3)
-    ref = _reference_run(vacuum(36), schedule, 7, snapshots, 1e-6)
-    failed = ref[-1]
-    assert failed is not None and failed % CHUNK not in (0, 1, CHUNK - 1)
-    with pytest.raises(ZenoTruncationError) as err:
-        zeno_run(vacuum(36), schedule, record_every=7, snapshot_steps=snapshots)
-    assert f"at step {failed}" in str(err.value)
-    assert err.value.trace.steps[-1] == failed
-    check(err.value.trace, ref)
+    # the reference first leaks at step 1, on a chunk's last step, on the
+    # next chunk's first step and inside a chunk: (dim, beta, leak_tol, step)
+    for dim, beta, leak_tol, landing in LEAKING[mode]:
+        schedule = _chunk_test_schedule(mode, 2 * CHUNK + 3, beta)
+        ref = _reference_run(vacuum(dim), schedule, 7, snapshots, leak_tol)
+        assert ref[-1] == landing
+        with pytest.raises(ZenoTruncationError) as err:
+            zeno_run(vacuum(dim), schedule, record_every=7, snapshot_steps=snapshots,
+                     leak_tol=leak_tol)
+        assert f"at step {landing}" in str(err.value)
+        assert err.value.trace.steps[-1] == landing
+        check(err.value.trace, ref)
+
+
+LEAKING = {
+    "ideal": [(12, 1.0, 1e-7, 1), (42, 0.13, 1e-8, CHUNK), (40, 0.12, 2e-8, CHUNK + 1),
+              (36, 0.1, 1e-6, 43)],
+    "joint": [(12, 1.0, 1e-7, 1), (32, 0.1, 2e-12, CHUNK), (36, 0.1, 5e-14, CHUNK + 1),
+              (36, 0.1, 1e-6, 49)],
+    "moving": [(12, 1.0, 1e-7, 1), (34, 0.1, 5e-13, CHUNK), (34, 0.1, 5e-12, CHUNK + 1),
+               (36, 0.1, 1e-6, 46)],
+}
+
+
+@pytest.mark.parametrize("mode", ["ideal", "joint"])
+def test_equal_distinct_steps_match_repeated_step(mode):
+    # the step plan is keyed by object: n equal but distinct steps (and
+    # kicks) give a chunk CHUNK plan entries where one repeated step gives one
+    step = _chunk_test_schedule(mode, 1).steps[0]
+    for n in (CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3):
+        copies = tuple(Step(step.displacement, tuple(KickSpec(k.s, k.gamma, k.pulse)
+                                                     for k in step.kicks))
+                       for _ in range(n))
+        assert len({id(st) for st in copies}) == n and copies[0] == step
+        a, b = (zeno_run(vacuum(60), Schedule(steps=steps), record_every=7,
+                         snapshot_steps=[CHUNK - 2, CHUNK + 1], leak_tol=1e-3)
+                for steps in (copies, (step,) * n))
+        assert sorted(a.states) == sorted(b.states)
+        for x, y in ((a.steps, b.steps), (a.energies, b.energies), (a.probs, b.probs),
+                     (a.leaks, b.leaks), (a.final_state.amps, b.final_state.amps),
+                     *((a.states[p].amps, b.states[p].amps) for p in a.states)):
+            assert x.tobytes() == y.tobytes()
+        assert ((a.kicks, a.renormalizations, a.max_norm_drift, a.final_atom_leak)
+                == (b.kicks, b.renormalizations, b.max_norm_drift, b.final_atom_leak))
 
 
 def test_zeno_run_refuses_moving_or_mixed_dressed_kicks():
@@ -447,14 +481,33 @@ def test_drive_resolved_once_per_chunk(monkeypatch):
     # every step of a uniform schedule is one Step: one drive lookup per chunk
     calls = []
 
-    def counting(beta, dim):
-        calls.append(beta)
-        return displacement_op(beta, dim)
+    def counting(func):
+        def wrapped(*args):
+            calls.append((func.__name__, args))
+            return func(*args)
+        return wrapped
 
-    monkeypatch.setattr(zeno, "displacement_op", counting)
+    monkeypatch.setattr(zeno, "displacement_op", counting(displacement_op))
     trace = zeno_run(vacuum(24), uniform_schedule(100, 0.05, [KickSpec(s=4)]))
     assert trace.steps[-1] == 100
     assert 1 <= len(calls) <= math.ceil(100 / CHUNK)
+    # and at most one pulse_blocks lookup per chunk on a dressed run
+    n = 2 * CHUNK + 3
+    calls.clear()
+    monkeypatch.setattr(zeno, "pulse_blocks", counting(pulse_blocks))
+    dressed = _chunk_test_schedule("joint", 1).steps[0]
+    trace = zeno_run(vacuum(60), Schedule(steps=(dressed,) * n), leak_tol=1e-3)
+    assert trace.steps[-1] == n
+    lookups = [args for name, args in calls if name == "pulse_blocks"]
+    assert 1 <= len(lookups) <= math.ceil(n / CHUNK)
+    # and one batched displaced_fock call per s per chunk for moving centres
+    calls.clear()
+    monkeypatch.setattr(zeno, "displaced_fock", counting(displaced_fock))
+    trace = zeno_run(vacuum(60), _chunk_test_schedule("moving", n), leak_tol=1e-3)
+    assert trace.steps[-1] == n
+    for s in (1, 2):
+        batches = [args for name, args in calls if name == "displaced_fock" and args[0] == s]
+        assert 1 <= len(batches) <= math.ceil(n / CHUNK)
 
 
 def test_effective_hamiltonian_structure():
