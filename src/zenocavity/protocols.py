@@ -192,22 +192,18 @@ def stretch_cat(
     n_steps: int,
     alpha: complex,
     leak_tol: float = DEFAULT_LEAK_TOL,
-) -> tuple[FieldState, float]:
+) -> tuple[EvolutionTrace, float]:
     """Hold the component at gamma with an s=1 tweezer while the drive runs.
 
-    After n_steps the free component alpha moves to alpha + n_steps*beta
+    After n_steps >= 1 the free component alpha moves to alpha + n_steps*beta
     and picks up the phase exp(i * n_steps * Im(beta * conj(alpha))).
     The components must not overlap (gaussian_overlap above OVERLAP_TOL
-    raises ValueError); returns the final state and its fidelity against
-    that analytic target.
+    raises ValueError); returns the run's trace and the fidelity of its
+    final_state against that analytic target.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
     gamma = complex(gamma)
     beta = complex(beta)
     alpha = complex(alpha)
-    if n_steps == 0:
-        return state, 1.0
     if gaussian_overlap(gamma, alpha) > OVERLAP_TOL:
         raise ValueError(
             f"components at {gamma} and {alpha} overlap "
@@ -215,7 +211,6 @@ def stretch_cat(
         )
     trace = zeno_run(state, uniform_schedule(n_steps, beta, [KickSpec(s=1, gamma=gamma)]),
                      leak_tol=leak_tol)
-    out = trace.final_state
     # free component picks up Im(beta alpha*) per step; the held one
     # picks up the topological phase 2 Im(beta gamma*) per step (zero
     # for real-axis configurations, where the relative phase reduces
@@ -228,7 +223,7 @@ def stretch_cat(
         coherent(gamma, state.dim).amps
         + rel * coherent(alpha + n_steps * beta, state.dim).amps
     )
-    return out, fidelity_pure(out, FieldState(target_amps))
+    return trace, fidelity_pure(trace.final_state, FieldState(target_amps))
 
 
 def crush_between(
@@ -307,7 +302,7 @@ def multi_cat_factory(
     separation: float = 2.5,
     steps_per_crush: int = 200,
     leak_tol: float = DEFAULT_LEAK_TOL,
-) -> FieldState:
+) -> tuple[FieldState, float]:
     """Build a 2^k-component superposition by successive crushes.
 
     The first crush squeezes the vacuum between circles approaching along
@@ -316,19 +311,22 @@ def multi_cat_factory(
     lobes of a crush land along the approach axis (each circle pushes its
     half of the wavefunction ahead of itself), a distance estimated from
     the energy the crush added; that classical estimate is only used to
-    aim the next generation's circles.
+    aim the next generation's circles. Returns the final state and the
+    largest leak over every step of its crushes (0 without a crush).
     """
     if n_components < 1 or (n_components & (n_components - 1)) != 0:
         raise ValueError("n_components must be a power of two")
     state = vacuum(dim)
+    max_leak = 0.0
     components: list[complex] = [0j]
     axis = 1 + 0j
     while len(components) < n_components:
         next_components: list[complex] = []
         for pos in components:
             e_before = mean_energy(state)
-            state, _ = crush_between(state, pos + separation * axis, pos - separation * axis,
-                                     steps_per_crush, leak_tol=leak_tol)
+            state, trace = crush_between(state, pos + separation * axis, pos - separation * axis,
+                                         steps_per_crush, leak_tol=leak_tol)
+            max_leak = max(max_leak, trace.max_leak)
             # the crushed component carries ~1/len(components) of the population
             gained = max(mean_energy(state) - e_before, 0.0)
             radius = math.sqrt(gained * len(components))
@@ -336,4 +334,4 @@ def multi_cat_factory(
             next_components.append(pos - radius * axis)
         components = next_components
         axis *= 1j
-    return state
+    return state, max_leak

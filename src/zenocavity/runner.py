@@ -112,6 +112,11 @@ def _write_picture(
     return _write_wigner(state, cfg, outdir, f"wigner_{suffix}")
 
 
+def _leak_report(leak: float, leak_tol: float) -> dict[str, Any]:
+    """leak, the run's largest guard-band population over every step, against leak_tol."""
+    return {"leak": leak, "truncation_ok": leak < leak_tol}
+
+
 def _emit_trace_artifacts(
     trace: zeno.EvolutionTrace, cfg: config.RunConfig, outdir: Path
 ) -> None:
@@ -151,9 +156,8 @@ def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
     _emit_trace_artifacts(trace, cfg, outdir)
     summary: dict[str, Any] = {
         "energy": float(trace.energies[-1]),
-        "leak": float(trace.leaks[-1]),
+        **_leak_report(trace.max_leak, cfg.leak_tol),
         "atom_leak": trace.final_atom_leak,
-        "truncation_ok": True,  # zeno_run raises on a leak
         "renormalizations": trace.renormalizations,
         "fidelity": None,
         "snapshots": list(snaps),
@@ -179,16 +183,14 @@ def _stretch_protocol(cfg: config.StretchConfig, outdir: Path) -> dict[str, Any]
     state = fock.FieldState(
         fock.coherent(cfg.gamma, dim).amps + fock.coherent(cfg.alpha_free, dim).amps
     )
-    out, fid = protocols.stretch_cat(
+    trace, fid = protocols.stretch_cat(
         state, cfg.gamma, cfg.beta, cfg.steps, alpha=cfg.alpha_free, leak_tol=cfg.leak_tol
     )
-    _write_picture(out, cfg, outdir, f"step{cfg.steps:06d}")
-    rep = fock.truncation_check(out, cfg.leak_tol)
+    _write_picture(trace.final_state, cfg, outdir, f"step{cfg.steps:06d}")
     return {
-        "energy": fock.mean_energy(out),
-        "leak": rep.top_population,
+        "energy": fock.mean_energy(trace.final_state),
+        **_leak_report(trace.max_leak, cfg.leak_tol),
         "fidelity": fid,
-        "truncation_ok": rep.ok,
     }
 
 
@@ -215,9 +217,8 @@ def _tweezer_protocol(cfg: config.TweezerConfig, outdir: Path) -> dict[str, Any]
         fid = fock.fidelity_pure(final, fock.cat_state(cfg.target_alpha, 1.0, cfg.dim))
     return {
         "energy": fock.mean_energy(final),
-        "leak": float(trace.leaks[-1]),
+        **_leak_report(trace.max_leak, cfg.leak_tol),
         "fidelity": fid,
-        "truncation_ok": True,  # zeno_run raises on a leak
         "kicks": trace.kicks,
     }
 
@@ -235,21 +236,18 @@ def _crush_protocol(cfg: config.CrushConfig, outdir: Path) -> dict[str, Any]:
         "energy": energy,
         "matched_cat_amplitude": matched_alpha,
         "fidelity": fid,
-        "leak": float(trace.leaks[-1]),
-        "truncation_ok": True,
+        **_leak_report(trace.max_leak, cfg.leak_tol),
     }
 
 
 def _four_cat_protocol(cfg: config.FourCatConfig, outdir: Path) -> dict[str, Any]:
-    final = protocols.multi_cat_factory(cfg.n_components, cfg.dim, separation=cfg.separation,
-                                        steps_per_crush=cfg.steps_per_crush, leak_tol=cfg.leak_tol)
+    final, leak = protocols.multi_cat_factory(cfg.n_components, cfg.dim, cfg.separation,
+                                              cfg.steps_per_crush, cfg.leak_tol)
     grid = _write_picture(final, cfg, outdir, "final")
-    rep = fock.truncation_check(final, cfg.leak_tol)
     return {
         "energy": fock.mean_energy(final),
         "lobes": phasespace.count_lobes(grid),
-        "leak": rep.top_population,
-        "truncation_ok": rep.ok,
+        **_leak_report(leak, cfg.leak_tol),
         "fidelity": None,
     }
 
@@ -305,7 +303,6 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
     fid_undamped, _, _ = realistic_point(cfg, best["theta"], damping=False)
     np.savetxt(outdir / "grid.csv", [tuple(r.values()) for r in rows], fmt="%.17g",
                delimiter=",", header=",".join(rows[0]), comments="")
-    leak = float(best_trace.records.leak.max())
     return {
         "fidelity": best["fidelity"],
         "best_theta": best["theta"],
@@ -313,8 +310,8 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
         "kick_leak": best["kick_leak"],
         "fidelity_undamped": fid_undamped,
         "energy": float(best_trace.records.energy[-1]),
-        "leak": leak,
-        "truncation_ok": leak < fock.DEFAULT_LEAK_TOL,
+        # a damped run records every step
+        **_leak_report(float(best_trace.records.leak.max()), fock.DEFAULT_LEAK_TOL),
         "grid": rows,
     }
 

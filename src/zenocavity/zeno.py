@@ -104,7 +104,8 @@ class EvolutionTrace:
 
     steps, energies and leaks (population of the guard band) have one
     entry per row; probs is the (rows, dim) photon distribution of the
-    normalised field. states maps each snapshot step to its FieldState.
+    normalised field; max_leak is the largest leak over every step taken,
+    recorded or not. states maps each snapshot step to its FieldState.
     final_atom_leak is the atom-branch population a dressed run ends with
     (0 without dressed kicks).
     renormalizations counts the chunks of CHUNK steps whose last state
@@ -118,6 +119,7 @@ class EvolutionTrace:
     leaks: np.ndarray
     states: dict[int, FieldState]
     final_state: FieldState
+    max_leak: float = 0.0
     kicks: int = 0  # kicks applied
     renormalizations: int = 0
     max_norm_drift: float = 0.0
@@ -166,9 +168,9 @@ def zeno_run(
     Rows are kept at step 0, every record_every-th step, every requested
     snapshot step (those also keep the full state) and the final step.
     The guard-band leak, the population of the top GUARD_LEVELS levels, is
-    checked after every step: the first step whose leak reaches leak_tol
-    is appended as the last row and the run aborts with
-    ZenoTruncationError, which carries the partial trace.
+    checked after every step (max_leak keeps the largest): the first step
+    whose leak reaches leak_tol is appended as the last row and the run
+    aborts with ZenoTruncationError, which carries the partial trace.
 
     The run evolves one array psi of shape (rows, dim). Row 0 is the field
     while the atom sits in h; rows 1-2 hold what a dressed pulse drives into
@@ -218,7 +220,7 @@ def zeno_run(
     keep = np.zeros(n_steps + 1, dtype=bool)
     keep[::record_every] = keep[snapshots] = keep[-1] = True
     renorms = 0
-    max_drift = 0.0
+    max_drift = max_leak = 0.0
     states: dict[int, FieldState] = {}
     size = np.count_nonzero(keep) + 1  # and the failing step
     leaks, probs = np.empty(size), np.empty((size, dim))
@@ -272,6 +274,7 @@ def zeno_run(
             failed = first + end
             keep[failed] = True
             pop, leak = pop[:end + 1 - lo], leak[:end + 1 - lo]
+        max_leak = float(np.max(leak, initial=max_leak))
         kept = keep[first + lo:first + end + 1]
         new = slice(n_rows, n_rows + np.count_nonzero(kept))
         leaks[new], probs[new] = leak[kept], pop[kept]
@@ -294,6 +297,7 @@ def zeno_run(
         np.flatnonzero(keep[:first + 1]), probs @ np.arange(dim), probs, leaks[:n_rows],
         states=states,
         final_state=FieldState(buf[0, 0]),
+        max_leak=max_leak,
         kicks=sum(len(st.kicks) for st in schedule.steps[:first]),
         renormalizations=renorms,
         max_norm_drift=max_drift,

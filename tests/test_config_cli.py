@@ -718,6 +718,29 @@ def test_failing_reference_is_not_kept(tmp_path, monkeypatch, zeno_calls):
     assert len(zeno_calls) == 4 + 3 and len(runner._IDEAL_FINALS) == 1
 
 
+def test_summary_leak_is_the_worst_step_of_the_run(tmp_path):
+    # a 400-step Figure-3 run peaks at step 327, on no 50th step and far
+    # above its last row, so only the largest leak over every step matches
+    raw = {**preset_raw("fig3"), "steps": 400}
+    summaries = {}
+    for every in (1, 50):
+        summaries[every] = runner.run_config(parse_config({**raw, "record_every": every}),
+                                             tmp_path / str(every))
+    worst = float(np.load(tmp_path / "1" / "trace.npy")["leak"].max())
+    assert summaries[1]["leak"] == summaries[50]["leak"] == worst
+    assert summaries[50]["truncation_ok"] is True
+    # sweep.csv carries each point's summary leak, the worst of its trace
+    run_sweep(raw, ["beta=0.1,0.099"], tmp_path / "sweep")
+    with open(tmp_path / "sweep" / "sweep.csv", encoding="utf-8") as fh:
+        table = list(csv.DictReader(fh))
+    assert [row["index"] for row in table] == ["0", "1"]
+    for row in table:
+        point = tmp_path / "sweep" / f"point_{int(row['index']):04d}"
+        leak = json.loads((point / "summary.json").read_text())["leak"]
+        assert float(row["leak"]) == leak == float(np.load(point / "trace.npy")["leak"].max())
+    assert float(table[0]["leak"]) == worst
+
+
 def test_realistic_summary_checks_the_top_levels(tmp_path):
     # leak is the best run's largest top-level population, read off trace.npy,
     # and energy its last row's

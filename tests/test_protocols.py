@@ -134,9 +134,10 @@ def test_stretch_cat_examples():
     dim = 40
     gamma, alpha = -2.0, 2.0
     psi = cat_state(2.0, 1, dim)
-    out, fid = stretch_cat(psi, gamma, 0.0, 0, alpha=alpha)
-    assert fid == 1.0 and out is psi
-    out, fid = stretch_cat(psi, gamma, 0.02, 50, alpha=alpha)
+    with pytest.raises(ValueError):
+        stretch_cat(psi, gamma, 0.0, 0, alpha=alpha)  # a stretch takes at least one step
+    trace, fid = stretch_cat(psi, gamma, 0.02, 50, alpha=alpha)
+    out = trace.final_state
     assert fid is not None and fid > 0.95  # threshold frozen from oracle run (0.9999)
     # real beta and real alpha leave the relative phase at 1
     assert (0.02 * np.conj(alpha)).imag == 0
@@ -207,10 +208,12 @@ def test_energy_matched_cat_amplitude():
 def test_multi_cat_factory_counts():
     from zenocavity.phasespace import count_lobes, wigner_grid
 
-    assert fidelity_pure(multi_cat_factory(1, 24), vacuum(24)) == 1.0
+    state, max_leak = multi_cat_factory(1, 24)
+    assert fidelity_pure(state, vacuum(24)) == 1.0 and max_leak == 0.0
     # the vacuum needs no truncation margin, where coherent(0, dim) needs dim >= 10
-    assert multi_cat_factory(1, 4).amps.tolist() == vacuum(4).amps.tolist()
-    two = multi_cat_factory(2, 48)
+    assert multi_cat_factory(1, 4)[0].amps.tolist() == vacuum(4).amps.tolist()
+    two, max_leak = multi_cat_factory(2, 48)
+    assert 0.0 < max_leak < 1e-6
     grid = wigner_grid(two, (-5, 5, -5, 5), nx=101, ny=101)
     assert count_lobes(grid) == 2
     with pytest.raises(ValueError):

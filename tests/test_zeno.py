@@ -296,7 +296,8 @@ def _reference_run(state, schedule, record_every, snapshots, leak_tol):
     """Plain per-step loop over dense step matrices of (field in h, atom branch).
 
     Returns the trace's arrays, the normalised snapshot and final fields, the
-    atom-branch population, the kicks applied and the failing step (or None).
+    atom-branch population, the kicks applied, the largest leak over every
+    step taken (the failing one included) and the failing step (or None).
     """
     dim = state.dim
     dressed = any(k.pulse is not None for st in schedule.steps for k in st.kicks)
@@ -328,11 +329,12 @@ def _reference_run(state, schedule, record_every, snapshots, leak_tol):
     v = np.zeros(size, dtype=complex)
     v[:dim] = state.amps
     n_steps = len(schedule.steps)
-    rows, states, kicks, failed = [], {}, 0, None
+    rows, states, kicks, max_leak, failed = [], {}, 0, 0.0, None
     for p in range(n_steps + 1):
         field = v[:dim] / np.linalg.norm(v[:dim])
         pop = np.abs(field) ** 2
         leak = pop[dim - GUARD_LEVELS:].sum()
+        max_leak = max(max_leak, leak)
         if p > 0 and not leak < leak_tol:
             failed = p
         if failed or p % record_every == 0 or p == n_steps or p in snapshots:
@@ -346,7 +348,7 @@ def _reference_run(state, schedule, record_every, snapshots, leak_tol):
         v /= np.linalg.norm(v)
     steps, energies, probs, leaks = (np.array(c) for c in zip(*rows))
     atom_leak = np.linalg.norm(v[dim:]) ** 2
-    return steps, energies, probs, leaks, states, field, atom_leak, kicks, failed
+    return steps, energies, probs, leaks, states, field, atom_leak, kicks, max_leak, failed
 
 
 def _chunk_test_schedule(mode, n_steps, beta=0.1):
@@ -376,7 +378,7 @@ def test_chunked_run_matches_per_step_reference(mode):
     snapshots = [CHUNK - 1, CHUNK, CHUNK + 1]
 
     def check(trace, ref):
-        steps, energies, probs, leaks, states, field, atom_leak, kicks, _ = ref
+        steps, energies, probs, leaks, states, field, atom_leak, kicks, max_leak, _ = ref
         assert trace.steps.tolist() == steps.tolist()
         assert np.max(np.abs(trace.energies - energies)) < 1e-12
         assert np.max(np.abs(trace.probs - probs)) < 1e-12
@@ -387,6 +389,7 @@ def test_chunked_run_matches_per_step_reference(mode):
         assert np.max(np.abs(trace.final_state.amps - field)) < 1e-12
         assert abs(trace.final_atom_leak - atom_leak) < 1e-12
         assert trace.kicks == kicks
+        assert trace.max_leak == pytest.approx(max_leak, rel=1e-6, abs=0)
 
     for n_steps in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
         schedule = _chunk_test_schedule(mode, n_steps)
@@ -408,6 +411,7 @@ def test_chunked_run_matches_per_step_reference(mode):
                      leak_tol=leak_tol)
         assert f"at step {landing}" in str(err.value)
         assert err.value.trace.steps[-1] == landing
+        assert err.value.trace.max_leak >= leak_tol
         check(err.value.trace, ref)
 
 
