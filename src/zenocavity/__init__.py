@@ -11,7 +11,6 @@ config-driven command line runner.
 from .fock import (
     FieldState,
     TruncationError,
-    TruncationReport,
     annihilation_op,
     cat_state,
     coherent,
@@ -21,7 +20,6 @@ from .fock import (
     fock_basis,
     mean_energy,
     photon_distribution,
-    truncation_check,
     vacuum,
 )
 from .zeno import (
@@ -30,7 +28,6 @@ from .zeno import (
     Schedule,
     Step,
     ZenoTruncationError,
-    displaced_kick,
     uniform_schedule,
     zeno_run,
 )
@@ -42,6 +39,7 @@ from .atomkick import (
 )
 from .openquantum import (
     LindbladParams,
+    displaced_kick,
     evolve_master,
     fidelity_mixed,
     pure_density,

@@ -72,6 +72,8 @@ MAX_RASTER_SIDE = Range(hi=1024)
 MAX_STEPS = Range(hi=100_000)
 #: a raster's tables grow with its window; at +-32 they take 58 MB (dim 256, 1024^2)
 _BOUND = Annotated[float, Range(-32, 32)]
+#: vacuum Rabi frequency of dressed kicks, 2 pi x 50 kHz in rad/s
+DEFAULT_OMEGA = 2 * math.pi * 50e3
 
 
 @dataclass
@@ -80,12 +82,12 @@ class TrajectoryConfig:
     stop: complex
     steps: Annotated[int, Range(1), MAX_STEPS]
     s: Annotated[int, NON_NEGATIVE] = 1
-    adiabatic_cap: Annotated[float, POSITIVE] = 0.1
+    adiabatic_cap: Annotated[float, POSITIVE] = DEFAULT_ADIABATIC_CAP
 
 
 @dataclass
 class PulseConfig:
-    omega: Annotated[float, POSITIVE] = 2 * math.pi * 50e3  # rad/s
+    omega: Annotated[float, POSITIVE] = DEFAULT_OMEGA
     total_duration: Annotated[float, POSITIVE] = 3.4e-3  # s, whole protocol
 
 
@@ -124,7 +126,7 @@ class ZenoConfig(_PureRun):
     snapshot_every: Annotated[int, NON_NEGATIVE] = 0  # 0 -> no wigner snapshots
     kick_theta: Annotated[float, ANGLE] = 0.0  # 0 -> ideal kicks; else dressed kicks
     kick_rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0
-    kick_omega: Annotated[float, POSITIVE] = 2 * math.pi * 50e3
+    kick_omega: Annotated[float, POSITIVE] = DEFAULT_OMEGA
 
 
 @dataclass(kw_only=True)
@@ -144,7 +146,6 @@ class TweezerConfig(_PureRun):
     record_every: Annotated[int, Range(1)] = 1
     trajectories: Annotated[tuple[TrajectoryConfig, ...], Range(1)]
     interleave: Literal["roundrobin", "sequential"] = "roundrobin"
-    component_positions: tuple[complex, ...] = ()  # () -> trajectory starts, initial lobes
     target_alpha: complex | None = None  # even cat the fidelity compares against
 
 
@@ -265,6 +266,7 @@ _RETIRED_KEYS = {
     "guard_levels": f"the guard band is always the top {GUARD_LEVELS} levels",
     "overlap_tol": f"components overlap above the fixed tolerance {OVERLAP_TOL:g}",
     "snapshot_steps": "snapshots are taken every snapshot_every steps",
+    "component_positions": "the components are the lobes of the initial state",
 }
 
 

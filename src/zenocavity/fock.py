@@ -60,14 +60,6 @@ class FieldState:
         return complex(np.vdot(self.amps, other.amps))
 
 
-@dataclass(frozen=True)
-class TruncationReport:
-    """Population found in the top guard levels of a state."""
-
-    top_population: float
-    ok: bool
-
-
 def required_dim(alpha_max: complex | float) -> float:
     """|a|^2 + 6|a| + 10 for a = alpha_max: the truncation rule, a Poisson-tail
     bound with safety margin, holds for dim >= this. A float, inf where
@@ -215,11 +207,3 @@ def fidelity_pure(a: FieldState, b: FieldState) -> float:
     """|<a|b>|^2."""
     ov = a.overlap(b)
     return float(min(abs(ov) ** 2, 1.0))
-
-
-def truncation_check(state: FieldState, leak_tol: float = DEFAULT_LEAK_TOL) -> TruncationReport:
-    """Population in the top GUARD_LEVELS levels; ok iff below leak_tol."""
-    if state.dim <= GUARD_LEVELS:
-        raise ValueError(f"dim must exceed the {GUARD_LEVELS} guard levels")
-    top = float(photon_distribution(state)[-GUARD_LEVELS:].sum())
-    return TruncationReport(top_population=top, ok=top < leak_tol)

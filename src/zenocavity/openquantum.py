@@ -15,8 +15,9 @@ tweezer moves its kick centre rather than the field: a step that
 displaces the field is refused. Interrogation pulses take real time
 (their duration dominates a realistic run). A kick inside a damped
 segment is split symmetrically: damping runs for the full pulse duration
-while the conditioned kick map is applied instantaneously at the pulse
-midpoint; the splitting error is second order in (pulse duration / T_c).
+while the conditioned kick map, displaced_kick's dense matrix, is applied
+instantaneously at the pulse midpoint; the splitting error is second
+order in (pulse duration / T_c).
 
 A damped run keeps its diagnostics in one record array, as zeno_run's
 trace does; the runner writes both out.
@@ -31,8 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import GUARD_LEVELS, FieldState
-from .zeno import Schedule, displaced_kick
+from .atomkick import conditioned_field_diagonal
+from .fock import GUARD_LEVELS, FieldState, displacement_op
+from .zeno import KickSpec, Schedule
 
 logger = logging.getLogger(__name__)
 
@@ -137,6 +139,18 @@ def evolve_damped(
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError("duration must be finite and non-negative")
     return rho if params is None else _damp(rho, duration / params.t_c, params.n_th)
+
+
+def displaced_kick(spec: KickSpec, dim: int) -> np.ndarray:
+    """The dressed kick evolve_master applies at spec.gamma, as a dense matrix:
+    the conditioned diagonal K conjugated, D(gamma) K D(-gamma), a contraction,
+    not unitary. D(0) is the exact identity, so a kick at the origin is K."""
+    if spec.pulse is None:
+        raise ValueError("displaced_kick needs a kick with pulse parameters")
+    if spec.s >= dim:
+        raise IndexError(f"kick index {spec.s} outside basis 0..{dim - 1}")
+    d = displacement_op(spec.gamma, dim)
+    return (d * conditioned_field_diagonal(spec.pulse, dim)) @ d.conj().T
 
 
 #: most negative eigenvalue evolve_master takes for accumulated rounding

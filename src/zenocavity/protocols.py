@@ -249,28 +249,28 @@ def crush_between(
 def energy_matched_cat_amplitude(target_energy: float) -> float:
     """Real alpha of the |alpha> + |-alpha> cat with the given mean energy.
 
-    Solves a^2 tanh(a^2) = E by bisection to 1e-10; the even cat's energy
-    interpolates between 0 and a^2 as the components separate.
+    Solves a^2 tanh(a^2) = E by bisection on [0, sqrt(E) + 1] to 1e-10, or
+    until no float lies between the bounds; the bracket holds the root,
+    since (sqrt(E) + 1)^2 tanh((sqrt(E) + 1)^2) > E for every E > 0. The
+    even cat's energy interpolates between 0 and a^2 as the components
+    separate. E must be positive and finite (ValueError otherwise).
     """
-    if target_energy <= 0:
-        raise ValueError("target energy must be positive")
+    if not 0 < target_energy < math.inf:
+        raise ValueError("target energy must be positive and finite")
 
     def f(a: float) -> float:
         a2 = a * a
         return a2 * math.tanh(a2) - target_energy
 
     lo, hi = 0.0, math.sqrt(target_energy) + 1.0
-    while f(hi) < 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-10:
-            break
+    mid = 0.5 * (lo + hi)
+    while hi - lo >= 1e-10 and lo < mid < hi:
         if f(mid) < 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def crush_fidelity_vs_matched_cat(state: FieldState) -> tuple[float, float, float]:

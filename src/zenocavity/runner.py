@@ -170,7 +170,7 @@ def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
             ideal = zeno.zeno_run(
                 state,
                 zeno.uniform_schedule(cfg.steps, cfg.beta, [zeno.KickSpec(s=cfg.s)]),
-                record_every=max(cfg.steps, 1),
+                record_every=cfg.steps,
                 leak_tol=cfg.leak_tol,
             ).final_state
             _remember_ideal(key, ideal)
@@ -202,11 +202,10 @@ def _tweezer_protocol(cfg: config.TweezerConfig, outdir: Path) -> dict[str, Any]
         )
         for t in cfg.trajectories
     ]
-    # by default every lobe of the initial state that no trajectory carries stays put
+    # every lobe of the initial state that no trajectory carries stays put
     lobes = (cfg.alpha_init,) if cfg.cat_init is None else (cfg.cat_init, -cfg.cat_init)
-    positions = cfg.component_positions or (*(t.start for t in cfg.trajectories), *lobes)
     final, trace = protocols.tweezer_run(
-        state, trajs, interleave=cfg.interleave, component_positions=positions,
+        state, trajs, interleave=cfg.interleave, component_positions=lobes,
         record_every=cfg.record_every, leak_tol=cfg.leak_tol,
     )
     _write_wigner(state, cfg, outdir, "wigner_step000000")

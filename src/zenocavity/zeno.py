@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomkick import PulseParams, conditioned_field_diagonal, pulse_blocks
+from .atomkick import PulseParams, pulse_blocks
 from .fock import (
     DEFAULT_LEAK_TOL,
     GUARD_LEVELS,
@@ -48,7 +48,8 @@ class KickSpec:
     pulse = None gives the ideal instantaneous kick; a PulseParams models
     the finite interrogation pulse, which can park field amplitude in the
     atom branch. zeno_run takes a dressed kick only at gamma = 0; damped
-    runs (openquantum.evolve_master) move it.
+    runs (openquantum.evolve_master) move it and build it as a dense
+    matrix with openquantum.displaced_kick.
     """
 
     s: int
@@ -141,19 +142,6 @@ class ZenoTruncationError(TruncationError):
     def __init__(self, message: str, trace: EvolutionTrace):
         super().__init__(message)
         self.trace = trace
-
-
-def displaced_kick(spec: KickSpec, dim: int) -> np.ndarray:
-    """Dressed kick centered at spec.gamma as a dense matrix: the conjugated
-    conditioned diagonal D(gamma) K D(-gamma), a contraction, not unitary.
-    D(0) is the exact identity, so a kick at the origin is the bare diagonal.
-    """
-    if spec.pulse is None:
-        raise ValueError("displaced_kick needs a kick with pulse parameters")
-    if spec.s >= dim:
-        raise IndexError(f"kick index {spec.s} outside basis 0..{dim - 1}")
-    d = displacement_op(spec.gamma, dim)
-    return (d * conditioned_field_diagonal(spec.pulse, dim)) @ d.conj().T
 
 
 def zeno_run(

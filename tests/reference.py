@@ -3,11 +3,13 @@
 The Zeno-limit evolution, the dense ideal kick, a pure-state run of
 conditioned dressed kicks, the displaced-circle topological-phase
 identity, moments of the field, the Wigner function of a density matrix,
-single Wigner values and a raster's integral. No run of the package calls
-them; they are the oracles of criteria 2-4, 8 and 9 and of the unit tests.
+single Wigner values, a raster's integral and a state's guard-band
+population. No run of the package calls them; they are the oracles of
+criteria 2-4, 8, 9 and 13 and of the unit tests.
 """
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +18,7 @@ from scipy.linalg import expm
 from zenocavity.atomkick import pulse_blocks
 from zenocavity.fock import (
     DEFAULT_LEAK_TOL,
+    GUARD_LEVELS,
     FieldState,
     annihilation_op,
     creation_op,
@@ -137,6 +140,22 @@ def block_populations(state: FieldState, s: int) -> tuple[float, float, float]:
     """Populations (below s, at s, above s)."""
     p = photon_distribution(state)
     return float(p[:s].sum()), float(p[s]), float(p[s + 1:].sum())
+
+
+@dataclass(frozen=True)
+class TruncationReport:
+    """Population found in the top guard levels of a state."""
+
+    top_population: float
+    ok: bool
+
+
+def truncation_check(state: FieldState, leak_tol: float = DEFAULT_LEAK_TOL) -> TruncationReport:
+    """Population in the top GUARD_LEVELS levels; ok iff below leak_tol."""
+    if state.dim <= GUARD_LEVELS:
+        raise ValueError(f"dim must exceed the {GUARD_LEVELS} guard levels")
+    top = float(photon_distribution(state)[-GUARD_LEVELS:].sum())
+    return TruncationReport(top_population=top, ok=top < leak_tol)
 
 
 def zeno_limit_evolve(state: FieldState, drive_amp: complex, s: int, t: float) -> FieldState:

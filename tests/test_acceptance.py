@@ -45,6 +45,7 @@ from reference import (
     mean_amplitude,
     min_quadrature_variance,
     topological_phase_identity_residual,
+    truncation_check,
     wigner_integral,
     wigner_point,
     zeno_limit_evolve,
@@ -61,7 +62,6 @@ from zenocavity.fock import (
     fidelity_pure,
     mean_energy,
     photon_distribution,
-    truncation_check,
     vacuum,
 )
 from zenocavity.openquantum import (

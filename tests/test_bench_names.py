@@ -1,4 +1,5 @@
-"""Every zenocavity name the benchmark reaches exists.
+"""Every zenocavity name the benchmark reaches exists, and every name the
+package exports is one that its code uses or the benchmark traces.
 
 perfbench/tracing.py wraps package functions by (module, name) and reports
 the metrics of a name that is gone as null, which makes the benchmark
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zenocavity"
 
 
 def _load_tracing():
@@ -50,3 +52,25 @@ def test_workload_names_exist():
     missing = sorted(f"{mod}.{name}" for mod, name in used
                      if not hasattr(importlib.import_module(f"zenocavity.{mod}"), name))
     assert not missing, "perfbench/workloads.py uses " + ", ".join(missing)
+
+
+def test_exported_names_are_used_by_the_package():
+    # a name that only tests call belongs in tests/reference.py; the ones
+    # the benchmark traces stay until it stops tracing them
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = [(node.module, alias.name) for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            # a def or class that only refers to itself does not use its name
+            own = getattr(top, "name", None)
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    traced = set(TRACING.SPANNED + TRACING.COUNTED)
+    unused = sorted(f"{mod}.{name}" for mod, name in exported
+                    if name not in used and (mod, name) not in traced)
+    assert not unused, "no package code uses " + ", ".join(unused)

@@ -303,6 +303,9 @@ def test_invalid_config_exit_code(tmp_path, capsys):
      "dim: the tweezer kicks at s=1 reach the guard band, the top 3 levels of dim=4"),
     ({"protocol": "tweezer_stretch", "dim": 40, "alpha_free": [2, 0]},
      "alpha_free: components at 0j and (2+0j) overlap (1.83e-02 > 1.0e-03)"),
+    ({"protocol": "tweezer_move", "dim": 40, "component_positions": [[2, 0], [-2, 0]],
+      "trajectories": [{"start": [2, 0], "stop": [2.5, 0], "steps": 5}]},
+     "component_positions: unknown key (the components are the lobes of the initial state)"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"
@@ -480,16 +483,15 @@ def test_stretch_window_holds_the_moving_component(tmp_path):
 
 
 def test_tweezer_move_keeps_clear_of_the_other_cat_lobe(tmp_path, capsys):
-    # one tweezer drags the +2 lobe onto the -2 one: refused by default as
-    # when both lobes are listed
+    # one tweezer drags the +2 lobe onto the -2 one: refused, since the
+    # lobes of the initial state are the components
     raw = {"protocol": "tweezer_move", "dim": 40, "cat_init": [2, 0],
            "trajectories": [{"start": [2, 0], "stop": [-1.5, 0], "steps": 35}]}
-    for extra in ({}, {"component_positions": [[2, 0], [-2, 0]]}):
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps({**raw, **extra}))
-        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert "(trajectory 0) and -2" in err and "come within overlap" in err
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "(trajectory 0) and -2" in err and "come within overlap" in err
 
 
 def test_four_cat_dumps_its_final_state(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import number_op
+from reference import number_op, truncation_check
 from scipy.linalg import expm
 
 from zenocavity.fock import (
@@ -20,7 +20,6 @@ from zenocavity.fock import (
     mean_energy,
     photon_distribution,
     required_dim,
-    truncation_check,
     vacuum,
 )
 

@@ -201,8 +201,11 @@ def test_energy_matched_cat_amplitude():
     assert abs(a - math.sqrt(6.4)) < 1e-4  # tanh correction tiny here
     values = [energy_matched_cat_amplitude(e) for e in (0.5, 1.0, 2.0, 6.4)]
     assert all(x < y for x, y in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        energy_matched_cat_amplitude(0.0)
+    for energy in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            energy_matched_cat_amplitude(energy)
+    # 1e-10 is below the float spacing near a = 1e6: the bisection ends anyway
+    assert abs(energy_matched_cat_amplitude(1e12) - 1e6) < 1e-9
 
 
 def test_multi_cat_factory_counts():

@@ -28,12 +28,12 @@ from zenocavity.fock import (
     photon_distribution,
     vacuum,
 )
+from zenocavity.openquantum import displaced_kick
 from zenocavity.zeno import (
     KickSpec,
     Schedule,
     Step,
     ZenoTruncationError,
-    displaced_kick,
     uniform_schedule,
     zeno_run,
 )
