@@ -120,6 +120,19 @@ def _fock_column(n: int, gammas: np.ndarray | list[complex], dim: int) -> np.nda
     return out
 
 
+def _coherent_rows(alphas: list[complex], dim: int) -> np.ndarray:
+    """One n = 0 column per amplitude, each held to the truncation rule."""
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    for alpha in alphas:
+        if not required_dim(alpha) <= dim:
+            raise TruncationError(
+                f"coherent amplitude {alpha} needs dim >= {required_dim(alpha):.6g}, got {dim}"
+            )
+    # amps[n] = alpha^n / sqrt(n!) * e^{-|alpha|^2/2}
+    return _fock_column(0, alphas, dim)
+
+
 def coherent(alpha: complex, dim: int) -> FieldState:
     """Coherent state |alpha>, renormalized over the truncated basis.
 
@@ -127,21 +140,15 @@ def coherent(alpha: complex, dim: int) -> FieldState:
     TruncationError), which keeps the discarded Poisson tail below ~1e-12
     in population.
     """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if not required_dim(alpha) <= dim:
-        raise TruncationError(
-            f"coherent amplitude {alpha} needs dim >= {required_dim(alpha):.6g}, got {dim}"
-        )
-    # the n = 0 column: amps[n] = alpha^n / sqrt(n!) * e^{-|alpha|^2/2}
-    return FieldState(_fock_column(0, [alpha], dim)[0])
+    return FieldState(_coherent_rows([alpha], dim)[0])
 
 
 def cat_state(alpha: complex, phase: complex, dim: int) -> FieldState:
-    """Normalized (|alpha> + phase * |-alpha>), |phase| = 1."""
+    """Normalized (|alpha> + phase * |-alpha>), |phase| = 1; each lobe is coherent's."""
     if abs(abs(phase) - 1.0) > 1e-9:
         raise ValueError("cat relative phase must lie on the unit circle")
-    return FieldState(coherent(alpha, dim).amps + complex(phase) * coherent(-alpha, dim).amps)
+    plus, minus = (FieldState(row).amps for row in _coherent_rows([alpha, -alpha], dim))
+    return FieldState(plus + complex(phase) * minus)
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +195,10 @@ def displaced_fock(n: int, gammas: complex | np.ndarray, dim: int) -> np.ndarray
     gives the truncated generator's column (README, Conventions). A 1-d array
     of centres gives one row per centre, each equal to its scalar call."""
     cols = _fock_column(n, np.atleast_1d(gammas), dim)
-    for col in cols:
-        col /= np.linalg.norm(col)
+    # each row's np.linalg.norm bit for bit (strided re.re + im.im); norm(axis=1) is not
+    parts = cols.view(np.float64).reshape(*cols.shape, 2)
+    re, im = parts[:, None, :, 0], parts[:, None, :, 1]
+    cols /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, :, 0]
     return cols if np.ndim(gammas) else cols[0]
 
 

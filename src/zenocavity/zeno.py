@@ -129,11 +129,11 @@ class EvolutionTrace:
     @property
     def records(self) -> np.recarray:
         """One record per row: step, energy, p0..p9 (zeros where dim < 10), leak."""
-        out = np.zeros(len(self.steps), dtype=_RECORD).view(np.recarray)
-        out.step, out.energy, out.leak = self.steps, self.energies, self.leaks
+        out = np.zeros(len(self.steps), dtype=_RECORD)
+        out["step"], out["energy"], out["leak"] = self.steps, self.energies, self.leaks
         for n in range(min(10, self.probs.shape[1])):
             out[f"p{n}"] = self.probs[:, n]
-        return out
+        return out.view(np.recarray)
 
 
 class ZenoTruncationError(TruncationError):
@@ -187,13 +187,17 @@ def zeno_run(
     dim = state.dim
     if dim <= GUARD_LEVELS:
         raise ValueError(f"dim must exceed the {GUARD_LEVELS} guard levels")
-    distinct = {id(step): step for step in schedule.steps}.values()
-    for spec in (k for step in distinct for k in step.kicks):
+    n_steps = len(schedule.steps)
+    chunks = [{id(st): st for st in schedule.steps[i:i + CHUNK]} for i in range(0, n_steps, CHUNK)]
+    distinct: dict[int, Step] = {}
+    for chunk in chunks:  # the run's distinct steps, each checked once
+        distinct.update(chunk)
+    for spec in (k for step in distinct.values() for k in step.kicks):
         if spec.s >= dim - GUARD_LEVELS:
             raise ValueError(
                 f"kick at s={spec.s} reaches into the guard band of a dim={dim} basis"
             )
-    dressed = {(k.gamma, k.pulse) for step in distinct for k in step.kicks
+    dressed = {(k.gamma, k.pulse) for step in distinct.values() for k in step.kicks
                if k.pulse is not None}
     if any(gamma != 0 for gamma, _ in dressed):
         raise ValueError("zeno_run takes dressed kicks at the origin only; "
@@ -201,7 +205,6 @@ def zeno_run(
     if len(dressed) > 1:
         raise ValueError("zeno_run takes one dressed pulse per run")
     blocks = pulse_blocks(next(iter(dressed))[1], dim) if dressed else None
-    n_steps = len(schedule.steps)
     snapshots = np.array(sorted(set(snapshot_steps or ())), dtype=int)
     snapshots = snapshots[(0 <= snapshots) & (snapshots <= n_steps)].tolist()
     # the kept rows: step 0, every record_every-th step, the snapshots, the last step
@@ -223,7 +226,7 @@ def zeno_run(
         # one plan entry per distinct step: its drive (None without one) and an
         # (s, operand) action per kick: None for a centred ideal kick, the run's
         # blocks for a dressed one, else the column an ideal kick reflects about
-        chunk = {id(st): st for st in todo}
+        chunk = chunks[first // CHUNK]
         centres: dict[int, dict[complex, None]] = {}
         for k in (k for st in chunk.values() for k in st.kicks):
             if k.pulse is None and k.gamma != 0:

@@ -255,3 +255,37 @@ def test_coherent_matches_log_space_reference_bit_for_bit():
         else:  # beyond the truncation rule coherent refuses; the column is the same
             built = FieldState(_fock_column(0, [alpha], dim)[0]).amps
         assert np.array_equal(built, reference(alpha, dim))
+
+
+def test_displaced_fock_rows_are_normalized_as_linalg_norm_bit_for_bit():
+    # the stacked renormalisation rests on how numpy computes a complex norm:
+    # a numpy release that changes it fails here, not in the artifacts
+    rng = np.random.default_rng(31)
+    for dim in (20, 48, 64, 80, 128):
+        reach = math.sqrt(dim - 1.0) - 3.0
+        for n in (0, 1, 3, 6):
+            gammas = reach * np.sqrt(rng.uniform(size=13)) * np.exp(2j * math.pi * rng.uniform(size=13))
+            gammas[[0, 7]] = 0.0
+            rows = displaced_fock(n, gammas, dim)
+            for col, row in zip(_fock_column(n, gammas, dim), rows):
+                assert row.tobytes() == (col / np.linalg.norm(col)).tobytes()
+
+
+def test_cat_state_sums_its_coherent_lobes_bit_for_bit():
+    rng = np.random.default_rng(32)
+    cases = [(0.0, 1.0, 12), (0j, 1j, 40)]
+    for _ in range(60):
+        dim = int(rng.integers(16, 129))
+        reach = math.sqrt(dim - 1.0) - 3.0
+        alpha = reach * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
+        cases.append((complex(alpha), np.exp(2j * math.pi * rng.uniform()), dim))
+    for alpha, phase, dim in cases:  # each within the truncation rule
+        lobes = coherent(alpha, dim).amps + complex(phase) * coherent(-alpha, dim).amps
+        assert cat_state(alpha, phase, dim).amps.tobytes() == FieldState(lobes).amps.tobytes()
+    with pytest.raises(TruncationError) as refused:
+        coherent(5, 64)
+    with pytest.raises(TruncationError) as cat_refused:
+        cat_state(5, 1, 64)
+    assert str(cat_refused.value) == str(refused.value) == "coherent amplitude 5 needs dim >= 65, got 64"
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        cat_state(0.0, 1, 1)
