@@ -8,7 +8,9 @@ and its range (an Annotated Range) once, and parsing checks them while
 it converts. Conversion is strict: a bool field takes only true/false, a
 Literal field only one of its strings, an int field only an integer or
 an integral float such as 40.0, and a number field no booleans or
-strings. _validate then checks the rules that relate several fields.
+strings. _validate then checks the rules that relate several fields,
+once every key has converted; a problem inside a section with defaults
+(wigner, lindblad) leaves that section at its defaults for these rules.
 Every problem is collected before raising, so an invalid config produces
 a single aggregated report. Presets live in the package as JSON
 files, one per reproduced figure panel plus a few extras.
@@ -23,10 +25,11 @@ from dataclasses import MISSING, dataclass, field, is_dataclass
 from functools import lru_cache
 from importlib import resources
 from types import UnionType
-from typing import Annotated, Any, Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, Any, Callable, Literal, get_args, get_origin, get_type_hints
 
 from .fock import GUARD_LEVELS, required_dim
-from .protocols import DEFAULT_ADIABATIC_CAP, OVERLAP_TOL, gaussian_overlap
+from .protocols import (DEFAULT_ADIABATIC_CAP, OVERLAP_TOL, TweezerTrajectory, check_apart,
+                        check_overlaps, linear_trajectory)
 
 
 class ConfigError(ValueError):
@@ -83,6 +86,9 @@ class TrajectoryConfig:
     steps: Annotated[int, Range(1), MAX_STEPS]
     s: Annotated[int, NON_NEGATIVE] = 1
     adiabatic_cap: Annotated[float, POSITIVE] = DEFAULT_ADIABATIC_CAP
+
+    def trajectory(self) -> TweezerTrajectory:
+        return linear_trajectory(self.start, self.stop, self.steps, self.s, self.adiabatic_cap)
 
 
 @dataclass
@@ -190,6 +196,14 @@ RunConfig = (ZenoConfig | StretchConfig | TweezerConfig | CrushConfig | FourCatC
 _AMPLITUDES = ("alpha_init", "cat_init", "target_alpha", "gamma", "alpha_free", "beta")
 
 
+def _check(problems: list[str], key: str, rule: Callable[..., Any], *args) -> Any:
+    """rule(*args), a protocols rule; None where its ValueError becomes a problem at key."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        problems.append(f"{key}: {exc}")
+
+
 def _validate(cfg: RunConfig, problems: list[str]) -> None:
     """Rules that relate several fields; single-field rules live on the fields."""
     amplitudes = {key: getattr(cfg, key, None) for key in _AMPLITUDES}
@@ -213,36 +227,28 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
     elif isinstance(cfg, (StretchConfig, CrushConfig, FourCatConfig)):
         if 1 >= cfg.dim - GUARD_LEVELS:  # their tweezers kick at s = 1
             problems.append(f"dim: the tweezer kicks at s=1 reach {band}")
-    for k, traj in enumerate(cfg.trajectories if isinstance(cfg, TweezerConfig) else ()):
-        if traj.s >= cfg.dim - GUARD_LEVELS:
-            problems.append(f"trajectories[{k}].s: {traj.s} reaches {band}")
-        move = traj.stop - traj.start
-        jump = math.hypot(move.real, move.imag) / traj.steps  # abs() raises on overflow
-        if jump > traj.adiabatic_cap * (1 + 1e-12):
-            problems.append(
-                f"trajectories[{k}]: waypoint jump {jump:.4g} exceeds "
-                f"adiabatic_cap {traj.adiabatic_cap:.4g}"
-            )
-    if isinstance(cfg, (CrushConfig, FourCatConfig)):
-        # both circles of a crush move to their midpoint in equal moves;
-        # four_cat's start at +-separation about each component
-        if isinstance(cfg, CrushConfig):
-            a, b = cfg.crush_centers
-            key, jump = "crush_steps", math.hypot((b - a).real, (b - a).imag) / 2 / cfg.crush_steps
-        else:
-            key, jump = "steps_per_crush", cfg.separation / cfg.steps_per_crush
-        if jump > DEFAULT_ADIABATIC_CAP * (1 + 1e-12):
-            problems.append(f"{key}: waypoint jump {jump:.4g} exceeds adiabatic cap "
-                            f"{DEFAULT_ADIABATIC_CAP:g}")
+    if isinstance(cfg, TweezerConfig):
+        trajs = []
+        for k, t in enumerate(cfg.trajectories):
+            if t.s >= cfg.dim - GUARD_LEVELS:
+                problems.append(f"trajectories[{k}].s: {t.s} reaches {band}")
+            trajs.append(_check(problems, f"trajectories[{k}]", t.trajectory))
+        # every lobe of the initial state that no trajectory carries stays put
+        lobes = (cfg.alpha_init,) if cfg.cat_init is None else (cfg.cat_init, -cfg.cat_init)
+        if all(trajs):
+            _check(problems, "trajectories", check_overlaps, trajs, lobes, cfg.interleave)
+    # a crush's circles move to their midpoint; four_cat's start +-separation about it
+    if isinstance(cfg, CrushConfig):
+        a, b = cfg.crush_centers
+        _check(problems, "crush_steps", linear_trajectory, a, (a + b) / 2, cfg.crush_steps)
     if isinstance(cfg, FourCatConfig):
+        _check(problems, "steps_per_crush", linear_trajectory, cfg.separation, 0,
+               cfg.steps_per_crush)
         n = cfg.n_components
         if n < 2 or (n & (n - 1)) != 0:
             problems.append(f"n_components: must be a power of two >= 2, got {n}")
     if isinstance(cfg, StretchConfig):
-        overlap = gaussian_overlap(cfg.gamma, cfg.alpha_free)
-        if overlap > OVERLAP_TOL:
-            problems.append(f"alpha_free: components at {cfg.gamma} and {cfg.alpha_free} "
-                            f"overlap ({overlap:.2e} > {OVERLAP_TOL:.1e})")
+        _check(problems, "alpha_free", check_apart, cfg.gamma, cfg.alpha_free)
     if isinstance(cfg, RealisticConfig):
         # the amplitude rule with |z|^2 = n_th, the bath's mean occupancy; n_th = 0 adds none
         n_th = cfg.lindblad.n_th
@@ -348,7 +354,8 @@ def _convert(tp: Any, value: Any, key: str, problems: list[str]) -> Any:
 
 
 def _convert_object(cls: type, raw: Any, key: str, problems: list[str]) -> Any:
-    """An instance of the dataclass cls from a JSON object, or None after a problem."""
+    """An instance of the dataclass cls from a JSON object, or None after a
+    problem; a section with a problem (wigner, lindblad) takes its defaults."""
     if not isinstance(raw, dict):
         problems.append(f"{key}: expected an object, got {raw!r}")
         return None
@@ -356,16 +363,21 @@ def _convert_object(cls: type, raw: Any, key: str, problems: list[str]) -> Any:
     prefix = f"{key}." if key else ""
     types = _field_types(cls)
     kwargs = {}
+    sections = 0  # problems of sections that fall back to their defaults
     for name, value in raw.items():
         if name in types:
+            mark = len(problems)
             kwargs[name] = _convert(types[name], value, prefix + name, problems)
+            if kwargs[name] is None and cls.__dataclass_fields__[name].default_factory != MISSING:
+                del kwargs[name]  # so that the rules across the other keys still run
+                sections += len(problems) - mark
         else:
             note = _RETIRED_KEYS.get(prefix + name)
             problems.append(f"{prefix}{name}: unknown key" + (f" ({note})" if note else ""))
     for name, f in cls.__dataclass_fields__.items():
         if f.default is MISSING and f.default_factory is MISSING and name not in raw:
             problems.append(f"{prefix}{name}: missing (required)")
-    return None if len(problems) > before else cls(**kwargs)
+    return None if len(problems) > before + sections else cls(**kwargs)
 
 
 #: the config class of each protocol name, read off the classes' Literals
@@ -386,9 +398,8 @@ def parse_config(raw: dict[str, Any]) -> RunConfig:
     if cls is _NoProtocol:  # the other keys cannot be judged without a protocol
         raw = {k: v for k, v in raw.items() if k in ("protocol", "dim")}
     cfg = _convert_object(cls, raw, "", problems)
-    if problems:
-        raise ConfigError(problems)
-    _validate(cfg, problems)
+    if cfg is not None:
+        _validate(cfg, problems)
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -52,13 +52,12 @@ class TweezerTrajectory:
         if len(wps) < 1:
             raise ValueError("trajectory needs at least one waypoint")
         object.__setattr__(self, "waypoints", wps)
-        cap = self.adiabatic_cap * (1.0 + 1e-12)  # tolerate an exact-cap step
-        for a, b in zip(wps, wps[1:]):
-            if abs(b - a) > cap:
-                raise ValueError(
-                    f"waypoint jump {abs(b - a):.4g} exceeds adiabatic cap "
-                    f"{self.adiabatic_cap:.4g}"
-                )
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN beyond the float range
+            jumps = np.abs(np.diff(wps))
+        over = jumps[~(jumps <= self.adiabatic_cap * (1.0 + 1e-12))]  # an exact-cap step passes
+        if over.size:
+            raise ValueError(
+                f"waypoint jump {over[0]:.4g} exceeds adiabatic cap {self.adiabatic_cap:.4g}")
 
     @property
     def n_moves(self) -> int:
@@ -76,8 +75,9 @@ def linear_trajectory(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     ts = np.linspace(0.0, 1.0, n_steps + 1)
-    wps = tuple(complex(start) * (1 - t) + complex(stop) * t for t in ts)
-    return TweezerTrajectory(s=s, waypoints=wps, adiabatic_cap=adiabatic_cap)
+    with np.errstate(over="ignore", invalid="ignore"):  # Python's complex product does not warn
+        wps = complex(start) * (1 - ts) + complex(stop) * ts
+    return TweezerTrajectory(s=s, waypoints=tuple(wps.tolist()), adiabatic_cap=adiabatic_cap)
 
 
 def gaussian_overlap(a: complex, b: complex) -> float:
@@ -103,35 +103,46 @@ def _frames(
     if interleave == "roundrobin":
         n_rounds = max(t.n_moves for t in trajectories) + 1
         everyone = tuple(range(len(trajectories)))
-        return [(tuple(t.waypoints[min(r, t.n_moves)] for t in trajectories), everyone)
-                for r in range(n_rounds)]
+        paths = [t.waypoints + t.waypoints[-1:] * (n_rounds - len(t.waypoints))
+                 for t in trajectories]
+        return [(positions, everyone) for positions in zip(*paths)]
     if interleave == "sequential":
-        return [(tuple(t.waypoints[-1] for t in trajectories[:k]) + (gamma,)
-                 + tuple(t.waypoints[0] for t in trajectories[k + 1:]), (k,))
+        ends = tuple(t.waypoints[-1] for t in trajectories)
+        starts = tuple(t.waypoints[0] for t in trajectories)
+        return [(ends[:k] + (gamma,) + starts[k + 1:], (k,))
                 for k, traj in enumerate(trajectories) for gamma in traj.waypoints]
     raise ValueError(f"unknown interleave mode {interleave!r}")
 
 
-def _check_overlaps(
+def check_overlaps(
     trajectories: Sequence[TweezerTrajectory],
     component_positions: Sequence[complex],
     interleave: Literal["roundrobin", "sequential"],
 ) -> None:
-    # a trajectory carries the component sitting at its first waypoint;
-    # the other listed components stay where they are
-    frames = np.array([pos for pos, _ in _frames(trajectories, interleave)])
-    still = [p for p in component_positions
-             if all(gaussian_overlap(w, p) <= 0.5 for w in frames[0])]
-    frames = np.concatenate([frames, np.broadcast_to(still, (len(frames), len(still)))], axis=1)
-    for k in range(len(trajectories)):
-        overlap = np.exp(-np.abs(frames[:, k + 1:] - frames[:, k:k + 1]) ** 2)
-        if overlap.size and overlap.max() > OVERLAP_TOL:
-            row, col = np.unravel_index(np.argmax(overlap), overlap.shape)
-            raise ValueError(
-                f"components at {frames[row, k]:.4g} (trajectory {k}) and "
-                f"{frames[row, k + 1 + col]:.4g} come within overlap "
-                f"{overlap[row, col]:.2e} > {OVERLAP_TOL:.1e}"
-            )
+    """Raise ValueError where a component comes within OVERLAP_TOL of another at
+    any step: a trajectory carries the component at its first waypoint, and
+    the other listed components stay where they are."""
+    frames = _frames(trajectories, interleave)
+    still = tuple(p for p in component_positions
+                  if all(gaussian_overlap(w, p) <= 0.5 for w in frames[0][0]))
+    at = np.array([positions + still for positions, _ in frames])
+    with np.errstate(over="ignore", invalid="ignore"):  # far apart: overlap 0
+        for k in range(len(trajectories)):
+            overlap = np.exp(-np.abs(at[:, k + 1:] - at[:, k:k + 1]) ** 2)
+            if overlap.size and overlap.max() > OVERLAP_TOL:
+                row, col = np.unravel_index(np.argmax(overlap), overlap.shape)
+                raise ValueError(
+                    f"components at {at[row, k]:.4g} (trajectory {k}) and "
+                    f"{at[row, k + 1 + col]:.4g} come within overlap "
+                    f"{overlap[row, col]:.2e} > {OVERLAP_TOL:.1e}"
+                )
+
+
+def check_apart(a: complex, b: complex) -> None:
+    """Raise ValueError where the coherent components at a and b overlap
+    (gaussian_overlap above OVERLAP_TOL)."""
+    if (overlap := gaussian_overlap(a, b)) > OVERLAP_TOL:
+        raise ValueError(f"components at {a} and {b} overlap ({overlap:.2e} > {OVERLAP_TOL:.1e})")
 
 
 def build_tweezer_schedule(
@@ -163,23 +174,17 @@ def tweezer_run(
     state: FieldState,
     trajectories: Sequence[TweezerTrajectory],
     interleave: Literal["roundrobin", "sequential"] = "roundrobin",
-    component_positions: Sequence[complex] | None = None,
     record_every: int = 1,
     leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> tuple[FieldState, EvolutionTrace]:
     """Drag coherent components along their trajectories.
 
-    component_positions lists where the state's coherent components sit,
-    so trajectories can be checked against the ones they must not touch
-    (gaussian_overlap above OVERLAP_TOL raises ValueError); pass the known
-    centers from the protocol setup. Trajectories that
-    intentionally converge (crushes) run through crush_between instead,
-    which skips the pairwise check.
+    The run checks no overlaps: where the components must stay clear of
+    each other, call check_overlaps first (a tweezer_move config does so
+    when it is parsed). Crushes converge on purpose (crush_between).
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    if component_positions is not None:
-        _check_overlaps(trajectories, component_positions, interleave)
     schedule = build_tweezer_schedule(trajectories, interleave=interleave)
     trace = zeno_run(state, schedule, record_every=record_every, leak_tol=leak_tol)
     return trace.final_state, trace
@@ -197,18 +202,14 @@ def stretch_cat(
 
     After n_steps >= 1 the free component alpha moves to alpha + n_steps*beta
     and picks up the phase exp(i * n_steps * Im(beta * conj(alpha))).
-    The components must not overlap (gaussian_overlap above OVERLAP_TOL
-    raises ValueError); returns the run's trace and the fidelity of its
-    final_state against that analytic target.
+    The components must not overlap (check_apart raises ValueError);
+    returns the run's trace and the fidelity of its final_state against
+    that analytic target.
     """
     gamma = complex(gamma)
     beta = complex(beta)
     alpha = complex(alpha)
-    if gaussian_overlap(gamma, alpha) > OVERLAP_TOL:
-        raise ValueError(
-            f"components at {gamma} and {alpha} overlap "
-            f"({gaussian_overlap(gamma, alpha):.2e} > {OVERLAP_TOL:.1e})"
-        )
+    check_apart(gamma, alpha)
     trace = zeno_run(state, uniform_schedule(n_steps, beta, [KickSpec(s=1, gamma=gamma)]),
                      leak_tol=leak_tol)
     # free component picks up Im(beta alpha*) per step; the held one
@@ -238,8 +239,7 @@ def crush_between(
 
     Both centers move simultaneously and push the wavefunction outside
     both circles; the final kick, where the circles coincide, is applied
-    once. A tweezer run without the pairwise overlap check, since the
-    circles converge on purpose.
+    once. The circles converge on purpose, so no overlap rule applies.
     """
     mid = (complex(center_a) + complex(center_b)) / 2.0
     trajs = (linear_trajectory(center_a, mid, n_steps), linear_trajectory(center_b, mid, n_steps))

@@ -196,16 +196,8 @@ def _stretch_protocol(cfg: config.StretchConfig, outdir: Path) -> dict[str, Any]
 
 def _tweezer_protocol(cfg: config.TweezerConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
-    trajs = [
-        protocols.linear_trajectory(
-            t.start, t.stop, t.steps, s=t.s, adiabatic_cap=t.adiabatic_cap
-        )
-        for t in cfg.trajectories
-    ]
-    # every lobe of the initial state that no trajectory carries stays put
-    lobes = (cfg.alpha_init,) if cfg.cat_init is None else (cfg.cat_init, -cfg.cat_init)
     final, trace = protocols.tweezer_run(
-        state, trajs, interleave=cfg.interleave, component_positions=lobes,
+        state, [t.trajectory() for t in cfg.trajectories], interleave=cfg.interleave,
         record_every=cfg.record_every, leak_tol=cfg.leak_tol,
     )
     _write_wigner(state, cfg, outdir, "wigner_step000000")

@@ -214,13 +214,11 @@ def test_criterion_06_tweezer_move_fidelities():
     target = cat_state(5j, 1, dim)
     trajs = [linear_trajectory(2, 5j, 49, adiabatic_cap=0.12),
              linear_trajectory(-2, -5j, 49, adiabatic_cap=0.12)]
-    final, _ = tweezer_run(psi0, trajs, interleave="sequential",
-                           component_positions=[2, -2])
+    final, _ = tweezer_run(psi0, trajs, interleave="sequential")
     fid100 = fidelity_pure(final, target)
     trajs20 = [linear_trajectory(2, 5j, 9, adiabatic_cap=0.62),
                linear_trajectory(-2, -5j, 9, adiabatic_cap=0.62)]
-    final20, _ = tweezer_run(psi0, trajs20, interleave="sequential",
-                             component_positions=[2, -2])
+    final20, _ = tweezer_run(psi0, trajs20, interleave="sequential")
     fid20 = fidelity_pure(final20, target)
     elapsed = time.perf_counter() - t0
     ok = abs(fid100 - 0.988) <= 0.005 and fid20 > 0.68 and elapsed < 5.0

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -138,7 +139,7 @@ def test_trajectory_cap_validated_in_config():
                 {"start": [2, 0], "stop": [0, 5], "steps": 50}
             ],
         })
-    assert "adiabatic_cap" in str(err.value)
+    assert "trajectories[0]: waypoint jump 0.1077 exceeds adiabatic cap 0.1" in str(err.value)
 
 
 def test_all_presets_load():
@@ -358,7 +359,7 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, name):
     ({"protocol": "zeno_confine", "alpha_init": "@"}, "alpha_init"),
     ({"protocol": "crush", "cat_init": "@"}, "cat_init"),
     ({"protocol": "tweezer_move", "target_alpha": "@",
-      "trajectories": [{"start": [1, 0], "stop": [1.1, 0], "steps": 1}]}, "target_alpha"),
+      "trajectories": [{"start": [3, 0], "stop": [3.1, 0], "steps": 1}]}, "target_alpha"),
     ({"protocol": "tweezer_stretch", "gamma": "@", "alpha_free": 0}, "gamma"),
     ({"protocol": "tweezer_stretch", "alpha_free": "@"}, "alpha_free"),
     ({"protocol": "zeno_confine", "beta": "@"}, "beta"),
@@ -483,15 +484,56 @@ def test_stretch_window_holds_the_moving_component(tmp_path):
 
 
 def test_tweezer_move_keeps_clear_of_the_other_cat_lobe(tmp_path, capsys):
-    # one tweezer drags the +2 lobe onto the -2 one: refused, since the
-    # lobes of the initial state are the components
+    # one tweezer drags the +2 lobe onto the -2 one: refused when parsed,
+    # since the lobes of the initial state are the components
     raw = {"protocol": "tweezer_move", "dim": 40, "cat_init": [2, 0],
            "trajectories": [{"start": [2, 0], "stop": [-1.5, 0], "steps": 35}]}
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
+    assert "  - trajectories: components at " in err
     assert "(trajectory 0) and -2" in err and "come within overlap" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overlap_is_reported_with_the_other_problems(tmp_path, capsys):
+    # a problem inside the wigner section leaves the rules across keys to run
+    raw = {"protocol": "tweezer_move", "dim": 40, "cat_init": [2, 0], "wigner": {"nx": 1},
+           "trajectories": [{"start": [2, 0], "stop": [-1.5, 0], "steps": 35}]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert [p.split(":")[0] for p in err.value.problems] == ["wigner.nx", "trajectories"]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "  - wigner.nx: must be >= 2, got 1" in err
+    assert "  - trajectories: components at " in err and "come within overlap" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("interleave", ["roundrobin", "sequential"])
+def test_overlap_with_a_parked_component_is_a_config_error(interleave):
+    # the geometry of tests/test_protocols.py's parked-component test: the
+    # first tweezer parks at 4+3i, and the second one's path sweeps over it
+    raw = {"protocol": "tweezer_move", "dim": 100, "alpha_init": [4, 0],
+           "interleave": interleave,
+           "trajectories": [{"start": [4, 0], "stop": [4, 3], "steps": 30},
+                            {"start": [-2, 6], "stop": [6, 2], "steps": 90}]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    [problem] = err.value.problems
+    assert problem.startswith("trajectories: components at ") and "come within overlap" in problem
+
+
+def test_far_away_trajectory_parses_without_warnings():
+    # |waypoint - lobe|^2 overflows: the overlap is 0, and numpy warns of nothing
+    raw = {"protocol": "tweezer_move", "dim": 40, "cat_init": [2, 0],
+           "trajectories": [{"start": [1e308, 1e308], "stop": [1e308, 1e308], "steps": 3}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_config(raw).trajectories[0].start == complex(1e308, 1e308)
 
 
 def test_four_cat_dumps_its_final_state(tmp_path):
@@ -776,7 +818,7 @@ def test_realistic_summary_checks_the_top_levels(tmp_path):
     ({"protocol": "crush", "dim": 48, "crush_steps": "@"}, "crush_steps", 100_000),
     ({"protocol": "four_cat", "dim": 48, "steps_per_crush": "@"}, "steps_per_crush", 100_000),
     ({"protocol": "tweezer_move", "dim": 40,
-      "trajectories": [{"start": [1, 0], "stop": [1.2, 0], "steps": "@"}]},
+      "trajectories": [{"start": [3, 0], "stop": [3.2, 0], "steps": "@"}]},
      "trajectories[0].steps", 100_000),
 ])
 def test_sizes_beyond_their_cap_exit_2(tmp_path, capsys, raw, key, cap):

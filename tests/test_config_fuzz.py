@@ -105,4 +105,4 @@ def test_trajectory_move_beyond_the_float_range_is_a_config_error():
     raw["trajectories"][0]["start"] = [1.5e308, -1.5e308]
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert "trajectories[0]: waypoint jump inf exceeds adiabatic_cap" in str(err.value)
+    assert "trajectories[0]: waypoint jump 4.329e+306 exceeds adiabatic cap 0.12" in str(err.value)

@@ -15,6 +15,7 @@ from zenocavity.fock import (
 from zenocavity.protocols import (
     TweezerTrajectory,
     build_tweezer_schedule,
+    check_overlaps,
     crush_between,
     crush_fidelity_vs_matched_cat,
     energy_matched_cat_amplitude,
@@ -41,16 +42,40 @@ def test_linear_trajectory_examples():
     assert abs(abs(t.waypoints[1] - t.waypoints[0]) - 0.0125) < 1e-12
 
 
+def test_linear_trajectory_matches_complex_arithmetic_bit_for_bit():
+    # the waypoints are computed on arrays; Python's complex arithmetic is the reference
+    rng = np.random.default_rng(7)
+    ends = [complex(*rng.uniform(-6, 6, 2)) for _ in range(40)]
+    ends += [0j, -0j, complex(0, -0.0), complex(-0.0, 0), -2.5, 2.5, 2, 5j, -2, -5j, -(2 + 0j)]
+    for start, stop in zip(ends, ends[::-1]):
+        for n in (1, 9, 49, 200):
+            got = linear_trajectory(start, stop, n, adiabatic_cap=math.inf).waypoints
+            ts = np.linspace(0.0, 1.0, n + 1)
+            want = [complex(start) * (1 - t) + complex(stop) * t for t in ts]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (start, stop, n)
+
+
 def test_trajectory_cap_edge_is_tolerant():
     # an exact-cap step (e.g. 1.0 / 10 moves at cap 0.1) must not error
     linear_trajectory(2, 3, 10, adiabatic_cap=0.1)
+
+
+def test_waypoint_jump_beyond_the_float_range_is_a_value_error():
+    # |b - a| overflows although both parts are finite; abs() would raise OverflowError
+    with pytest.raises(ValueError, match="waypoint jump inf exceeds adiabatic cap"):
+        linear_trajectory(1.5e308 - 1.5e308j, 0, 1)
+    with pytest.raises(ValueError, match="waypoint jump inf exceeds adiabatic cap"):
+        TweezerTrajectory(s=1, waypoints=(1.5e308 - 1.5e308j, 0))
+    # the midpoint of a crush between 1e308 and 1.5e308 overflows: NaN waypoints
+    with pytest.raises(ValueError, match="waypoint jump nan exceeds adiabatic cap"):
+        crush_between(vacuum(20), 1e308, 1.5e308, 200)
 
 
 def test_stationary_tweezer_holds_component():
     dim = 40
     psi = coherent(1.5, dim)
     traj = TweezerTrajectory(s=1, waypoints=(1.5 + 0j,) * 30)
-    final, _ = tweezer_run(psi, [traj], component_positions=[1.5])
+    final, _ = tweezer_run(psi, [traj])
     assert fidelity_pure(final, psi) > 0.999
 
 
@@ -58,27 +83,25 @@ def test_tweezer_moves_component():
     dim = 54
     psi = coherent(1.0, dim)
     traj = linear_trajectory(1.0, 1.0 + 2.0j, 40)
-    final, trace = tweezer_run(psi, [traj], component_positions=[1.0])
+    final, trace = tweezer_run(psi, [traj])
     target = coherent(1.0 + 2.0j, dim)
     assert fidelity_pure(final, target) > 0.98
     assert trace.steps[-1] == 41  # one kick per waypoint
 
 
 def test_overlap_precondition():
-    dim = 40
-    psi = coherent(0.5, dim)
     traj = linear_trajectory(0.5, 1.5, 20)
     with pytest.raises(ValueError):
-        tweezer_run(psi, [traj], component_positions=[0.5, 1.8])
-    # same run with the far component declared far away is fine
-    tweezer_run(psi, [traj], component_positions=[0.5, -4.0])
+        check_overlaps([traj], [0.5, 1.8], "roundrobin")
+    # same move with the far component declared far away is fine
+    check_overlaps([traj], [0.5, -4.0], "roundrobin")
 
 
 def test_ideal_kicks_build_no_dense_displacement():
     displacement_op.cache_clear()
     dim = 60
     traj = linear_trajectory(1.0, 1.0 + 1.5j, 15)
-    tweezer_run(coherent(1.0, dim), [traj], component_positions=[1.0])
+    tweezer_run(coherent(1.0, dim), [traj])
     crush_between(vacuum(dim), -2.0, 2.0, 40)
     assert displacement_op.cache_info().misses == 0
 
@@ -88,13 +111,10 @@ def test_overlap_checked_against_parked_components(interleave):
     # A parks its component at 4+3i after 30 moves; B's longer path then
     # sweeps through that spot (round 67 or so), which waypoint-by-index
     # comparison misses
-    dim = 100
-    psi = FieldState(coherent(4, dim).amps + coherent(-2 + 6j, dim).amps)
     t_a = linear_trajectory(4, 4 + 3j, 30)
     t_b = linear_trajectory(-2 + 6j, 6 + 2j, 90)
     with pytest.raises(ValueError, match="come within overlap"):
-        tweezer_run(psi, [t_a, t_b], interleave=interleave,
-                    component_positions=[4, -2 + 6j])
+        check_overlaps([t_a, t_b], [4, -2 + 6j], interleave)
 
 
 def test_untouched_component_invariance():
@@ -102,7 +122,7 @@ def test_untouched_component_invariance():
     dim = 68
     psi = coherent(5.0, dim)
     traj = linear_trajectory(0, 1j, 50)
-    final, _ = tweezer_run(psi, [traj], component_positions=[5.0])
+    final, _ = tweezer_run(psi, [traj])
     assert fidelity_pure(final, psi) > 1 - 1e-3
 
 
@@ -113,8 +133,8 @@ def test_roundrobin_order_independence():
     psi = cat_state(2.5, 1, dim)
     t_a = linear_trajectory(2.5, 2.5 + 1j, 20)
     t_b = linear_trajectory(-2.5, -2.5 - 1j, 20)
-    f_ab, _ = tweezer_run(psi, [t_a, t_b], component_positions=[2.5, -2.5])
-    f_ba, _ = tweezer_run(psi, [t_b, t_a], component_positions=[2.5, -2.5])
+    f_ab, _ = tweezer_run(psi, [t_a, t_b])
+    f_ba, _ = tweezer_run(psi, [t_b, t_a])
     assert abs(fidelity_pure(f_ab, f_ba) - 1) < 1e-6
 
 
@@ -125,7 +145,7 @@ def test_adiabatic_improvement_with_more_steps():
     fids = []
     for n in (20, 40):
         traj = linear_trajectory(1.0, 1.0 + 2.0j, n, adiabatic_cap=0.15)
-        final, _ = tweezer_run(psi, [traj], component_positions=[1.0])
+        final, _ = tweezer_run(psi, [traj])
         fids.append(fidelity_pure(final, target))
     assert fids[1] >= fids[0] - 1e-3
 
