@@ -27,9 +27,11 @@ from importlib import resources
 from types import UnionType
 from typing import Annotated, Any, Callable, Literal, get_args, get_origin, get_type_hints
 
-from .fock import GUARD_LEVELS, required_dim
+from .atomkick import PulseParams
+from .fock import GUARD_LEVELS, check_fits, check_guard_band, required_dim
 from .protocols import (DEFAULT_ADIABATIC_CAP, OVERLAP_TOL, TweezerTrajectory, check_apart,
                         check_overlaps, linear_trajectory)
+from .zeno import KickSpec
 
 
 class ConfigError(ValueError):
@@ -134,6 +136,12 @@ class ZenoConfig(_PureRun):
     kick_rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0
     kick_omega: Annotated[float, POSITIVE] = DEFAULT_OMEGA
 
+    def kick(self) -> KickSpec:
+        """The run's kick at s: ideal, or dressed by a pulse where kick_theta is set."""
+        pulse = (PulseParams(self.kick_omega, self.kick_rabi_drive, self.kick_theta, self.s)
+                 if self.kick_theta else None)
+        return KickSpec(self.s, pulse=pulse)
+
 
 @dataclass(kw_only=True)
 class StretchConfig(_PureRun):
@@ -197,7 +205,7 @@ _AMPLITUDES = ("alpha_init", "cat_init", "target_alpha", "gamma", "alpha_free", 
 
 
 def _check(problems: list[str], key: str, rule: Callable[..., Any], *args) -> Any:
-    """rule(*args), a protocols rule; None where its ValueError becomes a problem at key."""
+    """rule(*args), a library rule; None where its ValueError becomes a problem at key."""
     try:
         return rule(*args)
     except ValueError as exc:
@@ -209,29 +217,24 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
     amplitudes = {key: getattr(cfg, key, None) for key in _AMPLITUDES}
     if amplitudes["cat_init"] is not None:
         amplitudes["alpha_init"] = None  # the cat is built instead
+    if isinstance(cfg, StretchConfig) and cfg.beta:  # the free component's last position
+        amplitudes["alpha_free + steps * beta"] = cfg.alpha_free + cfg.steps * cfg.beta
+    for k, t in enumerate(getattr(cfg, "trajectories", ())):  # a zero end kicks |s> in place
+        amplitudes.update({f"trajectories[{k}].start": t.start or None,
+                           f"trajectories[{k}].stop": t.stop or None})
     for key, z in amplitudes.items():
         if z is None or not z and key in ("alpha_init", "beta"):
             continue  # no coherent state: the vacuum, or the identity D(0)
-        a = math.hypot(z.real, z.imag)  # abs(z) raises where |z| overflows
-        if not (need := required_dim(a)) <= cfg.dim:
-            problems.append(
-                f"{key}: |{key}| = {a:.6g} needs dim >= |z|^2 + 6|z| + 10 = {need:.6g}, "
-                f"got dim={cfg.dim}"
-            )
-    band = f"the guard band, the top {GUARD_LEVELS} levels of dim={cfg.dim}"
+        _check(problems, key, check_fits, z, cfg.dim)
     if isinstance(cfg, ZenoConfig):
-        if cfg.s >= cfg.dim - GUARD_LEVELS:
-            problems.append(f"s: {cfg.s} reaches {band}")
-        if cfg.kick_theta and not cfg.kick_rabi_drive:
-            problems.append("kick_rabi_drive: required when kick_theta is set")
+        _check(problems, "s", check_guard_band, cfg.s, cfg.dim)
+        _check(problems, "kick_rabi_drive", cfg.kick)
     elif isinstance(cfg, (StretchConfig, CrushConfig, FourCatConfig)):
-        if 1 >= cfg.dim - GUARD_LEVELS:  # their tweezers kick at s = 1
-            problems.append(f"dim: the tweezer kicks at s=1 reach {band}")
+        _check(problems, "dim", check_guard_band, 1, cfg.dim)  # their tweezers kick at s = 1
     if isinstance(cfg, TweezerConfig):
         trajs = []
         for k, t in enumerate(cfg.trajectories):
-            if t.s >= cfg.dim - GUARD_LEVELS:
-                problems.append(f"trajectories[{k}].s: {t.s} reaches {band}")
+            _check(problems, f"trajectories[{k}].s", check_guard_band, t.s, cfg.dim)
             trajs.append(_check(problems, f"trajectories[{k}]", t.trajectory))
         # every lobe of the initial state that no trajectory carries stays put
         lobes = (cfg.alpha_init,) if cfg.cat_init is None else (cfg.cat_init, -cfg.cat_init)

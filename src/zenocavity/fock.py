@@ -69,6 +69,23 @@ def required_dim(alpha_max: complex | float) -> float:
     return a * a + 6.0 * a + 10.0
 
 
+def check_fits(z: complex | float, dim: int) -> None:
+    """The truncation rule for a coherent amplitude or kick centre z, required_dim(z)
+    <= dim, else TruncationError; the constructors and the config both call it."""
+    a = math.hypot(z.real, z.imag)  # abs(z) raises where |z| overflows
+    if not (need := required_dim(a)) <= dim:
+        raise TruncationError(f"|z| = {a:.6g} needs dim >= |z|^2 + 6|z| + 10 = {need:.6g}, "
+                              f"got dim={dim}")
+
+
+def check_guard_band(s: int, dim: int) -> None:
+    """A kick at photon number s stays below the guard band, the top GUARD_LEVELS
+    levels, else ValueError; zeno_run and the config both call it."""
+    if s >= dim - GUARD_LEVELS:
+        raise ValueError(f"kick at s={s} reaches the guard band, the top {GUARD_LEVELS} "
+                         f"levels of dim={dim}")
+
+
 def fock_basis(n: int, dim: int) -> FieldState:
     """Number state |n> on a dim-level basis."""
     if not 0 <= n < dim:
@@ -125,10 +142,7 @@ def _coherent_rows(alphas: list[complex], dim: int) -> np.ndarray:
     if dim < 2:
         raise ValueError("dim must be >= 2")
     for alpha in alphas:
-        if not required_dim(alpha) <= dim:
-            raise TruncationError(
-                f"coherent amplitude {alpha} needs dim >= {required_dim(alpha):.6g}, got {dim}"
-            )
+        check_fits(alpha, dim)
     # amps[n] = alpha^n / sqrt(n!) * e^{-|alpha|^2/2}
     return _fock_column(0, alphas, dim)
 

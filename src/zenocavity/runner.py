@@ -58,18 +58,6 @@ def _initial_state(cfg: config.RunConfig) -> fock.FieldState:
     return fock.vacuum(cfg.dim)
 
 
-def _kick_spec(cfg: config.ZenoConfig) -> zeno.KickSpec:
-    if cfg.kick_theta:
-        pulse = PulseParams(
-            omega=cfg.kick_omega,
-            rabi_drive=cfg.kick_rabi_drive,
-            theta=cfg.kick_theta,
-            s=cfg.s,
-        )
-        return zeno.KickSpec(s=cfg.s, pulse=pulse)
-    return zeno.KickSpec(s=cfg.s)
-
-
 def _wigner_bounds(cfg: config.RunConfig) -> tuple[float, float, float, float]:
     """The configured window, else a square that holds the kick circle
     (s = 6 where the protocol has no s) and every configured amplitude."""
@@ -146,8 +134,7 @@ def _remember_ideal(key: tuple, state: fock.FieldState) -> None:
 
 def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
-    spec = _kick_spec(cfg)
-    schedule = zeno.uniform_schedule(cfg.steps, cfg.beta, [spec])
+    schedule = zeno.uniform_schedule(cfg.steps, cfg.beta, [cfg.kick()])
     snaps = range(0, cfg.steps + 1, cfg.snapshot_every) if cfg.snapshot_every else ()
     trace = zeno.zeno_run(state, schedule, record_every=cfg.record_every, snapshot_steps=snaps,
                           leak_tol=cfg.leak_tol)

@@ -31,6 +31,7 @@ from .fock import (
     GUARD_LEVELS,
     FieldState,
     TruncationError,
+    check_guard_band,
     displaced_fock,
     displacement_op,
 )
@@ -192,11 +193,8 @@ def zeno_run(
     distinct: dict[int, Step] = {}
     for chunk in chunks:  # the run's distinct steps, each checked once
         distinct.update(chunk)
-    for spec in (k for step in distinct.values() for k in step.kicks):
-        if spec.s >= dim - GUARD_LEVELS:
-            raise ValueError(
-                f"kick at s={spec.s} reaches into the guard band of a dim={dim} basis"
-            )
+    for s in dict.fromkeys(k.s for step in distinct.values() for k in step.kicks):
+        check_guard_band(s, dim)
     dressed = {(k.gamma, k.pulse) for step in distinct.values() for k in step.kicks
                if k.pulse is not None}
     if any(gamma != 0 for gamma, _ in dressed):

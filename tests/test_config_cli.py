@@ -106,9 +106,9 @@ def test_small_dim_parses_where_the_protocol_has_no_s():
     # a zero cat is still built from coherent states, which need dim >= 10
     with pytest.raises(ConfigError) as err:
         parse_config({"protocol": "crush", "dim": 8, "cat_init": 0})
-    assert err.value.problems == ["cat_init: |cat_init| = 0 needs dim >= |z|^2 + 6|z| + 10 "
+    assert err.value.problems == ["cat_init: |z| = 0 needs dim >= |z|^2 + 6|z| + 10 "
                                   "= 10, got dim=8"]
-    with pytest.raises(ConfigError, match="s: 6 reaches the guard band"):
+    with pytest.raises(ConfigError, match="s: kick at s=6 reaches the guard band"):
         parse_config({"protocol": "zeno_confine", "dim": 8})
 
 
@@ -254,7 +254,7 @@ def test_invalid_config_exit_code(tmp_path, capsys):
      "snapshot_every: must be non-negative"),
     ({"protocol": "tweezer_move", "dim": 10,
       "trajectories": [{"start": [0, 0], "stop": [0.5, 0], "steps": 5, "s": 7}]},
-     "trajectories[0].s: 7 reaches the guard band"),
+     "trajectories[0].s: kick at s=7 reaches the guard band"),
     ({"protocol": "zeno_confine", "dim": 40, "dump_states": "false"},
      "dump_states: expected true or false, got 'false'"),
     ({"protocol": "zeno_confine", "dim": 40, "record_every": True},
@@ -301,12 +301,14 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     ({"protocol": "four_cat", "dim": 64, "steps_per_crush": 10},
      "steps_per_crush: waypoint jump 0.25 exceeds adiabatic cap 0.1"),
     ({"protocol": "crush", "dim": 4},
-     "dim: the tweezer kicks at s=1 reach the guard band, the top 3 levels of dim=4"),
+     "dim: kick at s=1 reaches the guard band, the top 3 levels of dim=4"),
     ({"protocol": "tweezer_stretch", "dim": 40, "alpha_free": [2, 0]},
      "alpha_free: components at 0j and (2+0j) overlap (1.83e-02 > 1.0e-03)"),
     ({"protocol": "tweezer_move", "dim": 40, "component_positions": [[2, 0], [-2, 0]],
       "trajectories": [{"start": [2, 0], "stop": [2.5, 0], "steps": 5}]},
      "component_positions: unknown key (the components are the lobes of the initial state)"),
+    ({"protocol": "zeno_confine", "dim": 40, "kick_theta": 1.0},
+     "kick_rabi_drive: omega and rabi_drive must be finite and positive"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.json"
@@ -360,8 +362,8 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, name):
     ({"protocol": "crush", "cat_init": "@"}, "cat_init"),
     ({"protocol": "tweezer_move", "target_alpha": "@",
       "trajectories": [{"start": [3, 0], "stop": [3.1, 0], "steps": 1}]}, "target_alpha"),
-    ({"protocol": "tweezer_stretch", "gamma": "@", "alpha_free": 0}, "gamma"),
-    ({"protocol": "tweezer_stretch", "alpha_free": "@"}, "alpha_free"),
+    ({"protocol": "tweezer_stretch", "gamma": "@", "alpha_free": 0, "beta": 0}, "gamma"),
+    ({"protocol": "tweezer_stretch", "alpha_free": "@", "beta": 0}, "alpha_free"),
     ({"protocol": "zeno_confine", "beta": "@"}, "beta"),
     ({"protocol": "realistic", "pulse": {}, "cat_init": 1, "target_alpha": "@"},
      "target_alpha"),
@@ -378,7 +380,7 @@ def test_amplitudes_beyond_the_basis_exit_2(tmp_path, capsys, raw, key):
         bad.write_text(json.dumps(with_amplitude(z)))
         assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert f"  - {key}: |{key}| = 3.25" in err and "got dim=40" in err
+        assert f"  - {key}: |z| = 3.25" in err and "got dim=40" in err
         assert err.count("\n  - ") == 1
         assert not (tmp_path / "o").exists()
 
@@ -392,7 +394,7 @@ def test_huge_drive_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps(raw))
         assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "  - beta: |beta| = " in err and "got dim=20" in err
+        assert "  - beta: |z| = " in err and "got dim=20" in err
 
 
 def test_thermal_occupancy_beyond_the_basis_exits_2(tmp_path, capsys):
@@ -527,13 +529,62 @@ def test_overlap_with_a_parked_component_is_a_config_error(interleave):
     assert problem.startswith("trajectories: components at ") and "come within overlap" in problem
 
 
-def test_far_away_trajectory_parses_without_warnings():
-    # |waypoint - lobe|^2 overflows: the overlap is 0, and numpy warns of nothing
+def test_far_away_trajectory_is_refused_without_warnings():
+    # both ends break the truncation rule; |waypoint - lobe|^2 overflows in the
+    # overlap rule, which finds none, and numpy warns of nothing
     raw = {"protocol": "tweezer_move", "dim": 40, "cat_init": [2, 0],
            "trajectories": [{"start": [1e308, 1e308], "stop": [1e308, 1e308], "steps": 3}]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert parse_config(raw).trajectories[0].start == complex(1e308, 1e308)
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+    assert err.value.problems == [
+        f"trajectories[0].{end}: |z| = 1.41421e+308 needs dim >= |z|^2 + 6|z| + 10 = inf, "
+        "got dim=40" for end in ("start", "stop")]
+
+
+def test_trajectory_ends_beyond_the_basis_exit_2(tmp_path, capsys):
+    # dim 40 holds |z| <= 3.2450; +-2 -> +-6 used to parse and leak at step 20, exit 1
+    def moves(stop, start=2):
+        return {"protocol": "tweezer_move", "dim": 40, "cat_init": [2, 0],
+                "trajectories": [{"start": [sign * start, 0], "stop": [sign * stop, 0],
+                                  "steps": math.ceil(abs(stop - start) / 0.1)}
+                                 for sign in (1, -1)]}
+
+    assert parse_config(moves(3.24)).trajectories[1].stop == -3.24
+    # a zero end kicks |s> in place, where any nonzero one needs dim >= 10
+    parse_config({"protocol": "tweezer_move", "dim": 8,
+                  "trajectories": [{"start": 0, "stop": 0, "steps": 1}]})
+    bad = tmp_path / "bad.json"
+    for stop in (6, 3.3):  # 3.3 ran with a leak of 7.3e-10, below leak_tol
+        bad.write_text(json.dumps(moves(stop)))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"  - trajectories[0].stop: |z| = {stop:g} needs dim >= " in err
+        assert f"  - trajectories[1].stop: |z| = {stop:g} needs dim >= " in err
+        assert err.count("\n  - ") == 2
+        assert not (tmp_path / "o").exists()
+    bad.write_text(json.dumps(moves(2, start=3.3)))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "  - trajectories[0].start: |z| = 3.3 needs dim >= " in capsys.readouterr().err
+
+
+def test_stretch_end_beyond_the_basis_exits_2(tmp_path, capsys):
+    # the preset stretches 2 -> 3 in 50 steps of 0.02; 70 steps end at 3.4, which
+    # dim 40 does not hold: it used to run all 70 steps and fail on its target, exit 1
+    raw = preset_raw("stretch")
+    assert parse_config({**raw, "steps": 62}).steps == 62  # ends at 3.24
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**raw, "steps": 70}))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "  - alpha_free + steps * beta: |z| = 3.4 needs dim >= " in err and "got dim=40" in err
+    assert err.count("\n  - ") == 1
+    assert not (tmp_path / "o").exists()
+    # without a drive the free component stays at alpha_free, reported once
+    with pytest.raises(ConfigError) as refused:
+        parse_config({**raw, "alpha_free": [3.4, 0], "beta": 0})
+    assert [p.split(":")[0] for p in refused.value.problems] == ["alpha_free"]
 
 
 def test_four_cat_dumps_its_final_state(tmp_path):
@@ -814,7 +865,8 @@ def test_realistic_summary_checks_the_top_levels(tmp_path):
     ({"protocol": "zeno_confine", "dim": 40, "wigner": {"nx": "@"}}, "wigner.nx", 1024),
     ({"protocol": "zeno_confine", "dim": 40, "wigner": {"ny": "@"}}, "wigner.ny", 1024),
     ({"protocol": "zeno_confine", "dim": 40, "steps": "@"}, "steps", 100_000),
-    ({"protocol": "tweezer_stretch", "dim": 40, "alpha_free": 3, "steps": "@"}, "steps", 100_000),
+    ({"protocol": "tweezer_stretch", "dim": 40, "alpha_free": 3, "beta": 0, "steps": "@"},
+     "steps", 100_000),
     ({"protocol": "crush", "dim": 48, "crush_steps": "@"}, "crush_steps", 100_000),
     ({"protocol": "four_cat", "dim": 48, "steps_per_crush": "@"}, "steps_per_crush", 100_000),
     ({"protocol": "tweezer_move", "dim": 40,

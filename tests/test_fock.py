@@ -6,11 +6,14 @@ from reference import number_op, truncation_check
 from scipy.linalg import expm
 
 from zenocavity.fock import (
+    GUARD_LEVELS,
     FieldState,
     TruncationError,
     _fock_column,
     annihilation_op,
     cat_state,
+    check_fits,
+    check_guard_band,
     coherent,
     creation_op,
     displaced_fock,
@@ -183,9 +186,31 @@ def test_required_dim_in_floats():
     assert required_dim(1e308) == required_dim(complex(1.7e308, 1.7e308)) == math.inf
     assert required_dim(complex(3e200, 4e200)) == math.inf
     assert math.isnan(required_dim(math.nan))
-    with pytest.raises(TruncationError, match="needs dim >= 65"):
+    with pytest.raises(TruncationError, match="= 65, got dim=64"):
         coherent(5, 64)
     coherent(5, 65)
+
+
+def test_basis_rules_have_one_message_each():
+    # the truncation rule, for coherent states and kick centres alike
+    check_fits(5, 65)
+    check_fits(0, 10)
+    for z, dim, text in ((5j, 64, "|z| = 5 needs dim >= |z|^2 + 6|z| + 10 = 65, got dim=64"),
+                         (3.25, 40, "|z| = 3.25 needs dim >= |z|^2 + 6|z| + 10 = 40.0625, "
+                                    "got dim=40"),
+                         (0, 9, "|z| = 0 needs dim >= |z|^2 + 6|z| + 10 = 10, got dim=9"),
+                         (complex(1.7e308, 1.7e308), 256, "|z| = inf needs"),
+                         (complex(math.nan, 0), 256, "|z| = nan needs")):
+        with pytest.raises(TruncationError) as err:
+            check_fits(z, dim)
+        assert str(err.value).startswith(text)
+    # the guard band, the top GUARD_LEVELS levels
+    check_guard_band(6, 10)
+    for s, dim in ((7, 10), (1, 4), (0, 3)):
+        with pytest.raises(ValueError) as err:
+            check_guard_band(s, dim)
+        assert str(err.value) == (f"kick at s={s} reaches the guard band, "
+                                  f"the top {GUARD_LEVELS} levels of dim={dim}")
 
 
 def padded_displacement(gamma, dim, pad=250):
@@ -286,6 +311,7 @@ def test_cat_state_sums_its_coherent_lobes_bit_for_bit():
         coherent(5, 64)
     with pytest.raises(TruncationError) as cat_refused:
         cat_state(5, 1, 64)
-    assert str(cat_refused.value) == str(refused.value) == "coherent amplitude 5 needs dim >= 65, got 64"
+    assert str(cat_refused.value) == str(refused.value) == (
+        "|z| = 5 needs dim >= |z|^2 + 6|z| + 10 = 65, got dim=64")
     with pytest.raises(ValueError, match="dim must be >= 2"):
         cat_state(0.0, 1, 1)
