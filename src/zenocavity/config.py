@@ -69,12 +69,15 @@ NON_NEGATIVE = Range(0)
 ANGLE = Range(0, 4 * math.pi)
 # Size caps, from one memory budget of 512 MB per run: at its cap, the
 # largest allocation a key drives (peak RSS growth, README) stays inside it.
-#: a full displacement cache, 256 matrices of 16 dim^2 bytes, is 268 MB
+#: a realistic run's two damping propagators (8 dim^3 bytes each) peak at 296 MB;
+#: a full displacement cache, 32 matrices of 16 dim^2 bytes, is 34 MB
 MAX_DIM = Range(hi=256)
 #: one 1024 x 1024 raster of a dim-256 state, with its CSV export, peaks near 125 MB
 MAX_RASTER_SIDE = Range(hi=1024)
 #: zeno_run's trace rows (8 dim bytes each) take 200 MB at dim 256, a crush 250 MB
 MAX_STEPS = Range(hi=100_000)
+#: a realistic run's 2 * waypoints_per_component kicks are its steps
+MAX_WAYPOINTS = Range(hi=MAX_STEPS.hi // 2)
 #: a raster's tables grow with its window; at +-32 they take 58 MB (dim 256, 1024^2)
 _BOUND = Annotated[float, Range(-32, 32)]
 #: vacuum Rabi frequency of dressed kicks, 2 pi x 50 kHz in rad/s
@@ -188,7 +191,7 @@ class RealisticConfig:
     cat_init: complex = 2 + 0j
     target_alpha: complex = 3 + 0j
     interleave: Literal["roundrobin", "sequential"] = "roundrobin"
-    waypoints_per_component: Annotated[int, Range(2)] = 5  # one move at least
+    waypoints_per_component: Annotated[int, Range(2), MAX_WAYPOINTS] = 5  # one move at least
     theta_grid: Annotated[
         tuple[Annotated[float, Range(0, 4 * math.pi, open_lo=True)], ...], Range(1)
     ] = (2 * math.pi, 2.0, 1.0, 0.5)

@@ -165,29 +165,32 @@ def cat_state(alpha: complex, phase: complex, dim: int) -> FieldState:
     return FieldState(plus + complex(phase) * minus)
 
 
-@lru_cache(maxsize=None)
 def annihilation_op(dim: int) -> np.ndarray:
     """a with a|n> = sqrt(n)|n-1>."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    mat = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
-    mat.flags.writeable = False
-    return mat
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
 
 
 def creation_op(dim: int) -> np.ndarray:
     return annihilation_op(dim).conj().T
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=32)
 def displacement_op(beta: complex, dim: int) -> np.ndarray:
     """D(beta) = exp(beta a^dag - beta^* a) on the truncated basis.
 
     Built by diagonalizing the Hermitian generator i(beta a^dag - beta^* a),
     so the result is unitary to machine precision (a Pade expm is not),
-    which dressed kicks rely on. Cached for the drives and the damped runs'
-    dressed-kick centres that runs reuse (100 kB each at dim 80); zeno_run
-    looks up a drive once per chunk, and ideal kicks take displaced_fock rows.
+    which dressed kicks rely on. Ideal kicks take displaced_fock rows instead.
+
+    The LRU cache keeps at most 32 matrices of 16 dim^2 bytes (1.6 MB at dim 80,
+    34 MB at dim 256). It has to hold what one run reuses: zeno_run looks up its
+    drive once per chunk, and a realistic run takes its 2 * waypoints_per_component
+    dressed-kick centres from it at every angle of its theta grid. So it holds a
+    realistic run of up to 16 waypoints per component; above that, LRU cycling
+    rebuilds every centre at every angle. A sweep draws a new drive per point,
+    which only that point reuses, so the cap is what bounds its memory.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")

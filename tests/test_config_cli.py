@@ -872,6 +872,8 @@ def test_realistic_summary_checks_the_top_levels(tmp_path):
     ({"protocol": "tweezer_move", "dim": 40,
       "trajectories": [{"start": [3, 0], "stop": [3.2, 0], "steps": "@"}]},
      "trajectories[0].steps", 100_000),
+    ({"protocol": "realistic", "dim": 40, "pulse": {}, "waypoints_per_component": "@"},
+     "waypoints_per_component", 50_000),
 ])
 def test_sizes_beyond_their_cap_exit_2(tmp_path, capsys, raw, key, cap):
     # the caps keep one run inside a stated memory budget (README, Config schema)

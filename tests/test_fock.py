@@ -5,6 +5,7 @@ import pytest
 from reference import number_op, truncation_check
 from scipy.linalg import expm
 
+from zenocavity.config import parse_config, preset_raw
 from zenocavity.fock import (
     GUARD_LEVELS,
     FieldState,
@@ -25,6 +26,8 @@ from zenocavity.fock import (
     required_dim,
     vacuum,
 )
+from zenocavity.runner import run_config
+from zenocavity.zeno import KickSpec, uniform_schedule, zeno_run
 
 
 def poisson_pmf(k, lam):
@@ -80,6 +83,23 @@ def test_displacement_unitarity_large_amplitude():
         dim = 170
         d = displacement_op(beta, dim)
         assert np.max(np.abs(d.conj().T @ d - np.eye(dim))) < 1e-10
+
+
+def test_displacement_cache_keeps_at_most_32_drives():
+    # a sweep draws a new drive per point, which only that point reuses
+    displacement_op.cache_clear()
+    for k in range(40):
+        zeno_run(vacuum(24), uniform_schedule(2, 0.01 * (k + 1), [KickSpec(6)]))
+    info = displacement_op.cache_info()
+    assert info.misses == 40 and info.currsize <= 32
+
+
+def test_realistic_preset_builds_each_kick_centre_once(tmp_path):
+    # 10 dressed-kick centres, reused by the 4 damped angles and the undamped rerun
+    displacement_op.cache_clear()
+    run_config(parse_config(preset_raw("realistic")), tmp_path)
+    info = displacement_op.cache_info()
+    assert (info.misses, info.hits) == (10, 40)
 
 
 def test_displacement_composition_law():
