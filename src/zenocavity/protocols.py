@@ -24,6 +24,7 @@ import numpy as np
 from .fock import (
     DEFAULT_LEAK_TOL,
     FieldState,
+    annihilation_op,
     cat_state,
     coherent,
     fidelity_pure,
@@ -284,8 +285,6 @@ def crush_fidelity_vs_matched_cat(state: FieldState) -> tuple[float, float, floa
     energy = mean_energy(state)
     a = energy_matched_cat_amplitude(energy)
     # orient the cat along the state's major axis via <a^2>
-    from .fock import annihilation_op
-
     op = annihilation_op(state.dim)
     ea2 = complex(np.vdot(state.amps, op @ (op @ state.amps)))
     axis = np.exp(0.5j * np.angle(ea2)) if abs(ea2) > 1e-12 else 1.0

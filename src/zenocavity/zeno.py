@@ -10,7 +10,9 @@ as a hard wall in phase space of radius sqrt(s) around gamma.
 A run keeps its diagnostics as arrays, one row per recorded step, and
 checks the guard-band leak on every step, recorded or not. Each chunk of
 CHUNK steps plans its distinct steps once (drive and kick operands), so that
-a step only applies its kernels, writing in place.
+a step only applies its kernels, writing in place, and the chunk's last state
+is renormalised. The leak check, the kept rows and the snapshots run once per
+block of BLOCK steps, over every step of the block.
 
 The engine is sequential per run and keeps no shared mutable state, so
 independent runs can execute concurrently. Operators are cached by value;
@@ -38,8 +40,10 @@ from .fock import (
 
 logger = logging.getLogger(__name__)
 
-#: steps advanced between two bulk diagnostic passes of zeno_run
+#: steps planned together; zeno_run renormalises the last state of each chunk
 CHUNK = 32
+#: steps advanced between two bulk diagnostic passes of zeno_run (8 chunks)
+BLOCK = 8 * CHUNK
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,10 @@ class EvolutionTrace:
     (0 without dressed kicks).
     renormalizations counts the chunks of CHUNK steps whose last state
     zeno_run renormalised, and max_norm_drift is the largest drift over one
-    chunk; neither counts single steps.
+    chunk; neither counts single steps. On a failed run both cover the chunk
+    ends before the failing step and the renormalisation of its own state.
+    zeno_run takes the leaks once per block of BLOCK steps, over every step
+    of the block.
     """
 
     steps: np.ndarray
@@ -145,6 +152,13 @@ class ZenoTruncationError(TruncationError):
         self.trace = trace
 
 
+def _renormalised(psi: np.ndarray) -> tuple[np.ndarray, float]:
+    """psi divided by its norm (psi itself if that is exactly 1), and |1 - norm|."""
+    nrm = float(np.linalg.norm(psi))
+    drift = abs(1.0 - nrm)
+    return (psi / nrm if drift > 0.0 else psi), drift
+
+
 def zeno_run(
     state: FieldState,
     schedule: Schedule,
@@ -172,16 +186,19 @@ def zeno_run(
     2*pi usable, and final_atom_leak is its population. The trace reports
     the field of row 0, normalised.
 
-    Steps advance in chunks of CHUNK into a (CHUNK + 1, rows, dim) buffer.
-    A chunk first plans each distinct step object once: its drive
-    displacement and one action per kick, negating amplitude s of row 0,
-    reflecting row 0 about a displaced_fock column (one call per s for the
-    chunk's centres) or applying the run's pulse_blocks to all rows. Each
-    step then only writes its kernels' output into its buffer row. The kept
-    rows come from one mask per run; once per chunk the probability rows
-    (each normalised by its own sum), leaks and snapshots are taken in bulk
-    and the chunk's last state is renormalised. Steps after the first
-    leaking one are discarded and not counted in kicks.
+    Steps advance in blocks of BLOCK into a (BLOCK + 1, rows, dim) buffer,
+    one chunk of CHUNK steps at a time. A chunk first plans each distinct
+    step object once: its drive displacement and one action per kick,
+    negating amplitude s of row 0, reflecting row 0 about a displaced_fock
+    column (one call per s for the chunk's centres) or applying the run's
+    pulse_blocks to all rows. Each step then only writes its kernels' output
+    into its buffer row. The next chunk starts from the chunk's last state,
+    renormalised, while the buffer row keeps that state as the step left it.
+    The kept rows come from one mask per run; once per block the probability
+    rows (each normalised by its own sum), leaks and snapshots are taken in
+    bulk, and the block's last state, or the first leaking one, is
+    renormalised. Steps after the first leaking one are discarded: they
+    count in neither kicks nor renormalizations.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -214,46 +231,61 @@ def zeno_run(
     size = np.count_nonzero(keep) + 1  # and the failing step
     leaks, probs = np.empty(size), np.empty((size, dim))
     n_rows = 0
-    buf = np.zeros((CHUNK + 1, 3 if dressed else 1, dim), dtype=np.complex128)
+    buf = np.zeros((min(BLOCK, n_steps) + 1, 3 if dressed else 1, dim), dtype=np.complex128)
     buf[0, 0] = state.amps
-    stage = np.empty_like(buf[0])
+    stage, start = np.empty_like(buf[0]), np.empty_like(buf[0])
+    start_views = (start, start[0], start[1:])
     views = [(psi, psi[0], psi[1:]) for psi in buf]
     first = failed = 0  # buf[0] holds the state after step `first`
     while not failed and first < n_steps:
-        todo = schedule.steps[first:first + CHUNK]
-        # one plan entry per distinct step: its drive (None without one) and an
-        # (s, operand) action per kick: None for a centred ideal kick, the run's
-        # blocks for a dressed one, else the column an ideal kick reflects about
-        chunk = chunks[first // CHUNK]
-        centres: dict[int, dict[complex, None]] = {}
-        for k in (k for st in chunk.values() for k in st.kicks):
-            if k.pulse is None and k.gamma != 0:
-                centres.setdefault(k.s, {})[k.gamma] = None
-        columns = {(s, g): v for s, gs in centres.items()
-                   for g, v in zip(gs, displaced_fock(s, list(gs), dim))}
-        plan = {key: (displacement_op(st.displacement, dim) if st.displacement != 0 else None,
-                      [(k.s, blocks if k.pulse is not None else columns.get((k.s, k.gamma)))
-                       for k in st.kicks])
-                for key, st in chunk.items()}
-        for (psi, row, tail), (prev, prev_row, prev_tail), (drive, actions) in zip(
-                views[1:], views, [plan[id(st)] for st in todo]):
-            if drive is None:
-                psi[...] = prev
-            else:
-                np.matmul(drive, prev_row, out=row)
-                if dressed:
-                    tail[...] = prev_tail
-            for s, op in actions:
-                if op is None:
-                    row[s] = -row[s]
-                elif op is blocks:
-                    np.einsum("nij,jn->in", op, psi, out=stage)
-                    psi[...] = stage
+        span = min(BLOCK, n_steps - first)
+        ends = []  # (row, drift) of each chunk end before the block's last row
+        head = views[0]
+        for r in range(0, span, CHUNK):
+            todo = schedule.steps[first + r:first + r + CHUNK]
+            # one plan entry per distinct step: its drive (None without one) and
+            # an (s, operand) action per kick: None for a centred ideal kick, the
+            # run's blocks for a dressed one, else the column an ideal kick
+            # reflects about
+            chunk = chunks[(first + r) // CHUNK]
+            centres: dict[int, dict[complex, None]] = {}
+            for k in (k for st in chunk.values() for k in st.kicks):
+                if k.pulse is None and k.gamma != 0:
+                    centres.setdefault(k.s, {})[k.gamma] = None
+            columns = {(s, g): v for s, gs in centres.items()
+                       for g, v in zip(gs, displaced_fock(s, list(gs), dim))}
+            plan = {key: (displacement_op(st.displacement, dim) if st.displacement != 0
+                          else None,
+                          [(k.s, blocks if k.pulse is not None else columns.get((k.s, k.gamma)))
+                           for k in st.kicks])
+                    for key, st in chunk.items()}
+            for (psi, row, tail), (prev, prev_row, prev_tail), (drive, actions) in zip(
+                    views[r + 1:r + 1 + CHUNK], [head, *views[r + 1:r + CHUNK]],
+                    [plan[id(st)] for st in todo]):
+                if drive is None:
+                    psi[...] = prev
                 else:
-                    row -= 2.0 * np.vdot(op, row) * op
-        # step `first` closed the previous chunk; step 0 opens the first one
+                    np.matmul(drive, prev_row, out=row)
+                    if dressed:
+                        tail[...] = prev_tail
+                for s, op in actions:
+                    if op is None:
+                        row[s] = -row[s]
+                    elif op is blocks:
+                        np.einsum("nij,jn->in", op, psi, out=stage)
+                        psi[...] = stage
+                    else:
+                        row -= 2.0 * np.vdot(op, row) * op
+            # the next chunk starts from this one's last state, renormalised;
+            # its buffer row keeps the state as it came out of the step
+            stop = r + len(todo)
+            if stop < span:
+                start[...], drift = _renormalised(buf[stop])
+                ends.append((stop, drift))
+                head = start_views
+        # step `first` closed the previous block; step 0 opens the first one
         lo = 1 if first else 0
-        end = len(todo)
+        end = span
         pop = np.abs(buf[lo:end + 1, 0]) ** 2
         pop /= pop.sum(axis=1, keepdims=True)  # the atom branch holds the rest
         leak = pop[:, -GUARD_LEVELS:].sum(axis=1)
@@ -271,14 +303,11 @@ def zeno_run(
         while snapshots and snapshots[0] <= first + end:
             q = snapshots.pop(0)
             states[q] = FieldState(buf[q - first, 0])
-        last = buf[end]
-        nrm = float(np.linalg.norm(last))
-        drift = abs(1.0 - nrm)
-        if drift > 0.0:
-            last = last / nrm
-            renorms += 1
-            max_drift = max(max_drift, drift)
-        buf[0] = last
+        # the block's last state, or the failing one, and the chunk ends before it
+        buf[0], drift = _renormalised(buf[end])
+        drifts = [d for r, d in ends if r < end] + [drift]
+        renorms += sum(d > 0.0 for d in drifts)
+        max_drift = max(max_drift, *drifts)
         first += end
     atom_leak = float(np.linalg.norm(buf[0, 1:]) ** 2)
     probs = probs[:n_rows]

@@ -30,6 +30,8 @@ from zenocavity.fock import (
 )
 from zenocavity.openquantum import displaced_kick
 from zenocavity.zeno import (
+    BLOCK,
+    CHUNK,
     KickSpec,
     Schedule,
     Step,
@@ -289,9 +291,6 @@ def test_joint_dressed_run_matches_dense_step_matrix():
     assert 1e-4 < trace.final_atom_leak < 1e-3
 
 
-CHUNK = 32  # zeno.CHUNK; the schedule lengths below straddle it
-
-
 def _reference_run(state, schedule, record_every, snapshots, leak_tol):
     """Plain per-step loop over dense step matrices of (field in h, atom branch).
 
@@ -359,10 +358,14 @@ def _chunk_test_schedule(mode, n_steps, beta=0.1):
         way = complex(math.cos(0.3), math.sin(0.3))
         steps = []
         for p in range(n_steps):
-            centre = 0.07 * (p - 1 if p % 9 == 8 else p) * way  # repeats inside a chunk
+            # out for 68 steps, then back along the same centres against the
+            # drive, so that runs longer than a block stay in the basis
+            q, sign = (p % 136, 1) if p % 136 < 68 else (135 - p % 136, -1)
+            centre = 0.07 * (q - 1 if q % 9 == 8 else q) * way  # repeats inside a chunk
             kicks = (KickSpec(s=1, gamma=centre),
                      KickSpec(s=2, gamma=0 if p % 6 == 5 else -0.5 * centre))
-            steps.append(Step(displacement=0 if p % 5 == 4 else beta * way, kicks=kicks))
+            steps.append(Step(displacement=0 if p % 5 == 4 else sign * beta * way,
+                              kicks=kicks))
         return Schedule(steps=tuple(steps))
     if mode == "ideal":
         kicks = (KickSpec(s=6), KickSpec(s=0, gamma=3j))
@@ -375,7 +378,7 @@ def _chunk_test_schedule(mode, n_steps, beta=0.1):
 
 @pytest.mark.parametrize("mode", ["ideal", "joint", "moving"])
 def test_chunked_run_matches_per_step_reference(mode):
-    snapshots = [CHUNK - 1, CHUNK, CHUNK + 1]
+    snapshots = [CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1]
 
     def check(trace, ref):
         steps, energies, probs, leaks, states, field, atom_leak, kicks, max_leak, _ = ref
@@ -391,8 +394,10 @@ def test_chunked_run_matches_per_step_reference(mode):
         assert trace.kicks == kicks
         assert trace.max_leak == pytest.approx(max_leak, rel=1e-6, abs=0)
 
-    for n_steps in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
-        schedule = _chunk_test_schedule(mode, n_steps)
+    # a weaker drive keeps the runs past a block inside the basis
+    for n_steps, beta in [(n, 0.1) for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)] + [
+            (n, 0.05) for n in (BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + CHUNK + 3)]:
+        schedule = _chunk_test_schedule(mode, n_steps, beta)
         ref = _reference_run(vacuum(60), schedule, 7, snapshots, 1e-3)
         assert ref[-1] is None
         trace = zeno_run(vacuum(60), schedule, record_every=7,
@@ -401,9 +406,10 @@ def test_chunked_run_matches_per_step_reference(mode):
         if mode == "joint":
             assert trace.final_atom_leak > 1e-5
     # the reference first leaks at step 1, on a chunk's last step, on the
-    # next chunk's first step and inside a chunk: (dim, beta, leak_tol, step)
+    # next chunk's first step, inside a chunk and on the step after a block:
+    # (dim, beta, leak_tol, step)
     for dim, beta, leak_tol, landing in LEAKING[mode]:
-        schedule = _chunk_test_schedule(mode, 2 * CHUNK + 3, beta)
+        schedule = _chunk_test_schedule(mode, BLOCK + CHUNK + 3, beta)
         ref = _reference_run(vacuum(dim), schedule, 7, snapshots, leak_tol)
         assert ref[-1] == landing
         with pytest.raises(ZenoTruncationError) as err:
@@ -417,11 +423,58 @@ def test_chunked_run_matches_per_step_reference(mode):
 
 LEAKING = {
     "ideal": [(12, 1.0, 1e-7, 1), (42, 0.13, 1e-8, CHUNK), (40, 0.12, 2e-8, CHUNK + 1),
-              (36, 0.1, 1e-6, 43)],
+              (36, 0.1, 1e-6, 43), (30, 0.015, 5e-6, BLOCK + 1)],
     "joint": [(12, 1.0, 1e-7, 1), (32, 0.1, 2e-12, CHUNK), (36, 0.1, 5e-14, CHUNK + 1),
-              (36, 0.1, 1e-6, 49)],
+              (36, 0.1, 1e-6, 49), (44, 0.02, 5e-13, BLOCK + 1)],
     "moving": [(12, 1.0, 1e-7, 1), (34, 0.1, 5e-13, CHUNK), (34, 0.1, 5e-12, CHUNK + 1),
-               (36, 0.1, 1e-6, 46)],
+               (36, 0.1, 1e-6, 46), (36, 0.1, 0.09, BLOCK + 1)],
+}
+
+
+def assert_same_bits(a, b):
+    """Two traces equal bit for bit: every array, snapshot and counter."""
+    assert sorted(a.states) == sorted(b.states)
+    for x, y in ((a.steps, b.steps), (a.energies, b.energies), (a.probs, b.probs),
+                 (a.leaks, b.leaks), (a.final_state.amps, b.final_state.amps),
+                 *((a.states[p].amps, b.states[p].amps) for p in a.states)):
+        assert x.tobytes() == y.tobytes()
+    assert ((a.max_leak, a.kicks, a.renormalizations, a.max_norm_drift, a.final_atom_leak)
+            == (b.max_leak, b.kicks, b.renormalizations, b.max_norm_drift, b.final_atom_leak))
+
+
+@pytest.mark.parametrize("mode", ["ideal", "joint", "moving"])
+def test_block_cadence_matches_chunk_cadence(mode, monkeypatch):
+    # checking the leak once per block instead of once per chunk changes no
+    # bit: run each case as shipped and with BLOCK = CHUNK
+    snapshots = [0, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1]
+
+    def run(block, dim, n_steps, beta, leak_tol):
+        monkeypatch.setattr(zeno, "BLOCK", block)
+        try:
+            return zeno_run(vacuum(dim), _chunk_test_schedule(mode, n_steps, beta),
+                            record_every=7, snapshot_steps=snapshots, leak_tol=leak_tol), ""
+        except ZenoTruncationError as err:
+            return err.trace, str(err)
+
+    cases = [(60, n, 0.05, 1e-3, None)
+             for n in (BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + CHUNK + 3)]
+    # the first leak on a chunk's last step inside a block, on the next
+    # chunk's first step and on a block's last step
+    cases += [(dim, BLOCK + CHUNK + 3, beta, leak_tol, landing)
+              for dim, beta, leak_tol, landing in BLOCK_LEAKING[mode]]
+    for dim, n_steps, beta, leak_tol, landing in cases:
+        (a, a_err), (b, b_err) = (run(block, dim, n_steps, beta, leak_tol)
+                                  for block in (BLOCK, CHUNK))
+        assert a_err == b_err
+        assert a.steps[-1] == (landing or n_steps)
+        assert bool(a_err) == (landing is not None)
+        assert_same_bits(a, b)
+
+
+BLOCK_LEAKING = {
+    "ideal": [(24, 0.13, 8e-5, CHUNK), (22, 0.05, 2e-6, CHUNK + 1), (28, 0.08, 6e-4, BLOCK)],
+    "joint": [(20, 0.1, 3e-6, CHUNK), (20, 0.1, 6e-6, CHUNK + 1), (34, 0.015, 2e-15, BLOCK)],
+    "moving": [(20, 0.1, 8e-5, CHUNK), (20, 0.12, 2e-3, CHUNK + 1), (36, 0.1, 0.06, BLOCK)],
 }
 
 
@@ -438,13 +491,7 @@ def test_equal_distinct_steps_match_repeated_step(mode):
         a, b = (zeno_run(vacuum(60), Schedule(steps=steps), record_every=7,
                          snapshot_steps=[CHUNK - 2, CHUNK + 1], leak_tol=1e-3)
                 for steps in (copies, (step,) * n))
-        assert sorted(a.states) == sorted(b.states)
-        for x, y in ((a.steps, b.steps), (a.energies, b.energies), (a.probs, b.probs),
-                     (a.leaks, b.leaks), (a.final_state.amps, b.final_state.amps),
-                     *((a.states[p].amps, b.states[p].amps) for p in a.states)):
-            assert x.tobytes() == y.tobytes()
-        assert ((a.kicks, a.renormalizations, a.max_norm_drift, a.final_atom_leak)
-                == (b.kicks, b.renormalizations, b.max_norm_drift, b.final_atom_leak))
+        assert_same_bits(a, b)
 
 
 def test_zeno_run_refuses_moving_or_mixed_dressed_kicks():
