@@ -166,18 +166,175 @@ def wigner_grid(
     return grid
 
 
-def export_csv(grid: WignerGrid, fh: IO[str]) -> None:
-    """Rows `x,y,w`, row-major over the raster, 17 significant digits.
+#: arrays shorter than this keep the `%.17g` conversion. With one BLAS
+#: thread on a 2-core Xeon, _g17_below_one and its `%s` template cost about
+#: 0.1 ms a call and 0.27 us a value, a `%.17g` template 0.75 us a value:
+#: they cross near 200 values
+_G17_MIN = 256
+#: w values export_csv formats at once (whole rows, at least one): a
+#: 121x121 raster then takes 4 blocks, about as fast as one, with a quarter
+#: of its temporaries (1.4 MB of Python objects at the peak instead of 3.8)
+_CSV_BLOCK = 4096
 
-    The x texts are formatted once per raster. Each raster row (one y)
-    joins them into one printf template, `x_0,y,%.17g\nx_1,y,%.17g\n...`,
-    and fills in its w values with one `%`. Written a row at a time, so
-    the text held in memory is one row's, not the raster's."""
+
+def _pow10_table(k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10^k ~ (hi_k + lo_k) 2^shift_k for k <= k_max: a 107-bit mantissa,
+    rounded once from the exact integer and split into two doubles."""
+    hi, lo = np.empty(k_max + 1), np.empty(k_max + 1)
+    shift = np.empty(k_max + 1, dtype=np.int64)
+    for k in range(k_max + 1):
+        n = 10**k
+        shift[k] = t = max(0, n.bit_length() - 107)
+        mantissa = (n + (1 << t >> 1)) >> t
+        hi[k] = float(mantissa)
+        lo[k] = float(mantissa - int(hi[k]))
+    return hi, lo, shift
+
+
+def _text_table(texts: list[str], size: int = 8) -> np.ndarray:
+    """Each text as ASCII, NUL-padded to size bytes, in size / 8 uint64s."""
+    return np.frombuffer(b"".join(t.encode("ascii").ljust(size, b"\0") for t in texts),
+                         dtype=np.uint64)
+
+
+# 10^(16 - x) for every decade x of a double below 1, x >= -324
+_POW10_HI, _POW10_LO, _POW10_SHIFT = _pow10_table(16 + 324)
+
+
+def _digit_groups() -> np.ndarray:
+    """The 4 ASCII digits of each group 0..9999, then the same with NULs for
+    their trailing zeros, one uint32 each."""
+    groups = np.arange(10_000, dtype=np.uint16)[:, None]
+    digits = (groups // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10).astype(np.uint8)
+    kept = np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    return np.vstack([digits + 48, np.where(kept, digits + 48, 0)]).view(np.uint32)[:, 0]
+
+
+_DIGIT_GROUPS = _digit_groups()
+# [sign][form][first digit]; form 0-3: `0.d` to `0.000d`, 4: `d.`, 5: `d` alone
+_HEADS = _text_table([sign + (f"0.{'0' * form}{d}" if form < 4 else f"{d}." if form == 4
+                              else f"{d}")
+                      for sign in ("", "-") for form in range(6) for d in range(10)])
+# the exponent of decade x and the newline at _ENDS[x + 324]
+_ENDS = _text_table([(f"e-{-x:02d}" if x < -4 else "") + "\n" for x in range(-324, 0)])
+
+
+def _two_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = high + low with both halves exact in 26 bits (Dekker)."""
+    t = 134217729.0 * a  # 2^27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+def _round_scaled(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """round(m 2^e 10^(16 - x)) as int64, and whether it is certain.
+
+    m < 2^53 is an integer. The product with the double-double 10^(16 - x)
+    keeps about 104 bits (Dekker's exact two-product for m hi): an error
+    below 2^-43 where the result lies below 1e18 (at most 2^-49 against
+    exact rationals over 45,000 values from every decade). A result counts
+    as certain when its fraction lies more than 1e-6 from one half. The
+    margin is wider than the error by a factor of 10^7, so that a slip in
+    that bound cannot give a wrong digit; it costs about 2 uncertain values
+    in a million, and every exact tie is one of them."""
+    k = 16 - x
+    hi, lo = _POW10_HI[k], _POW10_LO[k]
+    p = m * hi
+    m_hi, m_lo = _two_split(m)
+    h_hi, h_lo = _two_split(hi)
+    q = ((m_hi * h_hi - p) + m_hi * h_lo + m_lo * h_hi) + m_lo * h_lo + m * lo
+    t = e + _POW10_SHIFT[k]
+    p, q = np.ldexp(p, t), np.ldexp(q, t)
+    whole = np.floor(p)
+    q += p - whole
+    q_whole = np.floor(q)
+    frac = q - q_whole
+    rounded = whole.astype(np.int64) + q_whole.astype(np.int64) + (frac > 0.5)
+    return rounded, np.abs(frac - 0.5) > 1e-6
+
+
+def _g17_below_one(v: np.ndarray) -> list[str]:
+    """`'%.17g' % v` for values with |v| < 1.
+
+    |v| = m 2^e with m a 53-bit integer. The decade x of |v| is
+    floor((e + 52) log10 2) or one more: a scaled value of 10^17 or more
+    moves it up once, as does one that rounds up to 10^17. The 17 digits
+    D = round(|v| 10^(16 - x)) give the text: the head holds the sign and
+    the first digit (after `0.` and its zeros when x >= -4), the tail the
+    other 16 digits, four at a time from a 10,000-entry table, without
+    their trailing zeros, and the end the exponent below x = -4. Each value
+    is one NUL-padded 32-byte row of head, tail and end, with a newline.
+    The row of a value whose rounding _round_scaled cannot certify holds
+    `'%.17g' % v` itself (at most 25 bytes with its newline). Dropping
+    every NUL joins the rows into one text, which is split at the
+    newlines. A zero has D = 0 and takes the head `0` (`-0`) alone."""
+    f, e = np.frexp(np.abs(v))
+    m, e = np.ldexp(f, 53), e.astype(np.int64) - 53
+    x = ((e + 52) * 78913) >> 18  # floor((e + 52) log10 2), exact for |e + 52| < 1650
+    digits, certain = _round_scaled(m, e, x)
+    up = np.flatnonzero(digits >= 10**17)
+    x[up] += 1
+    digits[up], certain[up] = _round_scaled(m[up], e[up], x[up])
+    first, rest = np.divmod(digits, 10**16)
+    groups = np.empty((len(v), 4), dtype=np.int64)
+    high, groups[:, 3] = np.divmod(rest, 10_000)
+    high, groups[:, 2] = np.divmod(high, 10_000)
+    groups[:, 0], groups[:, 1] = np.divmod(high, 10_000)
+    # a group drops its trailing zeros when every group after it is zero
+    groups[:, 3] += 10_000
+    for g in (2, 1, 0):
+        groups[:, g] += 10_000 * (groups[:, g + 1] == 10_000)
+    form = np.where(digits == 0, 5, np.where(x >= -4, -1 - x, 4 + (rest == 0)))
+    rows = np.empty((len(v), 4), dtype=np.uint64)
+    rows[:, 0] = _HEADS[(6 * np.signbit(v) + form) * 10 + first]
+    rows[:, 1:3] = _DIGIT_GROUPS[groups].view(np.uint64)
+    rows[:, 3] = _ENDS[x + 324]
+    uncertain = ~certain
+    rows[uncertain] = _text_table([f"{u:.17g}\n" for u in v[uncertain].tolist()],
+                                  32).reshape(-1, 4)
+    text = rows.view(np.uint8)
+    return text[text != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _g17(values: np.ndarray) -> tuple[str, list]:
+    """A printf conversion and one item per value, in the flat order of
+    values, such that `conversion % item` is `'%.17g' % v`, byte for byte.
+
+    An array of at least _G17_MIN values, all with |v| < 1, gets `%s` and
+    the texts of _g17_below_one. Any other array gets `%.17g` and the
+    values themselves: `'%.17g' % v` is the format's own definition, and
+    the caller's template applies it in C."""
+    v = np.ravel(values)
+    if len(v) >= _G17_MIN and np.abs(v).max() < 1.0:  # nan compares false
+        return "%s", _g17_below_one(v)
+    return "%.17g", v.tolist()
+
+
+def export_csv(grid: WignerGrid, fh: IO[str]) -> None:
+    """Rows `x,y,w`, row-major over the raster, each number as `%.17g`.
+
+    The x texts are formatted once per raster. The w values go through
+    _g17 a block of whole rows, about _CSV_BLOCK values, at a time. A block
+    of at least _G17_MIN values, all with |w| < 1, is rounded to 17 digits
+    in numpy, through a double-double product (_g17_below_one), and comes
+    back as texts for `%s`; a value whose rounding lies within 1e-6 of a
+    tie gets its text from `'%.17g' % w` itself. Any other block (one with
+    |w| >= 1, inf or nan) and a smaller raster keep `%.17g` as the
+    template's conversion. Each raster row (one y) joins the
+    x texts into one printf template, `x_0,y,%s\nx_1,y,%s\n...` or the
+    same with `%.17g`, fills in its w items with one `%` and is written.
+    So memory holds one block's items and one row's text, not the
+    raster's. (One write per block was 6% faster on `rasters` but raised
+    its peak RSS by 2-4 MB.)"""
     xs = [f"{x:.17g}" for x in grid.xs.tolist()]
     fh.write("x,y,w\n")
-    for y, row in zip(grid.ys.tolist(), grid.values):
-        sep = f",{y:.17g},%.17g\n"
-        fh.write((sep.join(xs) + sep) % tuple(row.tolist()))
+    rows = max(1, _CSV_BLOCK // grid.nx)
+    ys = grid.ys.tolist()
+    for j in range(0, grid.ny, rows):
+        conversion, items = _g17(grid.values[j:j + rows])
+        for k, y in enumerate(ys[j:j + rows]):
+            sep = f",{y:.17g},{conversion}\n"
+            fh.write((sep.join(xs) + sep) % tuple(items[k * grid.nx:(k + 1) * grid.nx]))
 
 
 def import_csv(fh: IO[str]) -> WignerGrid:

@@ -235,7 +235,7 @@ def zeno_run(
     buf[0, 0] = state.amps
     stage, start = np.empty_like(buf[0]), np.empty_like(buf[0])
     start_views = (start, start[0], start[1:])
-    views = [(psi, psi[0], psi[1:]) for psi in buf]
+    views = list(zip(buf, buf[:, 0], buf[:, 1:]))  # (psi, row 0, atom rows) per buffer row
     first = failed = 0  # buf[0] holds the state after step `first`
     while not failed and first < n_steps:
         span = min(BLOCK, n_steps - first)

@@ -22,9 +22,13 @@ from zenocavity.fock import (
     vacuum,
 )
 from zenocavity.openquantum import pure_density
+from zenocavity import phasespace
 from zenocavity.phasespace import (
+    _CSV_BLOCK,
+    _G17_MIN,
     W_MAX,
     WignerGrid,
+    _g17,
     _geometry,
     count_lobes,
     export_csv,
@@ -319,6 +323,78 @@ def test_csv_written_by_rows_matches_one_string_form(tmp_path):
     assert text.splitlines()[1:3] == [f"{grid.xs[0]:.17g},-2,{grid.values[0, 0]:.17g}",
                                       f"{grid.xs[1]:.17g},-2,{grid.values[0, 1]:.17g}"]
     assert len(text.splitlines()) == 1 + 9 * 4
+
+
+def test_vectorised_17_digit_text_matches_per_value_format():
+    # arrays of at least _G17_MIN values with |v| < 1 are rounded in numpy,
+    # where a value near a 17-digit tie takes '%.17g' itself; any other
+    # array keeps the %.17g conversion
+    rng = np.random.default_rng(41)
+    ties = np.arange(26215, 2**18, 2) / 2.0**18  # odd k / 2^18 >= 0.1: 18 digits ending in 5
+    below_one = rng.integers(1, 0x3FF0000000000000, size=100_000, dtype=np.uint64)
+    below_one |= rng.integers(0, 2, size=below_one.size, dtype=np.uint64) << np.uint64(63)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 0)])
+    subnormals = np.concatenate([np.arange(1, 600) * 5e-324, 2.2250738585072014e-308
+                                 - np.arange(600) * 5e-324])
+    vectorised = {
+        "random bit patterns below 1": below_one.view(np.float64),
+        "powers of ten with their neighbours": np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, 1.0), -powers]),
+        "subnormals and zeros": np.concatenate([subnormals, -subnormals, [0.0, -0.0]]),
+        "ties below 1": ties,
+    }
+    per_value = {
+        "ties above 1": np.full(300, 1125899906842624.25),  # 2^50 + 1/4
+        "random bit patterns": rng.integers(0, 2**64, size=1000, dtype=np.uint64).view(np.float64),
+        "specials": np.concatenate([np.full(300, 0.5), [0.0, -0.0, np.inf, -np.inf, np.nan,
+                                                        1.0, np.nextafter(1.0, 2.0), 1e300]]),
+    }
+    for name, values in {**vectorised, **per_value}.items():
+        assert len(values) >= _G17_MIN, name
+        expected = [f"{v:.17g}" for v in values.tolist()]
+        conversion, items = _g17(values)
+        assert conversion == ("%s" if name in vectorised else "%.17g"), name
+        assert [conversion % item for item in items] == expected, name
+    assert f"{ties[0]:.17g}" == "0.10000228881835938"  # 0.100002288818359375 to even
+    assert f"{1125899906842624.25:.17g}" == "1125899906842624.2"
+
+
+def test_csv_across_row_blocks_matches_per_line_writer():
+    # a raster of several row blocks: the first two hold values that keep
+    # the %.17g conversion, the last one a tie formatted by '%.17g' itself
+    rows = _CSV_BLOCK // 300
+    grid = wigner_grid(cat_state(2.0, 1.0, 40), (-4, 4, -3, 3), nx=300, ny=2 * rows + 3)
+    grid.values[rows - 1:rows + 1, :4] = [[0.0, -0.0, 1.25, np.nan], [np.inf, -2.0, 0.5, 1e-300]]
+    grid.values[-1, :2] = [26215 / 2**18, -26217 / 2**18]
+    buf = io.StringIO()
+    export_csv(grid, buf)
+    assert buf.getvalue() == _reference_csv(grid)
+
+
+def test_rasters_csv_takes_the_vectorised_path(monkeypatch):
+    # the figure-2 raster: every block of w goes through the numpy
+    # rounding, and no value is uncertain enough to take '%.17g' itself;
+    # the %.17g conversion would be byte-identical but slower
+    grid = wigner_grid(cat_state(2.5, 1, 80), (-6, 6, -6, 6), nx=121, ny=121)
+    blocks, per_value = [], []
+    below_one, text_table = phasespace._g17_below_one, phasespace._text_table
+
+    def counted_blocks(v):
+        blocks.append(v.copy())
+        return below_one(v)
+
+    def counted_texts(texts, size=8):
+        per_value.append(len(texts))
+        return text_table(texts, size)
+
+    monkeypatch.setattr(phasespace, "_g17_below_one", counted_blocks)
+    monkeypatch.setattr(phasespace, "_text_table", counted_texts)
+    buf = io.StringIO()
+    export_csv(grid, buf)
+    assert len(blocks) > 1
+    assert np.array_equal(np.concatenate(blocks), grid.values.ravel())
+    assert per_value == [0] * len(blocks)
+    assert buf.getvalue() == _reference_csv(grid)
 
 
 def test_pgm_format_and_midpoint():

@@ -36,10 +36,30 @@ def test_statements_without_a_line_event_are_listed():
     assert tool.unreached(tree, set()) == [1, 3, 4, 6, 7, 9]
 
 
+def _formatter_lines() -> range:
+    """Lines of phasespace.py from the _G17_MIN setting to the end of _g17:
+    the 17-digit formatter, its tables and its helpers."""
+    tree = ast.parse((ROOT / "src" / "zenocavity" / "phasespace.py").read_text(encoding="utf-8"))
+    first = next(node.lineno for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["_G17_MIN"])
+    last = next(node.end_lineno for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "_g17")
+    return range(first, last + 1)
+
+
 def test_every_engine_statement_is_reached():
     # a mode that no preset, sweep or workload reaches must not grow back
-    # into the engine; the tool runs all of them once (a few seconds)
+    # into the engine or the CSV number formatter. The formatter's %.17g
+    # conversion is reached by every small raster; its per-value texts for
+    # near-ties are one masked statement that runs on every numpy block,
+    # empty or not (a raster of the fig2c preset holds one such value,
+    # -4.5493391347508499e-23). The tool runs all of them once (a few
+    # seconds)
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "unreached.py")],
                          capture_output=True, text=True, timeout=300, check=True).stdout
     assert out.rstrip().endswith("unreached statements")
     assert [line for line in out.splitlines() if line.startswith("src/zenocavity/zeno.py:")] == []
+    formatter = _formatter_lines()
+    assert len(formatter) > 100
+    assert [line for line in out.splitlines() if line.startswith("src/zenocavity/phasespace.py:")
+            and int(line.split(":")[1]) in formatter] == []
