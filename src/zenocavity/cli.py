@@ -18,6 +18,7 @@ import argparse
 import itertools
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -82,8 +83,11 @@ def run_sweep(
         for key, value in zip(keys, combo):
             _apply_override(point_raw, key, value)
         jobs.append((index, point_raw, str(outdir)))
+    # the pool forks every worker at once: no more than the points or the usable CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(jobs), cpus or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]

@@ -31,7 +31,6 @@ from .atomkick import PulseParams
 from .fock import GUARD_LEVELS, check_fits, check_guard_band, required_dim
 from .protocols import (DEFAULT_ADIABATIC_CAP, OVERLAP_TOL, TweezerTrajectory, check_apart,
                         check_overlaps, linear_trajectory)
-from .zeno import KickSpec
 
 
 class ConfigError(ValueError):
@@ -139,11 +138,10 @@ class ZenoConfig(_PureRun):
     kick_rabi_drive: Annotated[float, NON_NEGATIVE] = 0.0
     kick_omega: Annotated[float, POSITIVE] = DEFAULT_OMEGA
 
-    def kick(self) -> KickSpec:
-        """The run's kick at s: ideal, or dressed by a pulse where kick_theta is set."""
-        pulse = (PulseParams(self.kick_omega, self.kick_rabi_drive, self.kick_theta, self.s)
-                 if self.kick_theta else None)
-        return KickSpec(self.s, pulse=pulse)
+    def pulse(self) -> PulseParams | None:
+        """The pulse that dresses the run's kicks at s where kick_theta is set, else None."""
+        return (PulseParams(self.kick_omega, self.kick_rabi_drive, self.kick_theta, self.s)
+                if self.kick_theta else None)
 
 
 @dataclass(kw_only=True)
@@ -225,13 +223,15 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
     for k, t in enumerate(getattr(cfg, "trajectories", ())):  # a zero end kicks |s> in place
         amplitudes.update({f"trajectories[{k}].start": t.start or None,
                            f"trajectories[{k}].stop": t.stop or None})
+    for k, c in enumerate(getattr(cfg, "crush_centers", ())):  # a zero centre kicks |1> there
+        amplitudes[f"crush_centers[{k}]"] = c or None
     for key, z in amplitudes.items():
         if z is None or not z and key in ("alpha_init", "beta"):
             continue  # no coherent state: the vacuum, or the identity D(0)
         _check(problems, key, check_fits, z, cfg.dim)
     if isinstance(cfg, ZenoConfig):
         _check(problems, "s", check_guard_band, cfg.s, cfg.dim)
-        _check(problems, "kick_rabi_drive", cfg.kick)
+        _check(problems, "kick_rabi_drive", cfg.pulse)
     elif isinstance(cfg, (StretchConfig, CrushConfig, FourCatConfig)):
         _check(problems, "dim", check_guard_band, 1, cfg.dim)  # their tweezers kick at s = 1
     if isinstance(cfg, TweezerConfig):

@@ -79,8 +79,10 @@ def check_fits(z: complex | float, dim: int) -> None:
 
 
 def check_guard_band(s: int, dim: int) -> None:
-    """A kick at photon number s stays below the guard band, the top GUARD_LEVELS
-    levels, else ValueError; zeno_run and the config both call it."""
+    """A kick at photon number s >= 0 stays below the guard band, the top
+    GUARD_LEVELS levels, else ValueError; zeno_run and the config both call it."""
+    if s < 0:
+        raise ValueError(f"kick at s={s}: photon numbers are non-negative")
     if s >= dim - GUARD_LEVELS:
         raise ValueError(f"kick at s={s} reaches the guard band, the top {GUARD_LEVELS} "
                          f"levels of dim={dim}")

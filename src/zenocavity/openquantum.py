@@ -32,9 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atomkick import conditioned_field_diagonal
+from .atomkick import PulseParams, conditioned_field_diagonal
 from .fock import GUARD_LEVELS, FieldState, displacement_op
-from .zeno import KickSpec, Schedule
+from .zeno import Schedule
 
 logger = logging.getLogger(__name__)
 
@@ -141,16 +141,16 @@ def evolve_damped(
     return rho if params is None else _damp(rho, duration / params.t_c, params.n_th)
 
 
-def displaced_kick(spec: KickSpec, dim: int) -> np.ndarray:
-    """The dressed kick evolve_master applies at spec.gamma, as a dense matrix:
-    the conditioned diagonal K conjugated, D(gamma) K D(-gamma), a contraction,
-    not unitary. D(0) is the exact identity, so a kick at the origin is K."""
-    if spec.pulse is None:
-        raise ValueError("displaced_kick needs a kick with pulse parameters")
-    if spec.s >= dim:
-        raise IndexError(f"kick index {spec.s} outside basis 0..{dim - 1}")
-    d = displacement_op(spec.gamma, dim)
-    return (d * conditioned_field_diagonal(spec.pulse, dim)) @ d.conj().T
+def displaced_kick(gamma: complex, pulse: PulseParams, dim: int) -> np.ndarray:
+    """The kick evolve_master applies at gamma, dressed by pulse, as a dense
+    matrix: the conditioned diagonal K conjugated, D(gamma) K D(-gamma), a
+    contraction, not unitary. D(0) is the exact identity, so a kick at the origin is K."""
+    if pulse is None:
+        raise ValueError("displaced_kick needs pulse parameters")
+    if pulse.s >= dim:
+        raise IndexError(f"kick index {pulse.s} outside basis 0..{dim - 1}")
+    d = displacement_op(gamma, dim)
+    return (d * conditioned_field_diagonal(pulse, dim)) @ d.conj().T
 
 
 #: most negative eigenvalue evolve_master takes for accumulated rounding
@@ -180,9 +180,9 @@ def evolve_master(
     """Run an engine schedule on a density matrix under cavity damping.
 
     params None runs it undamped. The drive stays off: a step that
-    displaces the field is refused. Every kick must carry pulse
-    parameters, its duration is the pulse length; center moves are pulse
-    retunings and take no cavity time. Kicks act as the
+    displaces the field is refused. A schedule with kicks must carry a
+    pulse, every kick sits at its s and lasts its duration; center moves
+    are pulse retunings and take no cavity time. Kicks act as the
     conditioned completely positive branch (atom back in h):
     rho -> K rho K+ / p with the leak 1 - p accumulated in the trace;
     damping runs for the pulse duration around the midpoint split. After
@@ -193,12 +193,15 @@ def evolve_master(
     aborts it too. rho itself is left as it is. Row k of the preallocated
     records is filled after step k; the trace is built once, at the end.
     """
+    pulse = schedule.pulse
     for step in schedule.steps:
         if step.displacement != 0:
             raise ValueError(f"damped runs take no drive steps, got displacement "
                              f"{step.displacement}")
-        if any(k.pulse is None for k in step.kicks):
-            raise ValueError("damped runs need kicks with pulse parameters")
+        if step.kicks and pulse is None:
+            raise ValueError("damped runs need a schedule with pulse parameters")
+        if any(k.s != pulse.s for k in step.kicks):
+            raise ValueError(f"damped runs kick at the pulse's s={pulse.s} only")
     rho = np.array(rho, dtype=np.complex128)
     dim = rho.shape[0]
     shift = POSITIVITY_TOL * np.eye(dim)
@@ -214,9 +217,9 @@ def evolve_master(
     record(0)
     for k, step in enumerate(schedule.steps, start=1):
         for kick in step.kicks:
-            tau = kick.pulse.duration
+            tau = pulse.duration
             rho = evolve_damped(rho, 0.5 * tau, params)
-            k_op = displaced_kick(kick, dim)
+            k_op = displaced_kick(kick.gamma, pulse, dim)
             rho = k_op @ rho @ k_op.conj().T
             p = float(np.trace(rho).real)
             if not p > 0:  # a NaN too

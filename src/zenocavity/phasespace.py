@@ -380,28 +380,32 @@ def export_pgm(grid: WignerGrid, fh: IO[str]) -> None:
     fh.write("".join(" ".join([_LEVELS[v] for v in row]) + "\n" for row in levels[::-1].tolist()))
 
 
-def count_lobes(
-    grid: WignerGrid, rel_threshold: float = 0.25, smooth_sigma: float = 0.5
-) -> int:
+#: count_lobes' blur, in phase-space units: fringes alternate sign on a
+#: sub-unit scale and average away while the unit-wide lobes survive
+LOBE_SMOOTH_SIGMA = 0.5
+#: count_lobes' cut, as a fraction of the blurred raster's maximum
+LOBE_REL_THRESHOLD = 0.25
+
+
+def count_lobes(grid: WignerGrid) -> int:
     """Number of well-separated coherent lobes in a Wigner raster.
 
     Interference fringes between cat components peak as high as the lobes
-    themselves, so W is first blurred with a Gaussian of smooth_sigma
-    phase-space units: fringes alternate sign on a sub-unit scale and
-    average away while the unit-wide lobes survive. The kernel reaches
-    scipy's default 4 sigma, but no further than the raster's own size, so
-    a small window (sigma of many cells) costs no more than a wide one. A
-    cell then counts as a lobe when it dominates its 8 neighbours and
-    exceeds rel_threshold times the smoothed maximum.
+    themselves, so W is first blurred with a Gaussian of LOBE_SMOOTH_SIGMA
+    phase-space units. The kernel reaches scipy's default 4 sigma, but no
+    further than the raster's own size, so a small window (sigma of many
+    cells) costs no more than a wide one. A cell then counts as a lobe when
+    it dominates its 8 neighbours and exceeds LOBE_REL_THRESHOLD times the
+    smoothed maximum.
     """
     from scipy.ndimage import gaussian_filter
 
     dx = (grid.x_max - grid.x_min) / (grid.nx - 1)
     dy = (grid.y_max - grid.y_min) / (grid.ny - 1)
-    sigma = (smooth_sigma / dy, smooth_sigma / dx)
+    sigma = (LOBE_SMOOTH_SIGMA / dy, LOBE_SMOOTH_SIGMA / dx)
     radius = tuple(min(int(4 * sd + 0.5), n) for sd, n in zip(sigma, grid.values.shape))
     a = gaussian_filter(grid.values, sigma=sigma, radius=radius)
-    cut = rel_threshold * float(np.max(a))
+    cut = LOBE_REL_THRESHOLD * float(np.max(a))
     ny, nx = a.shape
     # the 3x3 patch of every interior cell, as nine shifted views
     patch = [a[dj:ny - 2 + dj, di:nx - 2 + di] for dj in range(3) for di in range(3)]

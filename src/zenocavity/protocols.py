@@ -162,13 +162,14 @@ def build_tweezer_schedule(
 
     The steps follow _frames: round-robin rounds kick once per trajectory
     (coincident centers are kicked once, as when a crush closes), and
-    sequential trajectories run one after the other.
+    sequential trajectories run one after the other. pulse, if given,
+    dresses every kick.
     """
     steps = []
     for positions, kicking in _frames(trajectories, interleave):
-        centres = dict.fromkeys((trajectories[k].s, positions[k]) for k in kicking)
-        steps.append(Step(kicks=tuple(KickSpec(s=s, gamma=g, pulse=pulse) for s, g in centres)))
-    return Schedule(steps=tuple(steps))
+        kicks = dict.fromkeys(KickSpec(trajectories[k].s, positions[k]) for k in kicking)
+        steps.append(Step(kicks=tuple(kicks)))
+    return Schedule(tuple(steps), pulse)
 
 
 def tweezer_run(

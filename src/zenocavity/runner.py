@@ -134,7 +134,7 @@ def _remember_ideal(key: tuple, state: fock.FieldState) -> None:
 
 def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
     state = _initial_state(cfg)
-    schedule = zeno.uniform_schedule(cfg.steps, cfg.beta, [cfg.kick()])
+    schedule = zeno.uniform_schedule(cfg.steps, cfg.beta, [zeno.KickSpec(cfg.s)], cfg.pulse())
     snaps = range(0, cfg.steps + 1, cfg.snapshot_every) if cfg.snapshot_every else ()
     trace = zeno.zeno_run(state, schedule, record_every=cfg.record_every, snapshot_steps=snaps,
                           leak_tol=cfg.leak_tol)
@@ -154,12 +154,8 @@ def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
         key = _ideal_key(cfg)
         ideal = _IDEAL_FINALS.get(key)
         if ideal is None:
-            ideal = zeno.zeno_run(
-                state,
-                zeno.uniform_schedule(cfg.steps, cfg.beta, [zeno.KickSpec(s=cfg.s)]),
-                record_every=cfg.steps,
-                leak_tol=cfg.leak_tol,
-            ).final_state
+            ideal = zeno.zeno_run(state, schedule._replace(pulse=None), record_every=cfg.steps,
+                                  leak_tol=cfg.leak_tol).final_state
             _remember_ideal(key, ideal)
         summary["fidelity"] = fock.fidelity_pure(trace.final_state, ideal)
     return summary
@@ -253,7 +249,7 @@ def realistic_point(
     schedule = protocols.build_tweezer_schedule(
         trajs, interleave=cfg.interleave, pulse=pulse
     )
-    duration = sum(sum(k.pulse.duration for k in step.kicks) for step in schedule.steps)
+    duration = sum(sum(pulse.duration for _ in step.kicks) for step in schedule.steps)
     psi0 = fock.cat_state(start, 1.0, cfg.dim)
     target = fock.cat_state(stop, 1.0, cfg.dim)
     params = LindbladParams(cfg.lindblad.t_c, cfg.lindblad.n_th) if damping else None

@@ -7,6 +7,10 @@ exclusion circle at gamma conjugates it with D(gamma). Repeating steps
 confines any state initially below (or above) |s> to that block: |s> acts
 as a hard wall in phase space of radius sqrt(s) around gamma.
 
+A Schedule is a plain value: its steps, each a displacement and a tuple of
+kicks (s, gamma), and at most one PulseParams, which dresses every kick of
+the schedule; without one the kicks are ideal.
+
 A run keeps its diagnostics as arrays, one row per recorded step, and
 checks the guard-band leak on every step, recorded or not. Each chunk of
 CHUNK steps plans its distinct steps once (drive and kick operands), so that
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,58 +50,39 @@ CHUNK = 32
 BLOCK = 8 * CHUNK
 
 
-@dataclass(frozen=True)
-class KickSpec:
+class KickSpec(NamedTuple):
     """One selective kick: photon number s, circle center gamma.
 
-    pulse = None gives the ideal instantaneous kick; a PulseParams models
-    the finite interrogation pulse, which can park field amplitude in the
-    atom branch. zeno_run takes a dressed kick only at gamma = 0; damped
-    runs (openquantum.evolve_master) move it and build it as a dense
+    Its schedule's pulse decides what the kick is: the ideal instantaneous
+    kick, or the finite interrogation pulse, which can park field amplitude
+    in the atom branch. zeno_run takes a dressed kick only at gamma = 0;
+    damped runs (openquantum.evolve_master) move it and build it as a dense
     matrix with openquantum.displaced_kick.
     """
 
     s: int
     gamma: complex = 0j
-    pulse: PulseParams | None = None
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("kick photon number must be non-negative")
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        if self.pulse is not None and self.pulse.s != self.s:
-            raise ValueError("pulse addresses a different photon number than the kick")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """Displacement increment followed by kicks applied in list order."""
 
     displacement: complex = 0j
     kicks: tuple[KickSpec, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "displacement", complex(self.displacement))
-        object.__setattr__(self, "kicks", tuple(self.kicks))
 
+class Schedule(NamedTuple):
+    """Steps run in order. pulse None gives ideal kicks; a PulseParams dresses
+    every kick of every step, each of which must then sit at the pulse's s."""
 
-@dataclass(frozen=True)
-class Schedule:
     steps: tuple[Step, ...]
-
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if not steps:
-            raise ValueError("schedule must contain at least one step")
-        object.__setattr__(self, "steps", steps)
+    pulse: PulseParams | None = None
 
 
-def uniform_schedule(n_steps: int, beta: complex, kicks: Sequence[KickSpec]) -> Schedule:
-    """n_steps identical steps: D(beta) then the given kicks."""
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    step = Step(displacement=complex(beta), kicks=tuple(kicks))
-    return Schedule(steps=(step,) * n_steps)
+def uniform_schedule(n_steps: int, beta: complex, kicks: Sequence[KickSpec],
+                     pulse: PulseParams | None = None) -> Schedule:
+    """n_steps identical steps: D(beta) then the given kicks, dressed by pulse."""
+    return Schedule((Step(beta, tuple(kicks)),) * n_steps, pulse)
 
 
 _RECORD = np.dtype([("step", np.int64), ("energy", np.float64)]
@@ -176,15 +161,16 @@ def zeno_run(
     aborts with ZenoTruncationError, which carries the partial trace.
 
     The run evolves one array psi of shape (rows, dim). Row 0 is the field
-    while the atom sits in h; rows 1-2 hold what a dressed pulse drives into
-    the atom's (+, -) branch, and there is only row 0 when no kick is
-    dressed. The drive and ideal kicks act on row 0; a dressed kick applies
-    pulse_blocks to all rows. A run takes one dressed pulse, centred at the
-    origin (ValueError otherwise, before the first step; damped runs move
-    dressed kicks), so the branch stays coherent between kicks: it can
-    return at the next pulse, which is what keeps Rabi angles far from
-    2*pi usable, and final_atom_leak is its population. The trace reports
-    the field of row 0, normalised.
+    while the atom sits in h; rows 1-2 hold what the schedule's pulse drives
+    into the atom's (+, -) branch, and there is only row 0 when the schedule
+    has no pulse. The drive and ideal kicks act on row 0; a dressed kick
+    applies pulse_blocks to all rows. Dressed kicks must sit at the origin
+    and at the pulse's s (ValueError otherwise, before the first step;
+    damped runs move dressed kicks), so the branch stays coherent between
+    kicks: it can return at the next pulse, which is what keeps Rabi angles
+    far from 2*pi usable, and final_atom_leak is its population. An empty
+    schedule raises ValueError. The trace reports the field of row 0,
+    normalised.
 
     Steps advance in blocks of BLOCK into a (BLOCK + 1, rows, dim) buffer,
     one chunk of CHUNK steps at a time. A chunk first plans each distinct
@@ -206,20 +192,20 @@ def zeno_run(
     if dim <= GUARD_LEVELS:
         raise ValueError(f"dim must exceed the {GUARD_LEVELS} guard levels")
     n_steps = len(schedule.steps)
+    if not n_steps:
+        raise ValueError("schedule must contain at least one step")
     chunks = [{id(st): st for st in schedule.steps[i:i + CHUNK]} for i in range(0, n_steps, CHUNK)]
     distinct: dict[int, Step] = {}
     for chunk in chunks:  # the run's distinct steps, each checked once
         distinct.update(chunk)
-    for s in dict.fromkeys(k.s for step in distinct.values() for k in step.kicks):
+    kicks = [k for step in distinct.values() for k in step.kicks]
+    for s in dict.fromkeys(k.s for k in kicks):
         check_guard_band(s, dim)
-    dressed = {(k.gamma, k.pulse) for step in distinct.values() for k in step.kicks
-               if k.pulse is not None}
-    if any(gamma != 0 for gamma, _ in dressed):
-        raise ValueError("zeno_run takes dressed kicks at the origin only; "
-                         "damped runs (evolve_master) move them")
-    if len(dressed) > 1:
-        raise ValueError("zeno_run takes one dressed pulse per run")
-    blocks = pulse_blocks(next(iter(dressed))[1], dim) if dressed else None
+    pulse = schedule.pulse
+    if pulse is not None and any(k != (pulse.s, 0) for k in kicks):
+        raise ValueError(f"zeno_run takes dressed kicks at the origin and the pulse's "
+                         f"s={pulse.s} only; damped runs (evolve_master) move them")
+    blocks = None if pulse is None else pulse_blocks(pulse, dim)
     snapshots = np.array(sorted(set(snapshot_steps or ())), dtype=int)
     snapshots = snapshots[(0 <= snapshots) & (snapshots <= n_steps)].tolist()
     # the kept rows: step 0, every record_every-th step, the snapshots, the last step
@@ -231,7 +217,7 @@ def zeno_run(
     size = np.count_nonzero(keep) + 1  # and the failing step
     leaks, probs = np.empty(size), np.empty((size, dim))
     n_rows = 0
-    buf = np.zeros((min(BLOCK, n_steps) + 1, 3 if dressed else 1, dim), dtype=np.complex128)
+    buf = np.zeros((min(BLOCK, n_steps) + 1, 3 if pulse else 1, dim), dtype=np.complex128)
     buf[0, 0] = state.amps
     stage, start = np.empty_like(buf[0]), np.empty_like(buf[0])
     start_views = (start, start[0], start[1:])
@@ -244,20 +230,18 @@ def zeno_run(
         for r in range(0, span, CHUNK):
             todo = schedule.steps[first + r:first + r + CHUNK]
             # one plan entry per distinct step: its drive (None without one) and
-            # an (s, operand) action per kick: None for a centred ideal kick, the
-            # run's blocks for a dressed one, else the column an ideal kick
-            # reflects about
+            # an (s, operand) action per kick: the column an off-centre ideal
+            # kick reflects about, else the run's blocks (None for ideal kicks)
             chunk = chunks[(first + r) // CHUNK]
             centres: dict[int, dict[complex, None]] = {}
             for k in (k for st in chunk.values() for k in st.kicks):
-                if k.pulse is None and k.gamma != 0:
+                if k.gamma != 0:  # dressed kicks sit at the origin
                     centres.setdefault(k.s, {})[k.gamma] = None
             columns = {(s, g): v for s, gs in centres.items()
                        for g, v in zip(gs, displaced_fock(s, list(gs), dim))}
             plan = {key: (displacement_op(st.displacement, dim) if st.displacement != 0
                           else None,
-                          [(k.s, blocks if k.pulse is not None else columns.get((k.s, k.gamma)))
-                           for k in st.kicks])
+                          [(k.s, columns.get((k.s, k.gamma), blocks)) for k in st.kicks])
                     for key, st in chunk.items()}
             for (psi, row, tail), (prev, prev_row, prev_tail), (drive, actions) in zip(
                     views[r + 1:r + 1 + CHUNK], [head, *views[r + 1:r + CHUNK]],
@@ -266,7 +250,7 @@ def zeno_run(
                     psi[...] = prev
                 else:
                     np.matmul(drive, prev_row, out=row)
-                    if dressed:
+                    if pulse:
                         tail[...] = prev_tail
                 for s, op in actions:
                     if op is None:

@@ -131,7 +131,7 @@ def conditioned_run(state: FieldState, schedule: Schedule) -> FieldState:
         amps = displacement(step.displacement, dim) @ amps
         for k in step.kicks:
             d = displacement(k.gamma, dim)
-            amps = d @ (pulse_blocks(k.pulse, dim)[:, 0, 0] * (d.conj().T @ amps))
+            amps = d @ (pulse_blocks(schedule.pulse, dim)[:, 0, 0] * (d.conj().T @ amps))
             amps = amps / np.linalg.norm(amps)
     return FieldState(amps)
 

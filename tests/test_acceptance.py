@@ -308,7 +308,7 @@ def test_criterion_11_theta_robustness():
     pulse = PulseParams(omega=OMEGA, rabi_drive=0.05 * gap, theta=1.0, s=6)
     trace = zeno_run(
         vacuum(48),
-        uniform_schedule(25, 0.1, [KickSpec(s=6, pulse=pulse)]),
+        uniform_schedule(25, 0.1, [KickSpec(s=6)], pulse),
         leak_tol=1e-3,
     )
     p = trace.probs[-1]

@@ -143,7 +143,7 @@ def test_theta1_schedule_tracks_ideal_run():
     ideal = zeno_run(vacuum(48), uniform_schedule(25, 0.1, [KickSpec(s=6)]))
     p = make_params(theta=1.0, ratio=0.05, s=6)
     dressed = zeno_run(
-        vacuum(48), uniform_schedule(25, 0.1, [KickSpec(s=6, pulse=p)]),
+        vacuum(48), uniform_schedule(25, 0.1, [KickSpec(s=6)], p),
         leak_tol=1e-3,
     )
     assert fidelity_pure(dressed.final_state, ideal.final_state) > 0.9

@@ -74,3 +74,26 @@ def test_exported_names_are_used_by_the_package():
     unused = sorted(f"{mod}.{name}" for mod, name in exported
                     if name not in used and (mod, name) not in traced)
     assert not unused, "no package code uses " + ", ".join(unused)
+
+
+def test_step_counter_reads_package_schedules():
+    # the benchmark's zeno.steps and zeno.kicks come from schedule.steps and
+    # step.kicks of what zeno_run is given, positionally or by keyword
+    from zenocavity.atomkick import PulseParams
+    from zenocavity.protocols import build_tweezer_schedule, linear_trajectory
+    from zenocavity.zeno import KickSpec, uniform_schedule
+
+    pulse = PulseParams(omega=3e5, rabi_drive=3e4, theta=2.0, s=1)
+    crush = [linear_trajectory(-2.5, 0, 25), linear_trajectory(2.5, 0, 25)]
+    cases = [
+        (uniform_schedule(45, 0.1, [KickSpec(6)]), 45, 45),
+        (uniform_schedule(20, 0.1, [KickSpec(1), KickSpec(1, 0.5j)], pulse), 20, 40),
+        # the circles meet in the last round, which kicks once
+        (build_tweezer_schedule(crush), 26, 51),
+        (build_tweezer_schedule(crush, interleave="sequential", pulse=pulse), 52, 52),
+    ]
+    for schedule, steps, kicks in cases:
+        for args, kwargs in (((None, schedule), {}), ((None,), {"schedule": schedule})):
+            tracer = TRACING.Tracer()
+            tracer._count_steps(0, args, kwargs, None, None)
+            assert tracer.counts == {"zeno.steps": steps, "zeno.kicks": kicks}

@@ -96,9 +96,13 @@ def test_protocol_required_keys_reported_missing():
 
 
 def test_small_dim_parses_where_the_protocol_has_no_s():
-    # crush and four_cat kick at s = 1, whose guard-band rule holds from dim 5
-    for raw in ({"protocol": "four_cat", "dim": 8}, {"protocol": "crush", "dim": 8}):
-        assert parse_config(raw).dim == 8
+    # four_cat kicks at s = 1, whose guard-band rule holds from dim 5
+    assert parse_config({"protocol": "four_cat", "dim": 8}).dim == 8
+    # crush kicks at s = 1 too, but its default centres +-2.5 do not fit at dim 8
+    with pytest.raises(ConfigError) as err:
+        parse_config({"protocol": "crush", "dim": 8})
+    assert [p.split(":")[0] for p in err.value.problems] == ["crush_centers[0]",
+                                                             "crush_centers[1]"]
     # realistic has no s either: at dim 8 only its default cats do not fit
     with pytest.raises(ConfigError) as err:
         parse_config({"protocol": "realistic", "dim": 8, "pulse": {}})
@@ -107,7 +111,11 @@ def test_small_dim_parses_where_the_protocol_has_no_s():
     with pytest.raises(ConfigError) as err:
         parse_config({"protocol": "crush", "dim": 8, "cat_init": 0})
     assert err.value.problems == ["cat_init: |z| = 0 needs dim >= |z|^2 + 6|z| + 10 "
-                                  "= 10, got dim=8"]
+                                  "= 10, got dim=8",
+                                  "crush_centers[0]: |z| = 2.5 needs dim >= |z|^2 + 6|z| + 10 "
+                                  "= 31.25, got dim=8",
+                                  "crush_centers[1]: |z| = 2.5 needs dim >= |z|^2 + 6|z| + 10 "
+                                  "= 31.25, got dim=8"]
     with pytest.raises(ConfigError, match="s: kick at s=6 reaches the guard band"):
         parse_config({"protocol": "zeno_confine", "dim": 8})
 
@@ -617,9 +625,14 @@ def test_sweep_forks_no_more_workers_than_points(tmp_path, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})  # three CPUs
     rows = run_sweep(preset_raw("qze"), ["beta=0.05,0.06"], tmp_path, workers=64)
     assert seen == [2]
     assert [r["error"] for r in rows] == ["", ""]
+    # and no more than the CPUs: the pool would fork every worker at once
+    rows = run_sweep(preset_raw("qze"), ["beta=0.03,0.04,0.05,0.06"], tmp_path, workers=5000)
+    assert seen == [2, 3]
+    assert [r["error"] for r in rows] == [""] * 4
 
 
 def test_single_point_sweep_equals_run(tmp_path):
@@ -797,7 +810,7 @@ def test_failing_reference_is_not_kept(tmp_path, monkeypatch, zeno_calls):
 
     def failing_reference(state, schedule, **kwargs):
         trace = counting(state, schedule, **kwargs)
-        if schedule.steps[0].kicks[0].pulse is None:  # ideal kicks
+        if schedule.pulse is None:  # ideal kicks
             raise zeno.ZenoTruncationError("truncation leak in the reference", trace)
         return trace
 

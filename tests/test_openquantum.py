@@ -160,6 +160,11 @@ def test_master_schedule_validation():
     rho = pure_density(vacuum(12))
     with pytest.raises(ValueError, match="pulse parameters"):
         evolve_master(rho, Schedule(steps=(Step(kicks=(KickSpec(s=1),)),)), params())
+    # every kick sits at the pulse's s, checked before the first step
+    pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=3e4, theta=2.0, s=1)
+    with pytest.raises(ValueError, match="pulse's s=1 only"):
+        evolve_master(rho, Schedule((Step(kicks=(KickSpec(s=1),)), Step(kicks=(KickSpec(s=2),))),
+                                    pulse), params())
     with pytest.raises(ValueError, match="no drive steps"):
         evolve_master(rho, Schedule(steps=(Step(displacement=0.5),)), params())
     # undamped is no exception: the drive stays off either way
@@ -198,7 +203,7 @@ def test_lindblad_params_validation():
 
 def test_kick_leak_recorded():
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=3e4, theta=2.0, s=1)
-    sched = Schedule(steps=(Step(kicks=(KickSpec(s=1, gamma=1.0, pulse=pulse),)),))
+    sched = Schedule(steps=(Step(kicks=(KickSpec(s=1, gamma=1.0),)),), pulse=pulse)
     # population on the addressed displaced level leaks out of h hard
     psi = FieldState(displacement_op(1.0, 20)[:, 1])
     _, trace = evolve_master(pure_density(psi), sched, params())
@@ -256,7 +261,7 @@ def test_leak_column_reads_the_top_levels():
 def identity_kick_schedule():
     """One kick of a zero-angle pulse at the origin: the identity up to rounding."""
     pulse = PulseParams(omega=2 * math.pi * 50e3, rabi_drive=2e4, theta=0.0, s=1)
-    return Schedule(steps=(Step(kicks=(KickSpec(s=1, gamma=0.0, pulse=pulse),)),))
+    return Schedule(steps=(Step(kicks=(KickSpec(s=1, gamma=0.0),)),), pulse=pulse)
 
 
 def rho_with_smallest_eigenvalue(w, dim=8):

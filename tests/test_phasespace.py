@@ -457,12 +457,14 @@ def test_count_lobes_on_cats():
     assert count_lobes(wigner_grid(cat_state(2.5, 1, 48), (-5, 5, -5, 5))) == 2
 
 
-def test_count_lobes_matches_loop_on_plateaus():
+def test_count_lobes_matches_loop_on_plateaus(monkeypatch):
     # rounding makes equal neighbours; a blur of 1e-3 cells is the identity
     values = np.round(np.random.default_rng(5).normal(size=(15, 12)), 1)
     values[5, 5:7] = 9.0  # a two-cell plateau holds no lobe
     grid = WignerGrid(x_min=0, x_max=11, y_min=0, y_max=14, nx=12, ny=15, values=values)
+    monkeypatch.setattr(phasespace, "LOBE_SMOOTH_SIGMA", 1e-3)
     for rel in (-1.0, 0.0, 0.25):
+        monkeypatch.setattr(phasespace, "LOBE_REL_THRESHOLD", rel)
         cut = rel * values.max()
         expected = 0
         for j in range(1, 14):
@@ -471,7 +473,7 @@ def test_count_lobes_matches_loop_on_plateaus():
                 patch = values[j - 1:j + 2, i - 1:i + 2]
                 if c > cut and c >= patch.max() and np.count_nonzero(patch == c) == 1:
                     expected += 1
-        assert count_lobes(grid, rel, smooth_sigma=1e-3) == expected
+        assert count_lobes(grid) == expected
 
 
 def test_count_lobes_on_a_tiny_window_stays_fast():
