@@ -39,8 +39,6 @@ W_MAX = 2.0 / math.pi
 
 _SQRT2 = math.sqrt(2.0)
 
-_LEVELS = [str(v) for v in range(256)]  # PGM grey levels as text
-
 
 def _hermite_functions(dim: int, q: np.ndarray) -> np.ndarray:
     """Rows phi_0(q)..phi_{dim-1}(q) of the normalised Hermite functions."""
@@ -166,14 +164,14 @@ def wigner_grid(
     return grid
 
 
-#: arrays shorter than this keep the `%.17g` conversion. With one BLAS
-#: thread on a 2-core Xeon, _g17_below_one and its `%s` template cost about
-#: 0.1 ms a call and 0.27 us a value, a `%.17g` template 0.75 us a value:
-#: they cross near 200 values
+#: blocks of w smaller than this keep the per-row `%.17g` template. With
+#: one BLAS thread on a 2-core Xeon a numpy block costs about 0.1 ms plus
+#: 0.27 us a value, the template 0.5 us a value: they cross near 400 values
 _G17_MIN = 256
-#: w values export_csv formats at once (whole rows, at least one): a
-#: 121x121 raster then takes 4 blocks, about as fast as one, with a quarter
-#: of its temporaries (1.4 MB of Python objects at the peak instead of 3.8)
+#: w values export_csv writes at once (whole rows, at least one). A 121x121
+#: raster takes 4 blocks; at 1024x1024 the writer holds 1.2 MB (tracemalloc).
+#: 1,024 values held 0.5 MB and wrote 121x121 about a quarter slower;
+#: 16,384 (one block) held 4.4 MB and wrote it about 10% faster
 _CSV_BLOCK = 4096
 
 
@@ -211,6 +209,7 @@ def _digit_groups() -> np.ndarray:
 
 
 _DIGIT_GROUPS = _digit_groups()
+_LEVELS = _text_table([f"{v} " for v in range(256)])  # PGM grey levels, each with a space
 # [sign][form][first digit]; form 0-3: `0.d` to `0.000d`, 4: `d.`, 5: `d` alone
 _HEADS = _text_table([sign + (f"0.{'0' * form}{d}" if form < 4 else f"{d}." if form == 4
                               else f"{d}")
@@ -253,7 +252,7 @@ def _round_scaled(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[np.ndarr
     return rounded, np.abs(frac - 0.5) > 1e-6
 
 
-def _g17_below_one(v: np.ndarray) -> list[str]:
+def _g17_below_one(v: np.ndarray) -> np.ndarray:
     """`'%.17g' % v` for values with |v| < 1.
 
     |v| = m 2^e with m a 53-bit integer. The decade x of |v| is
@@ -265,9 +264,9 @@ def _g17_below_one(v: np.ndarray) -> list[str]:
     their trailing zeros, and the end the exponent below x = -4. Each value
     is one NUL-padded 32-byte row of head, tail and end, with a newline.
     The row of a value whose rounding _round_scaled cannot certify holds
-    `'%.17g' % v` itself (at most 25 bytes with its newline). Dropping
-    every NUL joins the rows into one text, which is split at the
-    newlines. A zero has D = 0 and takes the head `0` (`-0`) alone."""
+    `'%.17g' % v` itself (at most 25 bytes with its newline). Returns the
+    (len(v), 4) uint64 rows. A zero has D = 0 and takes the head `0`
+    (`-0`) alone."""
     f, e = np.frexp(np.abs(v))
     m, e = np.ldexp(f, 53), e.astype(np.int64) - 53
     x = ((e + 52) * 78913) >> 18  # floor((e + 52) log10 2), exact for |e + 52| < 1650
@@ -292,49 +291,46 @@ def _g17_below_one(v: np.ndarray) -> list[str]:
     uncertain = ~certain
     rows[uncertain] = _text_table([f"{u:.17g}\n" for u in v[uncertain].tolist()],
                                   32).reshape(-1, 4)
-    text = rows.view(np.uint8)
-    return text[text != 0].tobytes().decode("ascii").split("\n")[:-1]
+    return rows
 
 
-def _g17(values: np.ndarray) -> tuple[str, list]:
-    """A printf conversion and one item per value, in the flat order of
-    values, such that `conversion % item` is `'%.17g' % v`, byte for byte.
-
-    An array of at least _G17_MIN values, all with |v| < 1, gets `%s` and
-    the texts of _g17_below_one. Any other array gets `%.17g` and the
-    values themselves: `'%.17g' % v` is the format's own definition, and
-    the caller's template applies it in C."""
-    v = np.ravel(values)
-    if len(v) >= _G17_MIN and np.abs(v).max() < 1.0:  # nan compares false
-        return "%s", _g17_below_one(v)
-    return "%.17g", v.tolist()
+def _ascii(cells: np.ndarray) -> str:
+    """The text of NUL-padded cells: their bytes in order, every NUL dropped."""
+    text = cells.view(np.uint8)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def export_csv(grid: WignerGrid, fh: IO[str]) -> None:
     """Rows `x,y,w`, row-major over the raster, each number as `%.17g`.
 
-    The x texts are formatted once per raster. The w values go through
-    _g17 a block of whole rows, about _CSV_BLOCK values, at a time. A block
-    of at least _G17_MIN values, all with |w| < 1, is rounded to 17 digits
-    in numpy, through a double-double product (_g17_below_one), and comes
-    back as texts for `%s`; a value whose rounding lies within 1e-6 of a
-    tie gets its text from `'%.17g' % w` itself. Any other block (one with
-    |w| >= 1, inf or nan) and a smaller raster keep `%.17g` as the
-    template's conversion. Each raster row (one y) joins the
-    x texts into one printf template, `x_0,y,%s\nx_1,y,%s\n...` or the
-    same with `%.17g`, fills in its w items with one `%` and is written.
-    So memory holds one block's items and one row's text, not the
-    raster's. (One write per block was 6% faster on `rasters` but raised
-    its peak RSS by 2-4 MB.)"""
+    The w values go a block of whole rows, about _CSV_BLOCK values, at a
+    time. A block of at least _G17_MIN values, all with |w| < 1, is
+    rounded to 17 digits in numpy (_g17_below_one) and laid out in 96
+    bytes a point: the x text and the y text, each with its comma and
+    NUL-padded to 32 bytes, then the w row. The block is written at once,
+    its NULs dropped: a 121x121 raster takes 4.3 ms to a file, 5.7 ms with
+    one printf template and one write per raster row. Any other block
+    (|w| >= 1, inf or nan) and a smaller raster keep that template,
+    `x_0,y,%.17g\nx_1,y,%.17g\n...`, filled with the row's w values."""
     xs = [f"{x:.17g}" for x in grid.xs.tolist()]
-    fh.write("x,y,w\n")
+    ys = [f"{y:.17g}" for y in grid.ys.tolist()]
     rows = max(1, _CSV_BLOCK // grid.nx)
-    ys = grid.ys.tolist()
+    layout = None
+    fh.write("x,y,w\n")
     for j in range(0, grid.ny, rows):
-        conversion, items = _g17(grid.values[j:j + rows])
-        for k, y in enumerate(ys[j:j + rows]):
-            sep = f",{y:.17g},{conversion}\n"
-            fh.write((sep.join(xs) + sep) % tuple(items[k * grid.nx:(k + 1) * grid.nx]))
+        w = grid.values[j:j + rows]
+        if w.size < _G17_MIN or not np.abs(w).max() < 1.0:  # nan compares false
+            for y, row in zip(ys[j:j + rows], w.tolist()):
+                sep = f",{y},%.17g\n"
+                fh.write((sep.join(xs) + sep) % tuple(row))
+            continue
+        if layout is None:
+            layout = np.empty((min(rows, grid.ny), grid.nx, 12), dtype=np.uint64)
+            layout[:, :, :4] = _text_table([x + "," for x in xs], 32).reshape(-1, 4)
+        block = layout[:len(w)]
+        block[:, :, 4:8] = _text_table([y + "," for y in ys[j:j + rows]], 32).reshape(-1, 1, 4)
+        block[:, :, 8:] = _g17_below_one(w.ravel()).reshape(len(w), grid.nx, 4)
+        fh.write(_ascii(block))
 
 
 def import_csv(fh: IO[str]) -> WignerGrid:
@@ -372,12 +368,13 @@ def export_pgm(grid: WignerGrid, fh: IO[str]) -> None:
     levels = np.clip(
         np.round((grid.values + W_MAX) / (2.0 * W_MAX) * 255.0), 0, 255
     ).astype(int)
-    fh.write("P2\n")
-    fh.write("# wigner raster, 0 -> W=-2/pi, 255 -> W=+2/pi\n")
-    fh.write(f"# x_min={grid.x_min:.17g} x_max={grid.x_max:.17g}\n")
-    fh.write(f"# y_min={grid.y_min:.17g} y_max={grid.y_max:.17g}\n")
-    fh.write(f"{grid.nx} {grid.ny}\n255\n")
-    fh.write("".join(" ".join([_LEVELS[v] for v in row]) + "\n" for row in levels[::-1].tolist()))
+    cells = _LEVELS[levels[::-1]]
+    ends = cells[:, -1:].view(np.uint8)
+    ends[ends == 32] = 10  # the space after a row's last level becomes its newline
+    fh.write("P2\n# wigner raster, 0 -> W=-2/pi, 255 -> W=+2/pi\n"
+             f"# x_min={grid.x_min:.17g} x_max={grid.x_max:.17g}\n"
+             f"# y_min={grid.y_min:.17g} y_max={grid.y_max:.17g}\n"
+             f"{grid.nx} {grid.ny}\n255\n" + _ascii(cells))
 
 
 #: count_lobes' blur, in phase-space units: fringes alternate sign on a

@@ -203,9 +203,10 @@ def _crush_protocol(cfg: config.CrushConfig, outdir: Path) -> dict[str, Any]:
     final, trace = protocols.crush_between(
         state, a, b, cfg.crush_steps, record_every=cfg.record_every, leak_tol=cfg.leak_tol
     )
+    # the matched cat may not fit the basis: fail before any file is written
+    energy, matched_alpha, fid = protocols.crush_fidelity_vs_matched_cat(final)
     _emit_trace_artifacts(trace, cfg, outdir)
     _write_picture(final, cfg, outdir, f"step{trace.steps[-1]:06d}")
-    energy, matched_alpha, fid = protocols.crush_fidelity_vs_matched_cat(final)
     return {
         "energy": energy,
         "matched_cat_amplitude": matched_alpha,

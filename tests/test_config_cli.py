@@ -608,6 +608,20 @@ def test_four_cat_dumps_its_final_state(tmp_path):
     assert len(amps) == 24 and abs(np.vdot(amps, amps) - 1) < 1e-12
 
 
+def test_crush_whose_matched_cat_does_not_fit_writes_nothing(tmp_path, capsys):
+    # both centres fit dim 28, but the crushed state's energy-matched cat
+    # needs dim 29.93: the run fails before it writes a trace or a picture
+    raw = {"protocol": "crush", "dim": 28,
+           "crush_centers": [[-2.1185239790419272, -0.34029543343517177],
+                             [2.0463682355338024, 0.3287051610309676]],
+           "crush_steps": 51, "wigner": {"nx": 21, "ny": 21}}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "needs dim >= |z|^2 + 6|z| + 10 = 29.9342, got dim=28" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_sweep_forks_no_more_workers_than_points(tmp_path, monkeypatch):
     seen = []
 

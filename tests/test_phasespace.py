@@ -28,7 +28,7 @@ from zenocavity.phasespace import (
     _G17_MIN,
     W_MAX,
     WignerGrid,
-    _g17,
+    _g17_below_one,
     _geometry,
     count_lobes,
     export_csv,
@@ -325,10 +325,10 @@ def test_csv_written_by_rows_matches_one_string_form(tmp_path):
     assert len(text.splitlines()) == 1 + 9 * 4
 
 
-def test_vectorised_17_digit_text_matches_per_value_format():
-    # arrays of at least _G17_MIN values with |v| < 1 are rounded in numpy,
+def test_vectorised_17_digit_text_matches_per_value_format(monkeypatch):
+    # blocks of at least _G17_MIN values with |v| < 1 are rounded in numpy,
     # where a value near a 17-digit tie takes '%.17g' itself; any other
-    # array keeps the %.17g conversion
+    # block keeps the per-row %.17g template
     rng = np.random.default_rng(41)
     ties = np.arange(26215, 2**18, 2) / 2.0**18  # odd k / 2^18 >= 0.1: 18 digits ending in 5
     below_one = rng.integers(1, 0x3FF0000000000000, size=100_000, dtype=np.uint64)
@@ -349,12 +349,27 @@ def test_vectorised_17_digit_text_matches_per_value_format():
         "specials": np.concatenate([np.full(300, 0.5), [0.0, -0.0, np.inf, -np.inf, np.nan,
                                                         1.0, np.nextafter(1.0, 2.0), 1e300]]),
     }
+    rounded = []
+    monkeypatch.setattr(phasespace, "_g17_below_one",
+                        lambda v: rounded.append(v) or _g17_below_one(v))
     for name, values in {**vectorised, **per_value}.items():
         assert len(values) >= _G17_MIN, name
-        expected = [f"{v:.17g}" for v in values.tolist()]
-        conversion, items = _g17(values)
-        assert conversion == ("%s" if name in vectorised else "%.17g"), name
-        assert [conversion % item for item in items] == expected, name
+        nx = math.gcd(len(values), 10)  # a raster of at least 2 x 2, blocks of 256 or more
+        grid = WignerGrid(x_min=-1, x_max=1, y_min=-1, y_max=1, nx=nx, ny=len(values) // nx,
+                          values=values.reshape(-1, nx))
+        buf = io.StringIO()
+        rounded.clear()
+        export_csv(grid, buf)
+        if name in vectorised:
+            # every block is rounded in numpy, into one NUL-padded row a value
+            assert np.array_equal(np.concatenate(rounded), values, equal_nan=True), name
+            rows = _g17_below_one(values)
+            assert rows.shape == (len(values), 4) and rows.dtype == np.uint64, name
+            assert rows.tobytes().replace(b"\0", b"").decode("ascii") == "".join(
+                f"{v:.17g}\n" for v in values.tolist()), name
+        else:
+            assert rounded == [], name
+            assert buf.getvalue() == _reference_csv(grid), name
     assert f"{ties[0]:.17g}" == "0.10000228881835938"  # 0.100002288818359375 to even
     assert f"{1125899906842624.25:.17g}" == "1125899906842624.2"
 
@@ -371,6 +386,25 @@ def test_csv_across_row_blocks_matches_per_line_writer():
     assert buf.getvalue() == _reference_csv(grid)
 
 
+def test_csv_with_the_longest_axis_texts_matches_per_line_writer(monkeypatch):
+    # a numpy-path raster whose x and y texts take the longest %.17g form,
+    # 25 bytes with the comma, inside their 32-byte slots
+    grid = WignerGrid(x_min=-7.2345678901234567e-305, x_max=-7.1e-305,
+                      y_min=-8.2345678901234567e-301, y_max=-8.1e-301, nx=20, ny=16,
+                      values=np.random.default_rng(7).uniform(-0.6, 0.6, size=(16, 20)))
+    assert [len(f"{x:.17g},") for x in grid.xs].count(25) == 18
+    assert [len(f"{y:.17g},") for y in grid.ys].count(25) == 14
+    rounded = []
+    monkeypatch.setattr(phasespace, "_g17_below_one",
+                        lambda v: rounded.append(v) or _g17_below_one(v))
+    buf = io.StringIO()
+    export_csv(grid, buf)
+    assert len(rounded) == 1
+    assert buf.getvalue() == _reference_csv(grid)
+    first = buf.getvalue().splitlines()[1]
+    assert first.startswith("-7.2345678901234568e-305,-8.2345678901234568e-301,")
+
+
 def test_rasters_csv_takes_the_vectorised_path(monkeypatch):
     # the figure-2 raster: every block of w goes through the numpy
     # rounding, and no value is uncertain enough to take '%.17g' itself;
@@ -379,16 +413,19 @@ def test_rasters_csv_takes_the_vectorised_path(monkeypatch):
     blocks, per_value = [], []
     below_one, text_table = phasespace._g17_below_one, phasespace._text_table
 
-    def counted_blocks(v):
-        blocks.append(v.copy())
-        return below_one(v)
-
     def counted_texts(texts, size=8):
         per_value.append(len(texts))
         return text_table(texts, size)
 
+    def counted_blocks(v):
+        # only the texts _g17_below_one asks for are per-value w texts;
+        # export_csv's x and y tables are not counted
+        blocks.append(v.copy())
+        with monkeypatch.context() as inner:
+            inner.setattr(phasespace, "_text_table", counted_texts)
+            return below_one(v)
+
     monkeypatch.setattr(phasespace, "_g17_below_one", counted_blocks)
-    monkeypatch.setattr(phasespace, "_text_table", counted_texts)
     buf = io.StringIO()
     export_csv(grid, buf)
     assert len(blocks) > 1
@@ -442,6 +479,36 @@ def test_pgm_matches_str_writer():
     export_pgm(grid, buf)
     assert buf.getvalue() == _reference_pgm(grid)
     assert buf.getvalue().splitlines()[-1].startswith("0 255 0 255 128 128 128 127 ")
+
+
+def _pgm_grids() -> dict[str, WignerGrid]:
+    level_values = (np.arange(256) / 255.0 * 2.0 - 1.0) * W_MAX
+    rng = np.random.default_rng(29)
+    wide = rng.uniform(-W_MAX, W_MAX, size=(29, 300))
+    wide[3], wide[4], wide[5, ::2] = -W_MAX, W_MAX, -W_MAX  # rows of 1-, 3- and mixed-digit levels
+    return {
+        "all 256 levels": WignerGrid(x_min=-1, x_max=1, y_min=-1, y_max=1, nx=16, ny=16,
+                                     values=rng.permutation(level_values).reshape(16, 16)),
+        "2 x 2": WignerGrid(x_min=-1, x_max=1, y_min=-1, y_max=1, nx=2, ny=2,
+                            values=np.array([[-W_MAX, 0.1], [0.2, W_MAX]])),
+        "300 x 29": WignerGrid(x_min=-3, x_max=3, y_min=-0.5, y_max=0.5, nx=300, ny=29,
+                               values=wide),
+    }
+
+
+@pytest.mark.parametrize("name", list(_pgm_grids()))
+def test_pgm_rows_match_str_writer(name):
+    # every row ends in a newline where its last level's space was, whatever its length
+    grid = _pgm_grids()[name]
+    buf = io.StringIO()
+    export_pgm(grid, buf)
+    assert buf.getvalue() == _reference_pgm(grid)
+    rows = buf.getvalue().splitlines()[6:]
+    assert [len(row.split(" ")) for row in rows] == [grid.nx] * grid.ny
+    if name == "all 256 levels":
+        assert sorted(int(v) for row in rows for v in row.split()) == list(range(256))
+    if name == "300 x 29":
+        assert len({len(row) for row in rows}) > 3
 
 
 def test_pgm_header_records_bounds():

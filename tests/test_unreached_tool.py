@@ -36,21 +36,23 @@ def test_statements_without_a_line_event_are_listed():
     assert tool.unreached(tree, set()) == [1, 3, 4, 6, 7, 9]
 
 
-def _formatter_lines() -> range:
-    """Lines of phasespace.py from the _G17_MIN setting to the end of _g17:
-    the 17-digit formatter, its tables and its helpers."""
+def _formatter_lines() -> list[int]:
+    """Lines of phasespace.py from the _G17_MIN setting to the end of
+    export_csv, then those of export_pgm: the 17-digit formatter, its
+    tables and helpers, and both text writers."""
     tree = ast.parse((ROOT / "src" / "zenocavity" / "phasespace.py").read_text(encoding="utf-8"))
     first = next(node.lineno for node in tree.body if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets] == ["_G17_MIN"])
-    last = next(node.end_lineno for node in tree.body if isinstance(node, ast.FunctionDef)
-                and node.name == "_g17")
-    return range(first, last + 1)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    pgm = functions["export_pgm"]
+    return [*range(first, functions["export_csv"].end_lineno + 1),
+            *range(pgm.lineno, pgm.end_lineno + 1)]
 
 
 def test_every_engine_statement_is_reached():
     # a mode that no preset, sweep or workload reaches must not grow back
-    # into the engine or the CSV number formatter. The formatter's %.17g
-    # conversion is reached by every small raster; its per-value texts for
+    # into the engine or the raster text writers. The CSV's per-row %.17g
+    # template is reached by every small raster; its per-value texts for
     # near-ties are one masked statement that runs on every numpy block,
     # empty or not (a raster of the fig2c preset holds one such value,
     # -4.5493391347508499e-23). The tool runs all of them once (a few
