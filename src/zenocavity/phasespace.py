@@ -165,8 +165,8 @@ def wigner_grid(
 
 
 #: blocks of w smaller than this keep the per-row `%.17g` template. With
-#: one BLAS thread on a 2-core Xeon a numpy block costs about 0.1 ms plus
-#: 0.27 us a value, the template 0.5 us a value: they cross near 400 values
+#: one BLAS thread on a 2-core Xeon they cross at 240-256 values: numpy takes
+#: 1.05 times the template's time at 240, 0.98 at 256 and 0.89 at 288
 _G17_MIN = 256
 #: w values export_csv writes at once (whole rows, at least one). A 121x121
 #: raster takes 4 blocks; at 1024x1024 the writer holds 1.2 MB (tracemalloc).

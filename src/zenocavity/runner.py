@@ -138,27 +138,28 @@ def _zeno_protocol(cfg: config.ZenoConfig, outdir: Path) -> dict[str, Any]:
     snaps = range(0, cfg.steps + 1, cfg.snapshot_every) if cfg.snapshot_every else ()
     trace = zeno.zeno_run(state, schedule, record_every=cfg.record_every, snapshot_steps=snaps,
                           leak_tol=cfg.leak_tol)
-    if not cfg.kick_theta:
-        _remember_ideal(_ideal_key(cfg), trace.final_state)
-    _emit_trace_artifacts(trace, cfg, outdir)
-    summary: dict[str, Any] = {
-        "energy": float(trace.energies[-1]),
-        **_leak_report(trace.max_leak, cfg.leak_tol),
-        "atom_leak": trace.final_atom_leak,
-        "renormalizations": trace.renormalizations,
-        "fidelity": None,
-        "snapshots": list(snaps),
-    }
+    key = _ideal_key(cfg)
+    fid = None
     if cfg.kick_theta:
-        # reference: the same schedule with ideal kicks, run once per key
-        key = _ideal_key(cfg)
+        # reference: the same schedule with ideal kicks, run once per key and
+        # before any file is written, since it can leak too
         ideal = _IDEAL_FINALS.get(key)
         if ideal is None:
             ideal = zeno.zeno_run(state, schedule._replace(pulse=None), record_every=cfg.steps,
                                   leak_tol=cfg.leak_tol).final_state
             _remember_ideal(key, ideal)
-        summary["fidelity"] = fock.fidelity_pure(trace.final_state, ideal)
-    return summary
+        fid = fock.fidelity_pure(trace.final_state, ideal)
+    else:
+        _remember_ideal(key, trace.final_state)
+    _emit_trace_artifacts(trace, cfg, outdir)
+    return {
+        "energy": float(trace.energies[-1]),
+        **_leak_report(trace.max_leak, cfg.leak_tol),
+        "atom_leak": trace.final_atom_leak,
+        "renormalizations": trace.renormalizations,
+        "fidelity": fid,
+        "snapshots": list(snaps),
+    }
 
 
 def _stretch_protocol(cfg: config.StretchConfig, outdir: Path) -> dict[str, Any]:
@@ -274,8 +275,8 @@ def _realistic_protocol(cfg: config.RealisticConfig, outdir: Path) -> dict[str, 
         if best is None or fid > best["fidelity"]:
             best = rows[-1]
             best_trace = trace
-    np.save(outdir / "trace.npy", best_trace.records)
     fid_undamped, _, _ = realistic_point(cfg, best["theta"], damping=False)
+    np.save(outdir / "trace.npy", best_trace.records)
     np.savetxt(outdir / "grid.csv", [tuple(r.values()) for r in rows], fmt="%.17g",
                delimiter=",", header=",".join(rows[0]), comments="")
     return {

@@ -101,10 +101,8 @@ class EvolutionTrace:
     (0 without dressed kicks).
     renormalizations counts the chunks of CHUNK steps whose last state
     zeno_run renormalised, and max_norm_drift is the largest drift over one
-    chunk; neither counts single steps. On a failed run both cover the chunk
-    ends before the failing step and the renormalisation of its own state.
-    zeno_run takes the leaks once per block of BLOCK steps, over every step
-    of the block.
+    chunk; neither counts single steps. zeno_run takes the leaks once per
+    block of BLOCK steps, over every step of the block.
     """
 
     steps: np.ndarray
@@ -130,11 +128,7 @@ class EvolutionTrace:
 
 
 class ZenoTruncationError(TruncationError):
-    """Leak above tolerance mid-run; carries the partial trace."""
-
-    def __init__(self, message: str, trace: EvolutionTrace):
-        super().__init__(message)
-        self.trace = trace
+    """Leak above tolerance mid-run, naming the leak and the failing step."""
 
 
 def _renormalised(psi: np.ndarray) -> tuple[np.ndarray, float]:
@@ -157,8 +151,7 @@ def zeno_run(
     snapshot step (those also keep the full state) and the final step.
     The guard-band leak, the population of the top GUARD_LEVELS levels, is
     checked after every step (max_leak keeps the largest): the first step
-    whose leak reaches leak_tol is appended as the last row and the run
-    aborts with ZenoTruncationError, which carries the partial trace.
+    whose leak reaches leak_tol aborts the run with ZenoTruncationError.
 
     The run evolves one array psi of shape (rows, dim). Row 0 is the field
     while the atom sits in h; rows 1-2 hold what the schedule's pulse drives
@@ -182,9 +175,7 @@ def zeno_run(
     renormalised, while the buffer row keeps that state as the step left it.
     The kept rows come from one mask per run; once per block the probability
     rows (each normalised by its own sum), leaks and snapshots are taken in
-    bulk, and the block's last state, or the first leaking one, is
-    renormalised. Steps after the first leaking one are discarded: they
-    count in neither kicks nor renormalizations.
+    bulk, before the block's last state is renormalised.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -214,7 +205,7 @@ def zeno_run(
     renorms = 0
     max_drift = max_leak = 0.0
     states: dict[int, FieldState] = {}
-    size = np.count_nonzero(keep) + 1  # and the failing step
+    size = np.count_nonzero(keep)
     leaks, probs = np.empty(size), np.empty((size, dim))
     n_rows = 0
     buf = np.zeros((min(BLOCK, n_steps) + 1, 3 if pulse else 1, dim), dtype=np.complex128)
@@ -222,10 +213,10 @@ def zeno_run(
     stage, start = np.empty_like(buf[0]), np.empty_like(buf[0])
     start_views = (start, start[0], start[1:])
     views = list(zip(buf, buf[:, 0], buf[:, 1:]))  # (psi, row 0, atom rows) per buffer row
-    first = failed = 0  # buf[0] holds the state after step `first`
-    while not failed and first < n_steps:
+    first = 0  # buf[0] holds the state after step `first`
+    while first < n_steps:
         span = min(BLOCK, n_steps - first)
-        ends = []  # (row, drift) of each chunk end before the block's last row
+        drifts = []  # |1 - norm| at each chunk end of the block
         head = views[0]
         for r in range(0, span, CHUNK):
             todo = schedule.steps[first + r:first + r + CHUNK]
@@ -265,50 +256,42 @@ def zeno_run(
             stop = r + len(todo)
             if stop < span:
                 start[...], drift = _renormalised(buf[stop])
-                ends.append((stop, drift))
+                drifts.append(drift)
                 head = start_views
         # step `first` closed the previous block; step 0 opens the first one
         lo = 1 if first else 0
-        end = span
-        pop = np.abs(buf[lo:end + 1, 0]) ** 2
+        pop = np.abs(buf[lo:span + 1, 0]) ** 2
         pop /= pop.sum(axis=1, keepdims=True)  # the atom branch holds the rest
         leak = pop[:, -GUARD_LEVELS:].sum(axis=1)
         bad = np.flatnonzero(~(leak[1 - lo:] < leak_tol))
         if bad.size:
-            end = int(bad[0]) + 1
-            failed = first + end
-            keep[failed] = True
-            pop, leak = pop[:end + 1 - lo], leak[:end + 1 - lo]
+            n = int(bad[0]) + 1
+            raise ZenoTruncationError(
+                f"truncation leak {leak[n - lo]:.3e} above {leak_tol:.1e} at step {first + n}")
         max_leak = float(np.max(leak, initial=max_leak))
-        kept = keep[first + lo:first + end + 1]
+        kept = keep[first + lo:first + span + 1]
         new = slice(n_rows, n_rows + np.count_nonzero(kept))
         leaks[new], probs[new] = leak[kept], pop[kept]
         n_rows = new.stop
-        while snapshots and snapshots[0] <= first + end:
+        while snapshots and snapshots[0] <= first + span:
             q = snapshots.pop(0)
             states[q] = FieldState(buf[q - first, 0])
-        # the block's last state, or the failing one, and the chunk ends before it
-        buf[0], drift = _renormalised(buf[end])
-        drifts = [d for r, d in ends if r < end] + [drift]
+        buf[0], drift = _renormalised(buf[span])
+        drifts.append(drift)
         renorms += sum(d > 0.0 for d in drifts)
         max_drift = max(max_drift, *drifts)
-        first += end
+        first += span
     atom_leak = float(np.linalg.norm(buf[0, 1:]) ** 2)
-    probs = probs[:n_rows]
     trace = EvolutionTrace(
-        np.flatnonzero(keep[:first + 1]), probs @ np.arange(dim), probs, leaks[:n_rows],
+        np.flatnonzero(keep), probs @ np.arange(dim), probs, leaks,
         states=states,
         final_state=FieldState(buf[0, 0]),
         max_leak=max_leak,
-        kicks=sum(len(st.kicks) for st in schedule.steps[:first]),
+        kicks=sum(len(st.kicks) for st in schedule.steps),
         renormalizations=renorms,
         max_norm_drift=max_drift,
         final_atom_leak=atom_leak,
     )
-    if failed:
-        raise ZenoTruncationError(
-            f"truncation leak {leak[-1]:.3e} above {leak_tol:.1e} at step {failed}", trace
-        )
     logger.debug(
         "zeno_run: %d steps, %d renormalizations, max norm drift %.3e, atom leak %.3e",
         n_steps, renorms, max_drift, atom_leak,

@@ -825,7 +825,7 @@ def test_failing_reference_is_not_kept(tmp_path, monkeypatch, zeno_calls):
     def failing_reference(state, schedule, **kwargs):
         trace = counting(state, schedule, **kwargs)
         if schedule.pulse is None:  # ideal kicks
-            raise zeno.ZenoTruncationError("truncation leak in the reference", trace)
+            raise zeno.ZenoTruncationError("truncation leak in the reference")
         return trace
 
     ranges = ["kick_theta=6.4,6.1", "beta=0.099"]
@@ -973,9 +973,31 @@ def test_list_presets_prints_every_preset(capsys):
     assert capsys.readouterr().out.splitlines() == list_presets()
 
 
-def test_run_reports_a_truncation_leak_with_exit_1(tmp_path, capsys):
+# a dressed run that passes, whose ideal-kick reference leaks at step 30
+_LEAKING_REFERENCE = {"protocol": "zeno_confine", "dim": 40, "s": 6, "beta": 0.15, "steps": 45,
+                      "snapshot_every": 15, "kick_theta": 5.0,
+                      "kick_rabi_drive": 2 * math.pi * 5e3}
+
+
+@pytest.mark.parametrize("raw, message", [
+    *(({**preset_raw(name), "leak_tol": 1e-300}, None)
+      for name in ("qze", "stretch", "fig4ab", "fig4c", "fig4d")),
+    (_LEAKING_REFERENCE, "truncation leak 1.036e-06 above 1.0e-06 at step 30"),
+], ids=["zeno_confine", "tweezer_stretch", "tweezer_move", "crush", "four_cat", "reference"])
+def test_run_reports_a_truncation_leak_with_exit_1(raw, message, tmp_path, capsys):
+    # a leak anywhere in a run writes nothing, with `run` and as a sweep point
     cfg_path = tmp_path / "leaky.json"
-    cfg_path.write_text(json.dumps({**preset_raw("qze"), "leak_tol": 1e-300}))
+    cfg_path.write_text(json.dumps(raw))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
-    assert capsys.readouterr().err.startswith("error: truncation leak ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncation leak ")
+    assert list((tmp_path / "o").iterdir()) == []
+    leak_tol = f"leak_tol={raw.get('leak_tol', 1e-6)!r}"
+    assert main(["sweep", str(cfg_path), leak_tol, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    assert list((tmp_path / "s" / "point_0000").iterdir()) == []
+    with open(tmp_path / "s" / "sweep.csv", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert err == f"error: {row['error']}\n"
+    if message is not None:
+        assert row["error"] == message
 

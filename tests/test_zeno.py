@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,23 +196,24 @@ def test_confinement_invariant():
     assert worst < 5e-5
 
 
-def test_zeno_run_truncation_abort_carries_partial_trace():
+def test_zeno_run_truncation_abort_keeps_no_trace():
     with pytest.raises(ZenoTruncationError) as err:
         zeno_run(vacuum(30), uniform_schedule(60, 0.1, [KickSpec(s=6)]))
-    partial = err.value.trace
-    assert partial.leaks[-1] >= 1e-6
-    assert partial.steps[-1] < 60
+    assert not hasattr(err.value, "trace")
+    leak, step = re.fullmatch(r"truncation leak (\S+) above 1\.0e-06 at step (\d+)",
+                              str(err.value)).groups()
+    assert float(leak) >= 1e-6
+    assert 0 < int(step) < 60
 
 
 def test_truncation_checked_on_every_step():
     # the leak first reaches 1e-6 at step 40, between the recorded rows
+    schedule = uniform_schedule(60, 0.1, [KickSpec(s=6)])
+    every = zeno_run(vacuum(30), schedule, leak_tol=1.0)  # every step's leak, no abort
+    assert every.leaks[40] >= 1e-6 > every.leaks[1:40].max()
     with pytest.raises(ZenoTruncationError) as err:
-        zeno_run(vacuum(30), uniform_schedule(60, 0.1, [KickSpec(s=6)]), record_every=7)
-    partial = err.value.trace
-    assert partial.steps[-2:].tolist() == [35, 40]
-    assert partial.steps[-1] == 40 and partial.leaks[-1] >= 1e-6
-    assert "at step 40" in str(err.value)
-    assert partial.kicks == 40  # the leaking step's kick, none after it
+        zeno_run(vacuum(30), schedule, record_every=7)
+    assert str(err.value) == f"truncation leak {every.leaks[40]:.3e} above 1.0e-06 at step 40"
 
 
 FIELDS = ("step", "energy", *(f"p{n}" for n in range(10)), "leak")
@@ -414,10 +416,13 @@ def test_chunked_run_matches_per_step_reference(mode):
         with pytest.raises(ZenoTruncationError) as err:
             zeno_run(vacuum(dim), schedule, record_every=7, snapshot_steps=snapshots,
                      leak_tol=leak_tol)
-        assert f"at step {landing}" in str(err.value)
-        assert err.value.trace.steps[-1] == landing
-        assert err.value.trace.max_leak >= leak_tol
-        check(err.value.trace, ref)
+        assert str(err.value) == _leak_message(ref, leak_tol)
+
+
+def _leak_message(ref, leak_tol):
+    """The abort message for the reference run's leak at its failing step."""
+    leaks, landing = ref[3], ref[-1]
+    return f"truncation leak {leaks[-1]:.3e} above {leak_tol:.1e} at step {landing}"
 
 
 LEAKING = {
@@ -447,27 +452,27 @@ def test_block_cadence_matches_chunk_cadence(mode, monkeypatch):
     # bit: run each case as shipped and with BLOCK = CHUNK
     snapshots = [0, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1]
 
-    def run(block, dim, n_steps, beta, leak_tol):
+    def run(block, dim, schedule, leak_tol):
         monkeypatch.setattr(zeno, "BLOCK", block)
-        try:
-            return zeno_run(vacuum(dim), _chunk_test_schedule(mode, n_steps, beta),
-                            record_every=7, snapshot_steps=snapshots, leak_tol=leak_tol), ""
-        except ZenoTruncationError as err:
-            return err.trace, str(err)
+        return zeno_run(vacuum(dim), schedule, record_every=7, snapshot_steps=snapshots,
+                        leak_tol=leak_tol)
 
-    cases = [(60, n, 0.05, 1e-3, None)
-             for n in (BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + CHUNK + 3)]
-    # the first leak on a chunk's last step inside a block, on the next
-    # chunk's first step and on a block's last step
-    cases += [(dim, BLOCK + CHUNK + 3, beta, leak_tol, landing)
-              for dim, beta, leak_tol, landing in BLOCK_LEAKING[mode]]
-    for dim, n_steps, beta, leak_tol, landing in cases:
-        (a, a_err), (b, b_err) = (run(block, dim, n_steps, beta, leak_tol)
-                                  for block in (BLOCK, CHUNK))
-        assert a_err == b_err
-        assert a.steps[-1] == (landing or n_steps)
-        assert bool(a_err) == (landing is not None)
+    for n_steps in (BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + CHUNK + 3):
+        schedule = _chunk_test_schedule(mode, n_steps, 0.05)
+        a, b = (run(block, 60, schedule, 1e-3) for block in (BLOCK, CHUNK))
+        assert a.steps[-1] == n_steps
         assert_same_bits(a, b)
+    # the first leak on a chunk's last step inside a block, on the next
+    # chunk's first step and on a block's last step: both cadences name the
+    # reference run's failing step and its leak
+    for dim, beta, leak_tol, landing in BLOCK_LEAKING[mode]:
+        schedule = _chunk_test_schedule(mode, BLOCK + CHUNK + 3, beta)
+        ref = _reference_run(vacuum(dim), schedule, 7, snapshots, leak_tol)
+        assert ref[-1] == landing
+        for block in (BLOCK, CHUNK):
+            with pytest.raises(ZenoTruncationError) as err:
+                run(block, dim, schedule, leak_tol)
+            assert str(err.value) == _leak_message(ref, leak_tol)
 
 
 BLOCK_LEAKING = {
